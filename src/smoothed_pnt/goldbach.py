@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import AliasError, CapacityError, DomainError
 from .sieve import LambdaTable
@@ -55,7 +54,8 @@ def _self_convolve(seq, k, N, method):
         if method == "direct":
             acc = np.convolve(acc, conv)[: N + 1]
         else:
-            acc = fftconvolve(acc, conv)[: N + 1]
+            size = len(acc) + len(conv) - 1
+            acc = np.fft.irfft(np.fft.rfft(acc, size) * np.fft.rfft(conv, size), size)[: N + 1]
             acc[np.abs(acc) < 1e-30] = 0.0
     return acc
 

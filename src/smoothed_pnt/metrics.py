@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import DomainError, ParseError, RangeError
 from .specfun import loggamma
@@ -181,27 +180,17 @@ def metrics_row(table, zeros: ZeroSet, x, grid=64, tol=1e-6):
 
 def zero_sum_W(x, zeros: ZeroSet):
     """W(x) = sum over zeros (conjugates doubled) of |Gamma(rho+1)| x^beta / gamma."""
-    zeros.require_nonempty()
-    if x < 1.0:
-        raise DomainError("x must be >= 1")
-    log_x = math.log(x)
-    total = 0.0
-    for b, g in zip(zeros.betas, zeros.gammas):
-        expo = loggamma(complex(b + 1.0, g)).real + b * log_x - math.log(g)
-        if expo > -745.0:
-            total += 2.0 * math.exp(expo)
-    return total
+    return float(np.sum(zero_sum_W_terms(x, zeros)))
 
 
 def zero_sum_W_terms(x, zeros: ZeroSet):
     """Per-zero contributions to W(x), for dominance diagnostics."""
     zeros.require_nonempty()
-    log_x = math.log(x)
-    out = np.empty(len(zeros))
-    for i, (b, g) in enumerate(zip(zeros.betas, zeros.gammas)):
-        expo = loggamma(complex(b + 1.0, g)).real + b * log_x - math.log(g)
-        out[i] = 0.0 if expo <= -745.0 else 2.0 * math.exp(expo)
-    return out
+    if x < 1.0:
+        raise DomainError("x must be >= 1")
+    b, g = zeros.betas, zeros.gammas
+    expo = loggamma(b + 1.0 + 1j * g).real + b * math.log(x) - np.log(g)
+    return np.where(expo <= -745.0, 0.0, 2.0 * np.exp(expo))
 
 
 def omega_zero(x, zeros: ZeroSet):
@@ -218,6 +207,41 @@ class Minimum(NamedTuple):
     minimizer: float
 
 
+_GOLDEN_R = 0.61803399  # 2 / (1 + sqrt 5) to 8 digits, as classic golden-section codes
+_GOLDEN_C = 1.0 - _GOLDEN_R
+
+
+def _golden_section(f, xa, xb, xc, xtol):
+    """Golden-section search for a minimum of f inside xa < xb < xc.
+
+    Needs f(xb) below both f(xa) and f(xc), and returns None when the
+    bracket has no such dip.  Stops once the bracket is narrower than
+    xtol * (|x1| + |x2|), xtol being relative, and returns (x, f(x)) for
+    the better of the two interior points.
+    """
+    fa, fb, fc = f(xa), f(xb), f(xc)
+    if not (fb < fa and fb < fc):
+        return None
+    x0, x3 = xa, xc
+    if abs(xc - xb) > abs(xb - xa):
+        x1, x2 = xb, xb + _GOLDEN_C * (xc - xb)
+    else:
+        x1, x2 = xb - _GOLDEN_C * (xb - xa), xb
+    f1, f2 = f(x1), f(x2)
+    for _ in range(5000):
+        if abs(x3 - x0) <= xtol * (abs(x1) + abs(x2)):
+            break
+        if f2 < f1:
+            x0, x1, f1 = x1, x2, f2
+            x2 = _GOLDEN_R * x1 + _GOLDEN_C * x3
+            f2 = f(x2)
+        else:
+            x3, x2, f2 = x2, x1, f1
+            x1 = _GOLDEN_R * x2 + _GOLDEN_C * x0
+            f1 = f(x1)
+    return (x1, f1) if f1 < f2 else (x2, f2)
+
+
 def _grid_golden_min(f, grid):
     """Grid scan plus golden-section refinement on the best bracket.
 
@@ -228,17 +252,9 @@ def _grid_golden_min(f, grid):
     vals = np.array([f(t) for t in grid])
     i = int(np.argmin(vals))
     if 0 < i < len(grid) - 1:
-        try:
-            res = minimize_scalar(
-                f,
-                bracket=(grid[i - 1], grid[i], grid[i + 1]),
-                method="golden",
-                options={"xtol": 1e-12},
-            )
-            if res.fun <= vals[i]:
-                return Minimum(float(res.fun), float(res.x))
-        except ValueError:
-            pass  # flat bracket; keep the grid point
+        best = _golden_section(f, grid[i - 1], grid[i], grid[i + 1], xtol=1e-12)
+        if best is not None and best[1] <= vals[i]:
+            return Minimum(float(best[1]), float(best[0]))
     return Minimum(float(vals[i]), float(grid[i]))
 
 

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.special import roots_legendre
 
 from .errors import (
     CapacityError,
@@ -31,6 +29,7 @@ from .errors import (
     NormalizationError,
     ToleranceError,
 )
+from .metrics import _golden_section
 from .sieve import LambdaTable
 from .smooth import DELTA_LIMIT, smooth_baseline, weighted_exp_sum
 from .specfun import gamma_complex, loggamma, zeta_em, zeta_logderiv
@@ -63,6 +62,43 @@ class PintzParams:
         if not (0.0 < r.real < 1.0) or r.imag <= 0.0:
             raise DomainError("rho0 must satisfy 0 < Re < 1 and Im > 0")
         object.__setattr__(self, "rho0", r)
+
+
+# Gauss-Legendre nodes and weights on [-1, 1] for the two orders used,
+# as literals (QUADPACK keeps its rules the same way).  The last bit of
+# each weight matters: U_integral's cancellation turns a 1e-15 change in
+# the weights into ~5e-8 relative in U, so the tables are pinned here
+# rather than recomputed (numpy's leggauss differs by up to 1.8e-15).
+_GAUSS_LEGENDRE = {
+    10: (
+        np.array([
+            -0.9739065285171717, -0.8650633666889844, -0.6794095682990244,
+            -0.4333953941292472, -0.14887433898163116, 0.14887433898163116,
+            0.4333953941292472, 0.6794095682990244, 0.8650633666889844,
+            0.9739065285171717,
+        ]),
+        np.array([
+            0.06667134430868714, 0.14945134915058053, 0.21908636251598224,
+            0.26926671930999674, 0.2955242247147533, 0.2955242247147533,
+            0.26926671930999674, 0.21908636251598224, 0.14945134915058053,
+            0.06667134430868714,
+        ]),
+    ),
+    12: (
+        np.array([
+            -0.9815606342467192, -0.9041172563704749, -0.7699026741943047,
+            -0.5873179542866175, -0.36783149899818013, -0.12523340851146897,
+            0.12523340851146897, 0.36783149899818013, 0.5873179542866175,
+            0.7699026741943047, 0.9041172563704749, 0.9815606342467192,
+        ]),
+        np.array([
+            0.04717533638651319, 0.10693932599531782, 0.16007832854334608,
+            0.20316742672306573, 0.2334925365383547, 0.2491470458134026,
+            0.2491470458134026, 0.2334925365383547, 0.20316742672306573,
+            0.16007832854334608, 0.10693932599531782, 0.04717533638651319,
+        ]),
+    ),
+}
 
 
 class QuadResult(NamedTuple):
@@ -118,8 +154,7 @@ def mellin_H_quadrature(table: LambdaTable, s, upper=2000.0, delta_fn=None):
     u_min = 0.02
     node_eps = 1e-10
     h = 0.5 / max(abs(s.imag), 1.0)
-    m = 10
-    xg, wg = roots_legendre(m)
+    xg, wg = _GAUSS_LEGENDRE[10]
     v_lo, v_hi = math.log(u_min), math.log(upper)
     n_panels = int(math.ceil((v_hi - v_lo) / h))
     edges = np.linspace(v_lo, v_hi, n_panels + 1)
@@ -167,7 +202,7 @@ def gaussian_line_check(kk, w, height=None):
     if height is None:
         height = 10.0 / math.sqrt(kk) + (abs(w) / kk if sigma == 2.0 else 0.0) + 2.0
     h = 0.5 / max(omega, math.sqrt(kk), 1.0)
-    xg, wg = roots_legendre(12)
+    xg, wg = _GAUSS_LEGENDRE[12]
     n_panels = int(math.ceil(2.0 * height / h))
     edges = np.linspace(-height, height, n_panels + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
@@ -231,8 +266,7 @@ def U_integral(table: LambdaTable, p: PintzParams, tol=0.1, delta_fn=None, panel
     c_split = 0.0 if delta_fn is not None else DELTA_LIMIT
     gamma0 = abs(p.rho0.imag)
     h = min(0.7 / max(gamma0, 1.0), 0.25 * math.sqrt(p.k)) * panel_scale
-    m = 12
-    xg, wg = roots_legendre(m)
+    xg, wg = _GAUSS_LEGENDRE[12]
     # march a little below the nominal window: the integrand there is
     # doubly-exponentially small and cheap, and it shrinks the head bound
     y_lo = max(math.log(0.004) - p.mu, -width - 8.0)
@@ -313,17 +347,10 @@ def U_residue(zeros: ZeroSet, p: PintzParams):
     zeros.require_nonempty()
     pole_exp = p.k * (1.0 - p.rho0) ** 2 + p.mu * (1.0 - p.rho0)
     total = np.exp(pole_exp) if pole_exp.real > -745.0 else 0j
-    for beta, gamma in zip(zeros.betas, zeros.gammas):
-        for sign in (1.0, -1.0):
-            rho = complex(beta, sign * gamma)
-            expo = (
-                loggamma(rho)
-                + np.log(rho)
-                + p.k * (rho - p.rho0) ** 2
-                + p.mu * (rho - p.rho0)
-            )
-            if expo.real > -745.0:
-                total += np.exp(expo)
+    upper = zeros.betas + 1j * zeros.gammas
+    rho = np.column_stack([upper, np.conj(upper)]).ravel()  # each zero, then its conjugate
+    expo = loggamma(rho) + np.log(rho) + p.k * (rho - p.rho0) ** 2 + p.mu * (rho - p.rho0)
+    total += np.sum(np.exp(expo[expo.real > -745.0]))
     remainder = math.exp(min(709.0, -p.mu + 2.25 * p.k))
     return QuadResult(value=complex(total), error=float(remainder))
 
@@ -358,10 +385,9 @@ def turan_bound(alphas, a, b, refine=1):
     lo = ts[max(i - 1, 0)]
     hi = ts[min(i + 1, len(ts) - 1)]
     if lo < ts[i] < hi:
-        try:
-            res = minimize_scalar(neg_abs, bracket=(lo, ts[i], hi), method="golden")
-            grid_max = max(grid_max, float(-res.fun))
-        except ValueError:
-            pass  # flat bracket; the grid value stands
+        # xtol sqrt(machine epsilon), relative
+        best = _golden_section(neg_abs, lo, ts[i], hi, xtol=2.0**-26)
+        if best is not None:
+            grid_max = max(grid_max, float(-best[1]))
     bound = (b / (8.0 * math.e * (a + b))) ** n
     return grid_max, bound

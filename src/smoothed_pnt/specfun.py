@@ -16,9 +16,9 @@ f(conj z) == conj(f(z)) holds exactly, not just to rounding.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
-from scipy.special import bernoulli
 
 from .errors import AccuracyError, DomainError, NearSingularError, PoleError
 
@@ -55,8 +55,18 @@ _LANCZOS_C = (
     0.36899182659531622704e-5,
 )
 
-# Bernoulli numbers B_0 .. B_64 (B_62/B_64 only enter error bounds).
-_BERNOULLI = bernoulli(64)
+
+def _bernoulli_table(n_max):
+    """B_0 .. B_n_max (B_1 = -1/2), exact from sum_{k<=n} C(n+1, k) B_k = 0."""
+    b = [Fraction(1)]
+    for n in range(1, n_max + 1):
+        b.append(-sum(math.comb(n + 1, k) * b[k] for k in range(n) if b[k]) / (n + 1))
+    return np.array([float(v) for v in b])
+
+
+# Bernoulli numbers B_0 .. B_64, each correctly rounded from its exact
+# rational value (B_62/B_64 only enter error bounds).
+_BERNOULLI = _bernoulli_table(64)
 _EM_MAX_K = 30
 
 
@@ -91,24 +101,31 @@ def _log_sin_pi_upper(z):
 
 
 def _near_nonpositive_integer(z, tol):
-    return z.real <= 0.5 and abs(z.imag) <= tol and abs(z.real - round(z.real)) <= tol
+    """Elementwise: within tol of 0, -1, -2, ... (scalar or ndarray z)."""
+    near_int = np.abs(z.real - np.round(z.real)) <= tol
+    return (z.real <= 0.5) & (np.abs(z.imag) <= tol) & near_int
 
 
 def loggamma(z):
-    """A branch of log Gamma(z), exact for exp().
+    """A branch of log Gamma(z), exact for exp(); scalar or ndarray.
 
     On Re z >= 0.5 this is the standard continuous branch.  On the
     reflected half plane the imaginary part is only meaningful modulo
-    2*pi; gamma_complex(), which exponentiates, is unaffected.
+    2*pi; gamma_complex(), which exponentiates, is unaffected.  A scalar
+    argument gives a Python complex, an array one a complex ndarray.
     """
-    z = complex(z)
-    if z.imag < 0.0:
-        return np.conj(loggamma(np.conj(z)))
-    if _near_nonpositive_integer(z, 1e-12):
-        raise PoleError(f"log Gamma pole at z = {z}")
-    if z.real >= 0.5:
-        return complex(_loggamma_right(z))
-    return math.log(math.pi) - _log_sin_pi_upper(z) - complex(_loggamma_right(1.0 - z))
+    scalar = np.ndim(z) == 0
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    lower = z.imag < 0.0
+    z = np.where(lower, np.conj(z), z)
+    poles = _near_nonpositive_integer(z, 1e-12)
+    if np.any(poles):
+        raise PoleError(f"log Gamma pole at z = {complex(z[poles][0])}")
+    left = z.real < 0.5
+    out = _loggamma_right(np.where(left, 1.0 - z, z))
+    out[left] = math.log(math.pi) - _log_sin_pi_upper(z[left]) - out[left]
+    out = np.where(lower, np.conj(out), out)
+    return complex(out[0]) if scalar else out
 
 
 def gamma_complex(z):

@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import smoothed_pnt
 from smoothed_pnt import cli
 from smoothed_pnt.errors import ToleranceError
 from smoothed_pnt.zeros import load_zeros
@@ -180,3 +186,39 @@ class TestPintzCommand:
         lines = out.strip().split("\n")
         assert lines[0].startswith("mu,k,U_integral_re")
         assert len(lines) == 2
+
+
+def test_all_commands_run_without_scipy(tmp_path):
+    # numpy is the only runtime dependency: a child that cannot import
+    # scipy still imports the package and runs every command (the goldbach
+    # grid reaches the FFT convolution branch, conv_limit 24016 > 20000)
+    script = textwrap.dedent(
+        """
+        import contextlib, io, sys
+        sys.modules["scipy"] = None
+        from smoothed_pnt import cli
+        runs = [
+            ["metrics", "--x", "10:100:3"],
+            ["delta", "--x", "10:100:3"],
+            ["goldbach", "--k", "2", "--x", "10:600:3"],
+            ["zeros", "--T", "30"],
+            ["pintz", "--mu-scale", "60", "--k", "0.6", "--tol", "0.1"],
+            ["turan", "--seed", "0", "--instances", "20"],
+        ]
+        for argv in runs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv)
+            print(argv[0], code)
+        """
+    )
+    src = str(Path(smoothed_pnt.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        w for c in ("metrics", "delta", "goldbach", "zeros", "pintz", "turan") for w in (c, "0")
+    ]

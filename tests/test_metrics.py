@@ -6,6 +6,7 @@ import pytest
 from smoothed_pnt.errors import DomainError, ParseError, RangeError
 from smoothed_pnt.metrics import (
     EtaFunction,
+    _golden_section,
     eta_from_zeros,
     load_eta,
     metrics_row,
@@ -46,6 +47,40 @@ class TestW:
     def test_first_zero_dominates(self, zeros_rh):
         terms = zero_sum_W_terms(1e6, zeros_rh)
         assert terms[0] / terms.sum() > 0.999
+
+    def test_terms_match_per_zero_closed_form(self, zeros_rh):
+        x = 777.0
+        terms = zero_sum_W_terms(x, zeros_rh)
+        for t, b, g in zip(terms, zeros_rh.betas, zeros_rh.gammas):
+            expected = 2.0 * abs(gamma_complex(complex(b + 1.0, g))) * x**b / g
+            assert t == pytest.approx(expected, rel=1e-10)
+        assert zero_sum_W(x, zeros_rh) == float(np.sum(terms))
+
+    @pytest.mark.parametrize("fn", [zero_sum_W, zero_sum_W_terms])
+    def test_domain(self, fn, zeros_rh):
+        for x in (0.0, 0.5):
+            with pytest.raises(DomainError):
+                fn(x, zeros_rh)
+
+
+class TestGoldenSection:
+    def test_flat_bracket_gives_none(self):
+        assert _golden_section(lambda t: 3.0, 0.0, 1.0, 2.0, xtol=1e-12) is None
+        # a middle point that only ties one end is no dip either
+        assert _golden_section(lambda t: min(t, 1.0), 0.0, 1.0, 2.0, xtol=1e-12) is None
+
+    @pytest.mark.parametrize("xtol", [1e-12, 2.0**-26])
+    def test_matches_dense_grid(self, xtol):
+        def f(t):
+            return math.cosh(t - 0.7) + 0.3 * t
+
+        grid = np.linspace(0.0, 2.0, 2_000_001)
+        vals = np.cosh(grid - 0.7) + 0.3 * grid
+        i = int(np.argmin(vals))
+        x, fx = _golden_section(f, 0.0, 0.5, 2.0, xtol=xtol)
+        assert abs(x - grid[i]) <= 1e-6
+        assert fx <= vals[i] + 1e-15
+        assert fx == f(x)
 
 
 class TestOmegaZero:

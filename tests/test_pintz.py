@@ -6,6 +6,7 @@ import pytest
 
 from smoothed_pnt.errors import DomainError, NormalizationError
 from smoothed_pnt.pintz import (
+    _GAUSS_LEGENDRE,
     PintzParams,
     U_integral,
     U_residue,
@@ -14,11 +15,31 @@ from smoothed_pnt.pintz import (
     mellin_H_quadrature,
     turan_bound,
 )
-from smoothed_pnt.specfun import gamma_complex
+from smoothed_pnt.specfun import gamma_complex, loggamma
 from smoothed_pnt.zeros import ZeroSet
 
 GAMMA1 = 14.134725141734693
 RHO1 = complex(0.5, GAMMA1)
+
+
+class TestGaussLegendreTables:
+    @pytest.mark.parametrize("m", [10, 12])
+    def test_rule(self, m):
+        xg, wg = _GAUSS_LEGENDRE[m]
+        assert len(xg) == len(wg) == m
+        assert np.all(np.diff(xg) > 0.0) and np.all(wg > 0.0)
+        assert abs(wg.sum() - 2.0) <= 1e-15
+        # exact for every monomial of degree <= 2m - 1
+        for j in range(2 * m):
+            exact = 2.0 / (j + 1) if j % 2 == 0 else 0.0
+            assert abs(np.dot(wg, xg**j) - exact) <= 1e-14
+
+    @pytest.mark.parametrize("m", [10, 12])
+    def test_agrees_with_leggauss(self, m):
+        xg, wg = _GAUSS_LEGENDRE[m]
+        xl, wl = np.polynomial.legendre.leggauss(m)
+        assert np.max(np.abs(xg - xl)) <= 1e-14
+        assert np.max(np.abs(wg - wl)) <= 1e-14
 
 
 class TestParams:
@@ -139,6 +160,17 @@ class TestUIntegral:
 
 
 class TestUResidue:
+    def test_matches_per_zero_loop(self, zeros_rh):
+        p = PintzParams(mu=math.log(200.0), k=1.0, rho0=RHO1)
+        total = cmath.exp(p.k * (1.0 - p.rho0) ** 2 + p.mu * (1.0 - p.rho0))
+        for b, g in zip(zeros_rh.betas, zeros_rh.gammas):
+            for rho in (complex(b, g), complex(b, -g)):
+                shift = rho - p.rho0
+                expo = loggamma(rho) + cmath.log(rho) + p.k * shift**2 + p.mu * shift
+                if expo.real > -745.0:
+                    total += cmath.exp(expo)
+        assert abs(U_residue(zeros_rh, p).value - total) <= 1e-13 * abs(total)
+
     def test_single_zero_dominant_term(self, zeros_rh):
         one = ZeroSet(betas=zeros_rh.betas[:1], gammas=zeros_rh.gammas[:1])
         rho0 = complex(0.6, 10.0)

@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from smoothed_pnt.errors import (
     PoleError,
 )
 from smoothed_pnt.specfun import (
+    _BERNOULLI,
     _hardy_Z_array,
     gamma_complex,
     hardy_Z,
@@ -102,6 +104,51 @@ class TestGamma:
     def test_loggamma_matches_lgamma_on_reals(self, x):
         assert loggamma(x).real == pytest.approx(math.lgamma(x), rel=1e-13, abs=1e-13)
         assert loggamma(x).imag == 0.0
+
+
+class TestLogGammaArray:
+    def test_matches_scalar_elementwise(self, rng):
+        # both half planes, both signs of Im, the reflected branch included
+        zs = rng.uniform(-30, 30, 400) + 1j * rng.uniform(-200, 200, 400)
+        out = loggamma(zs)
+        assert out.shape == zs.shape and out.dtype == complex
+        assert all(out[i] == loggamma(complex(z)) for i, z in enumerate(zs))
+
+    def test_scalar_gives_python_complex(self):
+        assert type(loggamma(2.5)) is complex
+        assert type(loggamma(np.float64(2.5))) is complex
+
+    def test_conjugate_symmetry_exact(self, rng):
+        zs = rng.uniform(-20, 20, 200) + 1j * rng.uniform(0.1, 300, 200)
+        assert np.array_equal(loggamma(np.conj(zs)), np.conj(loggamma(zs)))
+
+    def test_critical_line_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        zs = 0.5 + 1j * np.linspace(10.0, 1000.0, 25)
+        out = loggamma(zs)
+        for z, v in zip(zs, out):
+            ref = complex(mpmath.loggamma(mpmath.mpc(z)))
+            assert abs(v - ref) <= 1e-12 * abs(ref)
+
+    def test_pole_anywhere_in_array(self):
+        with pytest.raises(PoleError):
+            loggamma(np.array([2.0 + 1j, -3.0 + 0j, 0.5 + 14j]))
+
+
+class TestBernoulli:
+    def test_spot_values(self):
+        assert _BERNOULLI[0] == 1.0
+        assert _BERNOULLI[1] == -0.5
+        assert _BERNOULLI[2] == 1.0 / 6.0
+        assert _BERNOULLI[12] == -691.0 / 2730.0
+        assert _BERNOULLI[64] == float(Fraction(
+            -106783830147866529886385444979142647942017, 510
+        ))
+
+    def test_odd_values_vanish(self):
+        assert len(_BERNOULLI) == 65
+        assert np.all(_BERNOULLI[3::2] == 0.0)
 
 
 class TestZeta:

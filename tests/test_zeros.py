@@ -1,12 +1,15 @@
+import math
 
 import numpy as np
 import pytest
 
 from smoothed_pnt.errors import DomainError, EmptySetError, OrderError, ParseError
 from smoothed_pnt.smooth import DELTA_LIMIT, delta
-from smoothed_pnt.specfun import gamma_complex
+from smoothed_pnt.specfun import gamma_complex, loggamma
 from smoothed_pnt.zeros import (
     ZeroSet,
+    _zero_sum_terms,
+    builtin_zeros,
     explicit_delta,
     find_zeros,
     load_zeros,
@@ -98,6 +101,16 @@ class TestFindZeros:
         z80 = find_zeros(80.0)
         assert np.max(np.abs(z80.gammas[: len(z50)] - z50.gammas)) <= 1e-6
 
+    @pytest.mark.parametrize("T", [None, 1000.0])
+    def test_reproduces_builtin_table(self, T):
+        # the builtin table was refined to 1e-10, so every zero agrees to
+        # 2e-10; the top zero must not come out even one ulp above the
+        # table height, whatever T sets the evaluation context
+        ref = builtin_zeros()
+        found = find_zeros(ref.height if T is None else T).gammas
+        assert np.max(np.abs(found[: len(ref)] - ref.gammas)) <= 2e-10
+        assert np.sum(found <= ref.gammas[-1]) == len(ref)
+
     @pytest.mark.parametrize("T", [50.0, 100.0, 300.0])
     def test_count_matches_counting_formula(self, T):
         n = len(find_zeros(T))
@@ -118,6 +131,14 @@ class TestExplicitDelta:
             for b, g in zip(zeros_rh.betas, zeros_rh.gammas)
         )
         assert val == pytest.approx(DELTA_LIMIT - terms, rel=1e-12)
+
+    def test_terms_match_per_zero_loop(self, zeros_rh):
+        log_x = math.log(50.0)
+        terms = _zero_sum_terms(zeros_rh, log_x)
+        for t, b, g in zip(terms, zeros_rh.betas, zeros_rh.gammas):
+            expo = loggamma(complex(b, g)) + complex(b, g) * log_x
+            expected = 2.0 * math.exp(expo.real) * math.cos(expo.imag)
+            assert abs(t - expected) <= 1e-12 * abs(expected)
 
     def test_constant_modes_differ_by_half(self, zeros_rh):
         d = explicit_delta(100.0, zeros_rh, constant_mode="derived")
