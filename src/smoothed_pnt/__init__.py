@@ -51,9 +51,11 @@ from .pintz import (
 from .sieve import LambdaTable, build_lambda, chebyshev_psi
 from .smooth import (
     DELTA_LIMIT,
+    DeltaBatch,
     SmoothedPoint,
     avg_metric,
     delta,
+    delta_many,
     smooth_baseline,
     smooth_psi,
     sup_metric,

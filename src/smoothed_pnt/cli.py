@@ -109,13 +109,12 @@ def _cmd_metrics(args):
     ]
     rows = []
     for x in xs:
-        pt = smooth.delta(table, x, tol=args.tol)
         row = metrics.metrics_row(table, zs, x, grid=args.s_grid, tol=args.tol)
         rows.append({
             "x": float(x),
-            "psi": pt.psi,
-            "baseline": pt.baseline,
-            "delta": pt.delta,
+            "psi": row.psi,
+            "baseline": row.baseline,
+            "delta": row.delta,
             "S": row.S,
             "D": row.D,
             "W": row.W,
@@ -123,7 +122,7 @@ def _cmd_metrics(args):
             "omega_S": row.omega_S,
             "omega_D": row.omega_D,
             "omega_W": row.omega_W,
-            "psi_over_x": pt.psi / float(x),
+            "psi_over_x": row.psi / float(x),
         })
     _emit(rows, header, args.out, args.format)
     return EXIT_OK
@@ -136,17 +135,17 @@ def _cmd_delta(args):
     limit = args.limit or _auto_limit(xs, args.tol)
     table = build_lambda(limit)
     header = ["x", "psi", "baseline", "delta", "explicit_delta", "residual"]
+    batch = smooth.delta_many(table, xs, tol=args.tol)
     rows = []
-    for x in xs:
-        pt = smooth.delta(table, x, tol=args.tol)
+    for x, psi, baseline, delta in zip(xs, batch.psi, batch.baseline, batch.delta):
         ed = zeros_mod.explicit_delta(max(x, 1.0), zs, constant_mode=args.constant)
         rows.append({
             "x": float(x),
-            "psi": pt.psi,
-            "baseline": pt.baseline,
-            "delta": pt.delta,
+            "psi": float(psi),
+            "baseline": float(baseline),
+            "delta": float(delta),
             "explicit_delta": ed,
-            "residual": pt.delta - ed,
+            "residual": float(delta) - ed,
         })
     _emit(rows, header, args.out, args.format)
     return EXIT_OK
@@ -217,7 +216,7 @@ def _cmd_pintz(args):
     rho0 = complex(zs.betas[0], zs.gammas[0])
     p = pintz.PintzParams(mu=math.log(args.mu_scale), k=args.k, rho0=rho0)
     width = 6.0 * math.sqrt(p.k * math.log(1.0 / args.tol))
-    limit = args.limit or pintz._loose_cutoff(math.exp(p.mu + width), 1e-5)
+    limit = args.limit or pintz.loose_cutoff(math.exp(p.mu + width), 1e-5)
     table = build_lambda(limit)
     ui = pintz.U_integral(table, p, tol=args.tol)
     ur = pintz.U_residue(zs, p)

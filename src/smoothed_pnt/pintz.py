@@ -43,6 +43,7 @@ __all__ = [
     "U_integral",
     "U_residue",
     "turan_bound",
+    "loose_cutoff",
     "QuadResult",
 ]
 
@@ -114,7 +115,7 @@ def mellin_H_closed(s):
     return s * gamma_complex(s) * (zeta_logderiv(s) + zeta_em(s))
 
 
-def _loose_cutoff(u, eps):
+def loose_cutoff(u, eps):
     """Direct tail bound for sum_{n>M} log(n) e^{-n/u}: first-term/(1-ratio) style."""
     u = max(u, 1.0)
     m = u * max(5.0, math.log(2.4 * u * 20.0 / eps))
@@ -132,7 +133,7 @@ def _delta_point(table, u, eps, delta_fn=None):
         return float(delta_fn(u))
     if u < 0.004:
         return 0.0
-    cutoff = min(_loose_cutoff(u, eps), table.limit)
+    cutoff = min(loose_cutoff(u, eps), table.limit)
     psi = weighted_exp_sum(table.values[1 : cutoff + 1], u)
     return psi - smooth_baseline(u)
 
@@ -259,7 +260,7 @@ def U_integral(table: LambdaTable, p: PintzParams, tol=0.1, delta_fn=None, panel
     width = 6.0 * math.sqrt(p.k * math.log(1.0 / tol))
     b = math.exp(p.mu + width)
     pref = 1.0 / (2.0 * math.sqrt(math.pi * p.k))
-    if delta_fn is None and _loose_cutoff(b, 1e-5) > table.limit:
+    if delta_fn is None and loose_cutoff(b, 1e-5) > table.limit:
         raise CapacityError(
             f"window reaches u = {b:.3g}, beyond table limit {table.limit}"
         )

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -10,7 +11,8 @@ from .errors import CapacityError, RangeError
 __all__ = ["LambdaTable", "build_lambda", "chebyshev_psi"]
 
 MAX_LIMIT = 100_000_000
-# values + prefix are float64 each; default budget allows the full MAX_LIMIT.
+# values and prefix are float64 each (prefix is allocated on first use);
+# the default budget allows the full MAX_LIMIT.
 DEFAULT_BUDGET_BYTES = 4 * 1024**3
 
 
@@ -20,12 +22,17 @@ class LambdaTable:
 
     values[n] = log p when n = p^k, else 0; values[0] is unused and 0.
     prefix[n] = sum_{m <= n} values[m], so prefix[floor(t)] is the
-    Chebyshev function psi(t).  Instances are immutable; share freely.
+    Chebyshev function psi(t).  Only chebyshev_psi reads prefix, so it
+    is computed on first access, not by build_lambda.  Instances are
+    immutable; share freely.
     """
 
     limit: int
     values: np.ndarray
-    prefix: np.ndarray
+
+    @cached_property
+    def prefix(self):
+        return np.cumsum(self.values)
 
 
 def build_lambda(N, budget_bytes=DEFAULT_BUDGET_BYTES):
@@ -39,7 +46,7 @@ def build_lambda(N, budget_bytes=DEFAULT_BUDGET_BYTES):
     if N < 1 or N > MAX_LIMIT:
         raise CapacityError(f"N = {N} outside supported range [1, {MAX_LIMIT}]")
     if 17 * N > budget_bytes:
-        # 2 float64 arrays + bool sieve workspace
+        # values, prefix (allocated on first use) and the bool sieve
         raise CapacityError(f"N = {N} exceeds memory budget of {budget_bytes} bytes")
     is_prime = np.ones(N + 1, dtype=bool)
     is_prime[:2] = False
@@ -64,8 +71,7 @@ def build_lambda(N, budget_bytes=DEFAULT_BUDGET_BYTES):
                 break
             values[base**k] = np.log(base)
             k += 1
-    prefix = np.cumsum(values)
-    return LambdaTable(limit=N, values=values, prefix=prefix)
+    return LambdaTable(limit=N, values=values)
 
 
 def chebyshev_psi(table, t):

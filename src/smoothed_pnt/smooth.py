@@ -11,6 +11,34 @@ the second term of the baseline's Laurent expansion 1/(e^y - 1) =
 Every "max/average over a continuum" here is a grid approximation that
 certifies a one-sided bound: sup_metric never exceeds the true sup, and
 avg_metric reports its own trapezoid error estimate.
+
+One engine, delta_many, evaluates Delta at any set of points, each at
+its own certified cutoff truncation_cutoff(u, tol).  It uses the split
+e^{-(qB+m)/u} = e^{-qB/u} e^{-m/u} (B = _BLOCK) for many points at once:
+a GEMM multiplies a tile of block rows of the Lambda table by a matrix
+whose columns are the inner weights e^{-m/u} of up to _TILE_COLS points,
+and each point then takes one dot of its outer weights e^{-qB/u} with
+exactly its own block rows.  Points are sorted by cutoff (largest first)
+and grouped, and each table tile is read once for every group that
+reaches it, so a grid of P points costs about one pass over the table
+instead of P.  delta, smooth_psi, the S/D grids and the CLI all go
+through it.
+
+The GEMM shape is fixed: every product is (_TILE_ROWS x B) @ (B x
+_TILE_COLS), the last tile and the spare columns are zero-padded, and a
+tile always starts at a multiple of _TILE_ROWS block rows.  With one
+shape, BLAS sums every output element in the same order, so a point's
+Delta is bitwise the same whatever other points share its batch, and
+alone.  Variable shapes break this in the last bits (BLAS sends one
+column to GEMV and small products to other kernels), and then even
+S(x) >= |Delta(x)|, a max over a grid that contains x, can fail by an
+ulp.
+
+weighted_exp_sum, the one-point GEMV form of the same split, stays for
+callers that sum other coefficients (goldbach's F_k) or other cutoffs
+(pintz's loose tail).  Pintz's U integral cancels ~8 digits, so moving
+its Delta onto the GEMM kernel shifts U by ~5e-7 relative; keeping it on
+weighted_exp_sum keeps its output bit for bit.
 """
 
 import math
@@ -25,13 +53,17 @@ from .sieve import LambdaTable
 __all__ = [
     "DELTA_LIMIT",
     "SmoothedPoint",
+    "DeltaBatch",
     "smooth_baseline",
     "truncation_cutoff",
+    "weighted_exp_sum",
+    "delta_many",
     "smooth_psi",
     "delta",
     "hybrid_grid",
     "sup_metric",
     "avg_metric",
+    "trapezoid_mean",
     "AvgMetric",
 ]
 
@@ -51,11 +83,26 @@ class SmoothedPoint:
     tail_bound: float
 
 
+class DeltaBatch(NamedTuple):
+    """delta_many's result: one entry per input point, in input order."""
+
+    psi: np.ndarray
+    baseline: np.ndarray
+    delta: np.ndarray
+    cutoff: np.ndarray
+    tail_bound: np.ndarray
+
+
 def smooth_baseline(x):
     """I(x) = 1/(e^{1/x} - 1), cancellation-safe for large x via expm1."""
     if x <= 0.0:
         raise RangeError("x must be positive")
     return 1.0 / math.expm1(1.0 / x)
+
+
+def _log_tail(m, x):
+    """log of (m log m) e^{-m/x} x, the tail bound for a cutoff m."""
+    return math.log(m) + math.log(math.log(m)) - m / x + math.log(x)
 
 
 def truncation_cutoff(x, tol):
@@ -68,20 +115,16 @@ def truncation_cutoff(x, tol):
         raise RangeError("x must be positive")
     if tol <= 0.0:
         raise RangeError("tol must be positive")
-
-    def log_bound(m):
-        return math.log(m) + math.log(math.log(m)) - m / x + math.log(x)
-
     lo = max(20, int(math.ceil(10.0 * x)))
     log_tol = math.log(tol)
-    if log_bound(lo) <= log_tol:
+    if _log_tail(lo, x) <= log_tol:
         return lo
     hi = lo
-    while log_bound(hi) > log_tol:
+    while _log_tail(hi, x) > log_tol:
         hi *= 2
     while lo + 1 < hi:
         mid = (lo + hi) // 2
-        if log_bound(mid) > log_tol:
+        if _log_tail(mid, x) > log_tol:
             lo = mid
         else:
             hi = mid
@@ -89,6 +132,22 @@ def truncation_cutoff(x, tol):
 
 
 _BLOCK = 4096
+_TILE_ROWS = 64  # block rows of the table per GEMM
+_TILE_COLS = 16  # points per GEMM
+
+
+def _direct_sum(coeffs, first, x):
+    """sum_i coeffs[i] e^{-(first+i)/x}, one exp per term."""
+    n = np.arange(first, first + len(coeffs), dtype=float)
+    return float(np.dot(coeffs, np.exp(-n / x)))
+
+
+def _inner_weights(x):
+    return np.exp(-np.arange(1, _BLOCK + 1, dtype=float) / x)
+
+
+def _outer_weights(x, blocks):
+    return np.exp(-(_BLOCK / x) * np.arange(blocks, dtype=float))
 
 
 def weighted_exp_sum(coeffs, x):
@@ -103,48 +162,110 @@ def weighted_exp_sum(coeffs, x):
     if M == 0:
         return 0.0
     if M < 2 * _BLOCK:
-        n = np.arange(1, M + 1, dtype=float)
-        return float(np.dot(coeffs, np.exp(-n / x)))
-    B = _BLOCK
-    Q = M // B
-    inner = np.exp(-np.arange(1, B + 1, dtype=float) / x)
-    outer = np.exp(-(B / x) * np.arange(Q, dtype=float))
-    total = float(outer @ (coeffs[: Q * B].reshape(Q, B) @ inner))
-    rem = coeffs[Q * B :]
-    if len(rem):
-        n = np.arange(Q * B + 1, M + 1, dtype=float)
-        total += float(np.dot(rem, np.exp(-n / x)))
+        return _direct_sum(coeffs, 1, x)
+    Q = M // _BLOCK
+    blocked = coeffs[: Q * _BLOCK].reshape(Q, _BLOCK) @ _inner_weights(x)
+    total = float(_outer_weights(x, Q) @ blocked)
+    if M > Q * _BLOCK:
+        total += _direct_sum(coeffs[Q * _BLOCK :], Q * _BLOCK + 1, x)
     return total
 
 
-def _psi_sum(table, x, cutoff):
-    return weighted_exp_sum(table.values[1 : cutoff + 1], x)
+def _row_tile(values, q0):
+    """Block rows q0 .. q0 + _TILE_ROWS - 1 of values[1:], zero past the end."""
+    lo = 1 + q0 * _BLOCK
+    hi = lo + _TILE_ROWS * _BLOCK
+    if hi <= len(values):
+        return values[lo:hi].reshape(_TILE_ROWS, _BLOCK)
+    tile = np.zeros((_TILE_ROWS, _BLOCK))
+    tile.flat[: len(values) - lo] = values[lo:]
+    return tile
+
+
+def _psi_many(values, us, cutoffs):
+    """sum_{n <= cutoffs[i]} values[n] e^{-n/us[i]} for every i, all us > 0."""
+    B, R, P = _BLOCK, _TILE_ROWS, _TILE_COLS
+    out = np.empty(len(us))
+    order = np.argsort(-cutoffs, kind="stable")
+    short = cutoffs[order] < 2 * B
+    for i in order[short]:
+        out[i] = _direct_sum(values[1 : cutoffs[i] + 1], 1, us[i])
+    tiled = order[~short]
+    if not len(tiled):
+        return out
+    blocks = cutoffs // B
+    groups = [tiled[s : s + P] for s in range(0, len(tiled), P)]
+    depth = [int(blocks[g[0]]) for g in groups]  # non-increasing
+    inner = np.zeros((len(groups), B, P))
+    for k, g in enumerate(groups):
+        for c, i in enumerate(g):
+            inner[k, :, c] = _inner_weights(us[i])
+    # block_sums[k, q, c] = sum_m values[qB + m] e^{-m/u} for point c of
+    # group k.  Each tile is read once, by every group deep enough to
+    # need it; every product has the one fixed shape (module docstring).
+    block_sums = np.empty((len(groups), -(-depth[0] // R) * R, P))
+    for q0 in range(0, depth[0], R):
+        tile = _row_tile(values, q0)
+        for k in range(len(groups)):
+            if depth[k] <= q0:
+                break
+            np.matmul(tile, inner[k], out=block_sums[k, q0 : q0 + R])
+    for k, g in enumerate(groups):
+        per_point = np.ascontiguousarray(block_sums[k].T)
+        for c, i in enumerate(g):
+            Q, M = int(blocks[i]), int(cutoffs[i])
+            total = float(_outer_weights(us[i], Q) @ per_point[c, :Q])
+            if M > Q * B:
+                total += _direct_sum(values[Q * B + 1 : M + 1], Q * B + 1, us[i])
+            out[i] = total
+    return out
+
+
+def delta_many(table: LambdaTable, us, tol=1e-9):
+    """Psi, I and Delta at every point of us, each truncated at its certified cutoff.
+
+    u = 0 gives 0 in every field (the limit from the right).  Raises
+    CapacityError, for the first such point in input order, when the
+    table cannot reach the cutoff the tolerance demands.
+    """
+    us = np.asarray(us, dtype=float)
+    live = np.flatnonzero(us != 0.0)
+    cutoff = np.zeros(len(us), dtype=np.int64)
+    for i in live:
+        cutoff[i] = truncation_cutoff(us[i], tol)
+    over = live[cutoff[live] > table.limit]
+    if len(over):
+        i = over[0]
+        raise CapacityError(
+            f"cutoff {cutoff[i]} exceeds table limit {table.limit} (x={us[i]:g}, tol={tol:g})"
+        )
+    psi = np.zeros(len(us))
+    baseline = np.zeros(len(us))
+    tail = np.zeros(len(us))
+    psi[live] = _psi_many(table.values, us[live], cutoff[live])
+    for i in live:
+        baseline[i] = smooth_baseline(us[i])
+        tail[i] = math.exp(_log_tail(int(cutoff[i]), us[i]))
+    return DeltaBatch(psi, baseline, psi - baseline, cutoff, tail)
 
 
 def smooth_psi(table: LambdaTable, x, tol=1e-9):
-    """Psi(x) truncated with a certified tail bound.
+    """Psi(x) truncated with a certified tail bound: delta_many at one point.
 
     CapacityError when the table cannot reach the cutoff the tolerance
     demands.  The returned point also carries baseline and delta (they
     cost nothing extra, and delta = psi - baseline in one rounding).
     """
-    cutoff = truncation_cutoff(x, tol)
-    if cutoff > table.limit:
-        raise CapacityError(
-            f"cutoff {cutoff} exceeds table limit {table.limit} (x={x:g}, tol={tol:g})"
-        )
-    psi = _psi_sum(table, x, cutoff)
-    baseline = smooth_baseline(x)
-    tail = math.exp(
-        math.log(cutoff) + math.log(math.log(cutoff)) - cutoff / x + math.log(x)
-    )
+    if x <= 0.0:
+        raise RangeError("x must be positive")
+    b = delta_many(table, [x], tol=tol)
     return SmoothedPoint(
         x=float(x),
-        psi=psi,
-        baseline=baseline,
-        delta=psi - baseline,
-        cutoff=cutoff,
-        tail_bound=tail,
+        psi=float(b.psi[0]),
+        baseline=float(b.baseline[0]),
+        delta=float(b.delta[0]),
+        cutoff=int(b.cutoff[0]),
+        tail_bound=float(b.tail_bound[0]),
     )
 
 
@@ -187,10 +308,7 @@ def delta_on_grid(table, us, tol=1e-9, delta_fn: Optional[Callable] = None):
     """Delta at every grid point; the hook replaces the integrand in tests."""
     if delta_fn is not None:
         return np.array([delta_fn(u) for u in us], dtype=float)
-    out = np.empty(len(us))
-    for i, u in enumerate(us):
-        out[i] = 0.0 if u == 0.0 else delta(table, u, tol=tol).delta
-    return out
+    return delta_many(table, us, tol=tol).delta
 
 
 def sup_metric(table, x, grid=2048, tol=1e-9, delta_fn=None):
@@ -213,6 +331,11 @@ def avg_metric(table, x, panels=2048, tol=1e-9, delta_fn=None):
     """
     us = hybrid_grid(x, points=panels, include_zero=True)
     vals = np.abs(delta_on_grid(table, us, tol=tol, delta_fn=delta_fn))
+    return trapezoid_mean(us, vals, x)
+
+
+def trapezoid_mean(us, vals, x):
+    """avg_metric's value and error estimate from |Delta| on its grid us."""
     full = float(np.trapezoid(vals, us) / x)
     keep = np.zeros(len(us), dtype=bool)
     keep[::2] = True

@@ -1,0 +1,83 @@
+"""Pinned CLI outputs: one small config of each of the six commands.
+
+The files in tests/golden/ were recorded from the per-point Delta
+evaluator (one GEMV per point) that the batched engine replaced, so a
+refactor proves here that it changed nothing beyond rounding.
+`metrics` and `delta` sum their terms in a different order now, so
+their columns must match to 1e-12 relative or `--tol`/4 absolute; the
+other four commands must be byte-identical.
+
+Re-record only as a deliberate re-baseline, and say so in CHANGES.md:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import csv
+import io
+import math
+from pathlib import Path
+
+import pytest
+
+from smoothed_pnt import cli
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+CASES = {
+    "metrics": ["metrics", "--x", "1:1e4:7", "--tol", "1e-6", "--zeros", "builtin"],
+    "delta": ["delta", "--x", "100:1e4:9", "--tol", "1e-9", "--zeros", "builtin"],
+    "zeros": ["zeros", "--T", "100"],
+    "pintz": ["pintz", "--mu-scale", "20", "--k", "0.5", "--tol", "0.2", "--zeros", "builtin"],
+    "turan": ["turan", "--seed", "0", "--instances", "50"],
+    "goldbach": ["goldbach", "--k", "2", "--x", "10:1e2:3"],
+}
+REORDERED = {"metrics", "delta"}
+REL = 1e-12
+
+
+def _run(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(list(argv))
+    assert code == 0, f"{argv} exited with {code}"
+    return buf.getvalue()
+
+
+def _rows(text):
+    return list(csv.reader(io.StringIO(text)))
+
+
+def _close(got, want, atol):
+    if math.isnan(want):
+        return math.isnan(got)
+    return abs(got - want) <= max(REL * abs(want), atol)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_matches_golden(name):
+    argv = CASES[name]
+    want = (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
+    got = _run(argv)
+    if name not in REORDERED:
+        assert got == want
+        return
+    atol = float(argv[argv.index("--tol") + 1]) / 4.0
+    got_rows, want_rows = _rows(got), _rows(want)
+    assert got_rows[0] == want_rows[0]
+    assert len(got_rows) == len(want_rows)
+    for g, w in zip(got_rows[1:], want_rows[1:]):
+        assert g[0] == w[0]  # x is exact
+        for col, a, b in zip(want_rows[0], g, w):
+            assert _close(float(a), float(b), atol), f"x={w[0]} {col}: {a} vs {b}"
+
+
+def record():
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name, argv in CASES.items():
+        (GOLDEN_DIR / f"{name}.txt").write_text(_run(argv), encoding="utf-8", newline="\n")
+        print(f"wrote {name}.txt")
+
+
+if __name__ == "__main__":
+    record()

@@ -54,6 +54,15 @@ def test_prefix_invariants(table_small):
     assert p[1] == 0.0
 
 
+def test_prefix_computed_on_first_use():
+    table = build_lambda(1000)
+    assert "prefix" not in vars(table)
+    v = chebyshev_psi(table, 100.0)
+    assert "prefix" in vars(table)
+    assert v == float(np.cumsum(table.values)[100])
+    assert table.prefix is vars(table)["prefix"]  # computed once, then cached
+
+
 def test_divisor_sum_identity(table_small):
     # sum_{d | n} Lambda(d) = log n
     N = 10_000
