@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothed_pnt.errors import (
     AccuracyError,
@@ -18,6 +20,7 @@ from smoothed_pnt.specfun import (
     hardy_Z,
     loggamma,
     rs_theta,
+    zeta_deriv_em,
     zeta_em,
     zeta_logderiv,
 )
@@ -191,6 +194,49 @@ class TestZeta:
     def test_insufficient_terms(self):
         with pytest.raises(AccuracyError):
             zeta_em(complex(0.5, 80.0), terms=5)
+
+
+class TestZetaDeriv:
+    # s = 0 is where (s)_{2k-1} vanishes, so |poch| alone would bound the
+    # differentiated remainder by 0; Re s = -0.5 is left of the strip
+    GRID = [0.0, -0.5, complex(-0.5, 7.0), complex(-0.9, 0.1), 2.0, complex(3.0, 0.3),
+            complex(0.5, 14.134725141734693), complex(1.5, -20.0), complex(0.5, 100.0),
+            complex(0.25, 500.0)]
+
+    @pytest.mark.parametrize("s", GRID)
+    def test_against_mpmath(self, s):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        ref = complex(mpmath.zeta(mpmath.mpc(s), derivative=1))
+        assert abs(zeta_deriv_em(s) - ref) <= 1e-11 * max(abs(ref), 1.0)
+
+    @pytest.mark.parametrize("s", [0.0, -0.5, complex(0.5, 100.0)])
+    def test_bound_is_honest_for_every_truncation(self, s):
+        # whatever the head length, a returned value is within its contract
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        ref = complex(mpmath.zeta(mpmath.mpc(s), derivative=1))
+        returned = 0
+        for terms in range(2, 160, 3):
+            try:
+                val = zeta_deriv_em(s, terms=terms, tol=1e-4)
+            except AccuracyError:
+                continue
+            returned += 1
+            assert abs(val - ref) <= 1e-4 * max(abs(ref), 1e-4)
+        assert returned > 0
+
+    def test_insufficient_terms(self):
+        with pytest.raises(AccuracyError):
+            zeta_deriv_em(complex(0.5, 80.0), terms=5)
+        with pytest.raises(AccuracyError):
+            zeta_deriv_em(0.0, terms=2, tol=1e-12)
+
+    def test_pole_and_domain(self):
+        with pytest.raises(PoleError):
+            zeta_deriv_em(1.0 + 1e-14)
+        with pytest.raises(DomainError):
+            zeta_deriv_em(-1.5)
 
 
 class TestLogDeriv:
