@@ -14,6 +14,7 @@ environment variable overrides it and --zeros overrides both.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -103,27 +104,11 @@ def _cmd_metrics(args):
     zs = _load_zero_source(args.zeros)
     limit = args.limit or _auto_limit(xs, args.tol)
     table = build_lambda(limit)
-    header = [
-        "x", "psi", "baseline", "delta", "S", "D", "W",
-        "omega", "omega_S", "omega_D", "omega_W", "psi_over_x",
-    ]
+    header = [f.name for f in dataclasses.fields(metrics.MetricsRow)] + ["psi_over_x"]
     rows = []
     for x in xs:
         row = metrics.metrics_row(table, zs, x, grid=args.s_grid, tol=args.tol)
-        rows.append({
-            "x": float(x),
-            "psi": row.psi,
-            "baseline": row.baseline,
-            "delta": row.delta,
-            "S": row.S,
-            "D": row.D,
-            "W": row.W,
-            "omega": row.omega,
-            "omega_S": row.omega_S,
-            "omega_D": row.omega_D,
-            "omega_W": row.omega_W,
-            "psi_over_x": row.psi / float(x),
-        })
+        rows.append({**dataclasses.asdict(row), "psi_over_x": row.psi / float(x)})
     _emit(rows, header, args.out, args.format)
     return EXIT_OK
 

@@ -168,24 +168,21 @@ def metrics_row(table, zeros: ZeroSet, x, grid=64, tol=1e-6):
     One delta_many call covers avg_metric's grid, which is sup_metric's
     grid plus u = 0, so S and D equal what those two functions return,
     bit for bit, at half the cost.  Psi, I and Delta at x come from the
-    same call (x is on the grid, or added to the batch when rounding
-    kept it off).
+    same call: the grid ends at x.
     """
     from .smooth import delta_many, hybrid_grid, trapezoid_mean
 
     us = hybrid_grid(x, points=grid, include_zero=True)
-    hit = np.flatnonzero(us == x)
-    batch = delta_many(table, us if len(hit) else np.append(us, x), tol=tol)
-    at_x = hit[0] if len(hit) else -1
-    vals = np.abs(batch.delta[: len(us)])
+    batch = delta_many(table, us, tol=tol)
+    vals = np.abs(batch.delta)
     S = float(np.max(vals))
     D = trapezoid_mean(us, vals, x).value
     W = zero_sum_W(max(x, 1.0), zeros)
     return MetricsRow(
         x=float(x),
-        psi=float(batch.psi[at_x]),
-        baseline=float(batch.baseline[at_x]),
-        delta=float(batch.delta[at_x]),
+        psi=float(batch.psi[-1]),
+        baseline=float(batch.baseline[-1]),
+        delta=float(batch.delta[-1]),
         S=S,
         D=D,
         W=W,

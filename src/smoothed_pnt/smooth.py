@@ -281,7 +281,9 @@ def hybrid_grid(x, points=2048, include_zero=False):
     block on [max(1, x/10), x] resolves the fine structure near x, and a
     short geometric run on [0.02, 1] covers the essentially-zero head.
     Doubling `points` refines every block in place, so grids nest and
-    grid maxima are monotone under refinement.
+    grid maxima are monotone under refinement.  A block's last point can
+    round an ulp off x, so every point >= x is dropped and x itself
+    appended: the grid ends exactly at x, and still nests.
     """
     if x <= 0.0:
         raise RangeError("x must be positive")
@@ -297,8 +299,9 @@ def hybrid_grid(x, points=2048, include_zero=False):
         geo = x**j
         lin_lo = max(1.0, x / 10.0)
         lin = lin_lo + (x - lin_lo) * j
-        parts = [head, geo, lin, np.array([float(x)])]
+        parts = [head, geo, lin]
     grid = np.unique(np.concatenate(parts))
+    grid = np.append(grid[grid < x], float(x))
     if include_zero:
         grid = np.concatenate([[0.0], grid])
     return grid

@@ -4,11 +4,15 @@ Everything here is plain binary64.  The gamma function uses a fixed
 15-coefficient Lanczos approximation (g = 607/128) which is uniformly
 accurate to ~1e-13 relative on the right half plane; the left half plane
 goes through the reflection formula in log space so that large imaginary
-parts neither overflow nor lose the phase.  Zeta and its derivative use
-the Euler-Maclaurin formula with an explicit remainder bound, valid for
-Re s > -1, which covers every consumer in this package (the supported
-strip is -1 < Re s <= 3 plus the half plane Re s > 1 where the Dirichlet
-series converges anyway).
+parts neither overflow nor lose the phase.  Zeta and zeta' come from one
+Euler-Maclaurin core: one array of head powers n^{-s} and one loop over
+the Bernoulli terms, which carries zeta with its explicit remainder
+bound, and zeta' with its differentiated bound when a caller asks for
+it.  zeta_em, zeta_deriv_em and zeta_logderiv are certifying front ends
+over one validation and conjugate-fold path, and hardy_Z calls the core
+on whole arrays of heights.  Valid for Re s > -1, which covers every
+consumer in this package (the supported strip is -1 < Re s <= 3 plus
+the half plane Re s > 1 where the Dirichlet series converges anyway).
 
 Conjugate symmetry is structural: inputs with negative imaginary part are
 folded to the upper half plane and the result conjugated, so
@@ -146,41 +150,53 @@ def gamma_complex(z):
     return complex(np.exp(lg))
 
 
-def _zeta_em_core(s, n_terms):
-    """Euler-Maclaurin zeta for an ndarray of s sharing one truncation.
+def _em_core(s, n_terms, deriv=False):
+    """Euler-Maclaurin zeta, and zeta' when `deriv`, for an ndarray of s.
 
-    Returns (value, remainder_bound) arrays.  Valid for Re s > -1,
-    s != 1.  The shared head sum is vectorized over s, which is what the
-    zero finder leans on.
+    Every s shares the truncation N = n_terms and one array of head powers
+    n^{-s} (n < N), vectorized over s, which is what the zero finder
+    leans on.  One loop over the Bernoulli terms carries each series with
+    its remainder bound and keeps, per s, the term with the smallest bound.
+    zeta' differentiates the truncated formula analytically, which avoids
+    the cancellation a finite difference would suffer near zeros.  Returns
+    (values, bounds), each a list [zeta] or [zeta, zeta'] of arrays shaped
+    like s.  Valid for Re s > -1, s != 1.
     """
     s = np.asarray(s, dtype=complex)
-    n = np.arange(1, n_terms, dtype=float)
-    log_n = np.log(n)
-    # head: sum_{n < N} n^{-s};  outer product exp(-s log n)
-    head = np.exp(-np.multiply.outer(s, log_n)).sum(axis=-1)
+    sigma = s.real
+    log_n = np.log(np.arange(1, n_terms, dtype=float))
+    powers = np.exp(-np.multiply.outer(s, log_n))
     N = float(n_terms)
-    val = head + N ** (-s) / 2.0 + N ** (1.0 - s) / (s - 1.0)
-    best = np.full(s.shape, np.inf)
-    best_val = val.copy()
-    poch = s.copy()  # (s)_{2k-1} for k = 1
-    acc = val
+    acc = [powers.sum(axis=-1) + N ** (-s) / 2.0 + N ** (1.0 - s) / (s - 1.0)]
+    if deriv:
+        logN = math.log(N)
+        acc.append(
+            -(powers * log_n).sum(axis=-1)
+            - logN * N ** (-s) / 2.0
+            + N ** (1.0 - s) * (-logN / (s - 1.0) - 1.0 / (s - 1.0) ** 2)
+        )
+    best = [np.full(s.shape, np.inf) for _ in acc]
+    best_val = [a.copy() for a in acc]
+    poch, dpoch = s.copy(), np.ones_like(s)  # (s)_{2k-1} and d/ds of it, k = 1
     for k in range(1, _EM_MAX_K + 1):
         f = _BERNOULLI[2 * k] / math.factorial(2 * k)
-        acc = acc + f * poch * N ** (1.0 - s - 2 * k)
-        poch = poch * (s + 2 * k - 1) * (s + 2 * k)
-        sigma = s.real
         fb = abs(_BERNOULLI[2 * k + 2]) / math.factorial(2 * k + 2)
-        bound = (
-            fb
-            * np.abs(poch)
-            * N ** (1.0 - sigma - 2 * k - 2)
-            * np.abs(s + 2 * k + 1)
-            / (sigma + 2 * k + 1)
-        )
-        better = bound < best
-        best = np.where(better, bound, best)
-        best_val = np.where(better, acc, best_val)
-        if np.all(best < 1e-18 * np.maximum(1.0, np.abs(best_val))):
+        grow = N ** (1.0 - s - 2 * k)
+        terms = [poch, dpoch - logN * poch] if deriv else [poch]
+        if deriv:
+            dpoch = dpoch * (s + 2 * k - 1) * (s + 2 * k) + poch * (2 * s + 4 * k - 1)
+        poch = poch * (s + 2 * k - 1) * (s + 2 * k)
+        # the differentiated remainder carries both pochhammer derivatives;
+        # |poch| alone degenerates to 0 at s = 0 and would lie about the tail
+        mags = [np.abs(poch), np.abs(dpoch) + logN * np.abs(poch)] if deriv else [np.abs(poch)]
+        shrink = N ** (1.0 - sigma - 2 * k - 2)
+        for i, (term, mag) in enumerate(zip(terms, mags)):
+            acc[i] = acc[i] + f * term * grow
+            bound = fb * mag * shrink * np.abs(s + 2 * k + 1) / (sigma + 2 * k + 1)
+            better = bound < best[i]
+            best[i] = np.where(better, bound, best[i])
+            best_val[i] = np.where(better, acc[i], best_val[i])
+        if all(np.all(b < 1e-18 * np.maximum(1.0, np.abs(v))) for b, v in zip(best, best_val)):
             break
     return best_val, best
 
@@ -190,6 +206,40 @@ def _auto_terms(s):
     return int(max(25, 1.3 * t + 10))
 
 
+def _em_point(s, terms, deriv=False, contract=True):
+    """One s through the core: validation, conjugate fold, one core call.
+
+    Returns ([zeta(, zeta')], [bounds], n_terms).  Im s < 0 is folded to
+    the upper half plane and the values conjugated back.  `contract`
+    enforces zeta_em's accuracy contract (|Im s| <= 1e3, at least 2 head
+    terms).
+    """
+    s = complex(s)
+    lower = s.imag < 0.0
+    if lower:
+        s = s.conjugate()
+    if abs(s - 1.0) <= 1e-12:
+        raise PoleError("zeta pole at s = 1")
+    if s.real <= -1.0:
+        raise DomainError("zeta_em supports Re s > -1 only")
+    n_terms = terms if terms is not None else _auto_terms(s)
+    if contract and abs(s.imag) > 1e3:
+        raise AccuracyError("zeta_em accuracy contract limited to |Im s| <= 1e3")
+    if contract and n_terms < 2:
+        raise AccuracyError("need at least 2 direct terms")
+    vals, bounds = _em_core(np.array([s]), n_terms, deriv=deriv)
+    vals = [complex(v[0]).conjugate() if lower else complex(v[0]) for v in vals]
+    return vals, [float(b[0]) for b in bounds], n_terms
+
+
+def _certified(value, bound, tol, n_terms, what):
+    # |zeta| can vanish on the critical line; the floor keeps the
+    # relative contract meaningful away from zeros without lying near them.
+    if bound > tol * max(abs(value), 1e-4):
+        raise AccuracyError(f"{what} {bound:.2e} exceeds tolerance with {n_terms} terms")
+    return value
+
+
 def zeta_em(s, terms=None, tol=1e-10):
     """Riemann zeta via Euler-Maclaurin summation.
 
@@ -197,79 +247,18 @@ def zeta_em(s, terms=None, tol=1e-10):
     omitted).  Certified remainder <= tol * max(|value|, 1e-4), else
     AccuracyError.  Supported domain: Re s > -1, |Im s| <= 1e3.
     """
-    s = complex(s)
-    if s.imag < 0.0:
-        return np.conj(zeta_em(np.conj(s), terms=terms, tol=tol))
-    if abs(s - 1.0) <= 1e-12:
-        raise PoleError("zeta pole at s = 1")
-    if s.real <= -1.0:
-        raise DomainError("zeta_em supports Re s > -1 only")
-    if abs(s.imag) > 1e3:
-        raise AccuracyError("zeta_em accuracy contract limited to |Im s| <= 1e3")
-    n_terms = terms if terms is not None else _auto_terms(s)
-    if n_terms < 2:
-        raise AccuracyError("need at least 2 direct terms")
-    val, bound = _zeta_em_core(np.array([s]), n_terms)
-    v, b = complex(val[0]), float(bound[0])
-    # |zeta| can vanish on the critical line; the floor keeps the
-    # relative contract meaningful away from zeros without lying near them.
-    if b > tol * max(abs(v), 1e-4):
-        raise AccuracyError(
-            f"remainder bound {b:.2e} exceeds tolerance with {n_terms} terms"
-        )
-    return v
+    (z,), (zb,), n_terms = _em_point(s, terms)
+    return _certified(z, zb, tol, n_terms, "remainder bound")
 
 
 def zeta_deriv_em(s, terms=None, tol=1e-8):
     """zeta'(s) by term-by-term differentiation of the Euler-Maclaurin sum.
 
-    Differentiating the truncated formula analytically avoids the
-    cancellation a finite difference would suffer near zeros.
+    Certified like zeta_em, on Re s > -1; the height contract is not
+    enforced here.
     """
-    s = complex(s)
-    if s.imag < 0.0:
-        return np.conj(zeta_deriv_em(np.conj(s), terms=terms, tol=tol))
-    if abs(s - 1.0) <= 1e-12:
-        raise PoleError("zeta pole at s = 1")
-    if s.real <= -1.0:
-        raise DomainError("zeta_deriv_em supports Re s > -1 only")
-    n_terms = terms if terms is not None else _auto_terms(s)
-    n = np.arange(2, n_terms, dtype=float)
-    log_n = np.log(n)
-    head = -np.sum(log_n * np.exp(-s * log_n))
-    N = float(n_terms)
-    logN = math.log(N)
-    val = head - logN * N ** (-s) / 2.0
-    val += N ** (1.0 - s) * (-logN / (s - 1.0) - 1.0 / (s - 1.0) ** 2)
-    poch = s
-    dpoch = 1.0 + 0j  # d/ds (s)_{2k-1}
-    best = math.inf
-    best_val = val
-    acc = val
-    for k in range(1, _EM_MAX_K + 1):
-        f = _BERNOULLI[2 * k] / math.factorial(2 * k)
-        acc = acc + f * N ** (1.0 - s - 2 * k) * (dpoch - logN * poch)
-        dpoch = dpoch * (s + 2 * k - 1) * (s + 2 * k) + poch * (2 * s + 4 * k - 1)
-        poch = poch * (s + 2 * k - 1) * (s + 2 * k)
-        # the differentiated remainder carries both pochhammer derivatives;
-        # |poch| alone degenerates to 0 at s = 0 and would lie about the tail
-        fb = abs(_BERNOULLI[2 * k + 2]) / math.factorial(2 * k + 2)
-        bound = (
-            fb
-            * (abs(dpoch) + logN * abs(poch))
-            * N ** (1.0 - s.real - 2 * k - 2)
-            * abs(s + 2 * k + 1)
-            / (s.real + 2 * k + 1)
-        )
-        if bound < best:
-            best, best_val = bound, acc
-        if best < 1e-18 * max(1.0, abs(best_val)):
-            break
-    if best > tol * max(abs(best_val), 1e-4):
-        raise AccuracyError(
-            f"derivative remainder {best:.2e} exceeds tolerance with {n_terms} terms"
-        )
-    return best_val
+    (_, dz), (_, dzb), n_terms = _em_point(s, terms, deriv=True, contract=False)
+    return _certified(dz, dzb, tol, n_terms, "derivative remainder")
 
 
 def zeta_logderiv(s, terms=None, with_error=False):
@@ -284,16 +273,14 @@ def zeta_logderiv(s, terms=None, with_error=False):
     s = complex(s)
     if abs(s - 1.0) <= 1e-6:
         raise NearSingularError("zeta'/zeta pole at s = 1")
-    z = zeta_em(s, terms=terms, tol=1e-9)
+    (z, dz), (zb, dzb), n_terms = _em_point(s, terms, deriv=True)
+    _certified(z, zb, 1e-9, n_terms, "remainder bound")
     if abs(z) <= 1e-6:
         raise NearSingularError(f"|zeta({s})| = {abs(z):.2e}: too close to a zero")
-    dz = zeta_deriv_em(s, terms=terms)
-    ratio = dz / z
+    ratio = _certified(dz, dzb, 1e-8, n_terms, "derivative remainder") / z
     if with_error:
-        n_terms = terms if terms is not None else _auto_terms(s)
         # crude but honest: remainder of both series, amplified by 1/|zeta|
-        _, zb = _zeta_em_core(np.array([s]), n_terms)
-        est = float(zb[0]) * (math.log(n_terms) + 3.0) * (1.0 + abs(ratio)) / abs(z)
+        est = zb * (math.log(n_terms) + 3.0) * (1.0 + abs(ratio)) / abs(z)
         est += 5e-16 * n_terms * (1.0 + abs(ratio))
         return ratio, est
     return ratio
@@ -317,7 +304,7 @@ def _hardy_Z_array(ts, terms=None):
     ts = np.asarray(ts, dtype=float)
     n_terms = terms if terms is not None else int(max(25, 1.3 * ts.max() + 10))
     s = 0.5 + 1j * ts
-    val, bound = _zeta_em_core(s, n_terms)
+    (val,), (bound,) = _em_core(s, n_terms)
     if np.any(bound > 1e-9):
         raise AccuracyError("zeta remainder too large for hardy_Z at this height")
     rotated = np.exp(1j * rs_theta(ts)) * val

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from smoothed_pnt.errors import CapacityError, RangeError
+from smoothed_pnt.sieve import build_lambda
 from smoothed_pnt.smooth import (
     DELTA_LIMIT,
     avg_metric,
@@ -135,3 +138,33 @@ class TestGrids:
     def test_grid_parameter_floor(self):
         with pytest.raises(RangeError):
             hybrid_grid(100.0, points=8)
+
+
+GRID_X = st.floats(min_value=0.05, max_value=50.0)
+GRID_PROPERTY = settings(max_examples=200, deadline=None)
+
+
+@pytest.fixture(scope="module")
+def table_5000():
+    return build_lambda(5000)
+
+
+class TestGridProperties:
+    @GRID_PROPERTY
+    @given(x=GRID_X, m=st.integers(16, 256), include_zero=st.booleans())
+    @example(x=0.4, m=64, include_zero=False)  # the last geometric point misses x
+    def test_ends_exactly_at_x(self, x, m, include_zero):
+        g = hybrid_grid(x, points=m, include_zero=include_zero)
+        assert g[-1] == x and g.max() == x
+        assert np.all(np.diff(g) > 0.0)
+
+    @GRID_PROPERTY
+    @given(x=GRID_X, m=st.integers(16, 256))
+    def test_nests_exactly_under_doubling(self, x, m):
+        assert set(hybrid_grid(x, points=m)) <= set(hybrid_grid(x, points=2 * m))
+
+    @GRID_PROPERTY
+    @given(x=st.floats(min_value=0.05, max_value=1.0))
+    @example(x=0.3380350878270627)
+    def test_sup_dominates_delta_at_x(self, table_5000, x):
+        assert sup_metric(table_5000, x, grid=64) >= abs(delta(table_5000, x).delta)

@@ -11,6 +11,7 @@ from smoothed_pnt.errors import (
     AccuracyError,
     DomainError,
     NearSingularError,
+    NumericsError,
     PoleError,
 )
 from smoothed_pnt.specfun import (
@@ -304,3 +305,35 @@ class TestHardyZ:
     def test_height_guard(self):
         with pytest.raises(AccuracyError):
             hardy_Z(1500.0)
+
+
+def _outcome(f, z):
+    try:
+        return f(z)
+    except NumericsError as exc:  # then the conjugate must raise the same type
+        return type(exc)
+
+
+# each function with a box reaching past its domain: Re range, Im upper end
+CONJ_CASES = {
+    "zeta_em": (zeta_em, -1.2, 3.5, 1100.0),
+    "zeta_deriv_em": (zeta_deriv_em, -1.2, 3.5, 1100.0),
+    "zeta_logderiv": (zeta_logderiv, -1.2, 3.5, 1100.0),
+    "loggamma": (loggamma, -60.0, 60.0, 300.0),
+    "gamma_complex": (gamma_complex, -60.0, 200.0, 200.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONJ_CASES))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_conjugate_symmetry_is_exact(name, data):
+    f, re_lo, re_hi, im_hi = CONJ_CASES[name]
+    re = data.draw(st.floats(min_value=re_lo, max_value=re_hi))
+    im = data.draw(st.floats(min_value=0.0, max_value=im_hi, exclude_min=True))
+    z = complex(re, im)
+    up, down = _outcome(f, z), _outcome(f, z.conjugate())
+    if isinstance(up, type):
+        assert down is up
+    else:
+        assert down == up.conjugate()

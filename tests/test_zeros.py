@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothed_pnt.errors import DomainError, EmptySetError, OrderError, ParseError
 from smoothed_pnt.smooth import DELTA_LIMIT, delta
@@ -64,6 +66,30 @@ class TestLoad:
         back = load_zeros(p)
         assert np.array_equal(back.gammas, zeros_rh.gammas)
         assert np.array_equal(back.betas, zeros_rh.betas)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        gammas=st.lists(
+            st.floats(min_value=0.0, max_value=1e12, exclude_min=True),
+            min_size=1, max_size=30, unique=True,
+        ),
+        betas=st.lists(
+            st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+            min_size=30, max_size=30,
+        ),
+        assume_rh=st.booleans(),
+    )
+    def test_roundtrip_is_exact(self, tmp_path_factory, gammas, betas, assume_rh):
+        # both file formats: one column under RH, "beta gamma" otherwise
+        g = np.sort(gammas)
+        b = np.full(len(g), 0.5) if assume_rh else np.array(betas[: len(g)])
+        zs = ZeroSet(betas=b, gammas=g, assume_rh=assume_rh, height=float(g[-1]))
+        p = tmp_path_factory.mktemp("zeros") / "z.txt"
+        save_zeros(zs, p)
+        back = load_zeros(p)
+        assert back.betas.tobytes() == zs.betas.tobytes()
+        assert back.gammas.tobytes() == zs.gammas.tobytes()
+        assert back.assume_rh is assume_rh
 
 
 class TestZeroSetInvariants:
