@@ -6,6 +6,10 @@ with repr (shortest round-trip decimal), rows are ordered by x, lines
 end with LF.  Data goes to --out or standard output; everything
 diagnostic goes to standard error.
 
+Without --limit, each table is as long as the certificate that reads it
+needs: smooth.truncation_cutoff for metrics and delta, goldbach.fk_cutoff
+and contour_cutoff for goldbach, pintz.U_window for pintz.
+
 Exit codes: 0 ok, 2 configuration error, 3 capacity (table too small),
 4 tolerance/accuracy failure.
 
@@ -94,16 +98,17 @@ def _emit(rows, header, out_path, fmt):
         sys.stdout.write(text)
 
 
-def _auto_limit(xs, tol):
-    return smooth.truncation_cutoff(float(np.max(xs)), tol)
-
-
-def _cmd_metrics(args):
+def _grid_inputs(args):
+    """The x grid, zero table and Lambda table that metrics and delta read."""
     _check_tol(args)
     xs = _parse_grid(args.x)
     zs = _load_zero_source(args.zeros)
-    limit = args.limit or _auto_limit(xs, args.tol)
-    table = build_lambda(limit)
+    table = build_lambda(args.limit or smooth.truncation_cutoff(float(np.max(xs)), args.tol))
+    return xs, zs, table
+
+
+def _cmd_metrics(args):
+    xs, zs, table = _grid_inputs(args)
     header = [f.name for f in dataclasses.fields(metrics.MetricsRow)] + ["psi_over_x"]
     rows = []
     for x in xs:
@@ -114,24 +119,14 @@ def _cmd_metrics(args):
 
 
 def _cmd_delta(args):
-    _check_tol(args)
-    xs = _parse_grid(args.x)
-    zs = _load_zero_source(args.zeros)
-    limit = args.limit or _auto_limit(xs, args.tol)
-    table = build_lambda(limit)
+    xs, zs, table = _grid_inputs(args)
     header = ["x", "psi", "baseline", "delta", "explicit_delta", "residual"]
     batch = smooth.delta_many(table, xs, tol=args.tol)
     rows = []
     for x, psi, baseline, delta in zip(xs, batch.psi, batch.baseline, batch.delta):
-        ed = zeros_mod.explicit_delta(max(x, 1.0), zs, constant_mode=args.constant)
-        rows.append({
-            "x": float(x),
-            "psi": float(psi),
-            "baseline": float(baseline),
-            "delta": float(delta),
-            "explicit_delta": ed,
-            "residual": float(delta) - ed,
-        })
+        ed = zeros_mod.explicit_delta(x, zs, constant_mode=args.constant)
+        values = [float(x), float(psi), float(baseline), float(delta), ed, float(delta) - ed]
+        rows.append(dict(zip(header, values)))
     _emit(rows, header, args.out, args.format)
     return EXIT_OK
 
@@ -142,28 +137,22 @@ def _cmd_goldbach(args):
     k = args.k
     if not (1 <= k <= 5):
         raise ConfigError("k must be in [1, 5]")
-    x_max = float(np.max(xs))
-    conv_limit = args.limit or (int(40 * x_max) + 16)
-    # k=2 also runs the circle-quadrature check at N=100, whose power
-    # series needs the table out to ~42*100
-    table_limit = max(conv_limit, 4300) if k == 2 else conv_limit
+    conv_limit = args.limit or goldbach.fk_cutoff(k, float(np.max(xs)), args.tol)
+    n_check = min(100, conv_limit)  # k = 2 also checks the contour identity at N = 100
+    table_limit = max(conv_limit, goldbach.contour_cutoff(n_check)) if k == 2 else conv_limit
     table = build_lambda(table_limit)
     conv = goldbach.convolve_psik(table, k, conv_limit)
+    # matched truncation: the identity F_k = Psi^k holds per cutoff
+    psi_conv = goldbach.convolve_psik(table, 1, conv_limit)
     header = ["x", "F_k", "psi_pow_k", "ratio_to_xk", "err_ratio"]
     rows = []
     for x in xs:
         fk = goldbach.smooth_Fk(conv, x, tol=args.tol)
-        # matched truncation: the identity F_k = Psi^k holds per cutoff
-        psi = smooth.weighted_exp_sum(table.values[1 : conv_limit + 1], x)
-        rows.append({
-            "x": float(x),
-            "F_k": fk,
-            "psi_pow_k": psi**k,
-            "ratio_to_xk": fk / float(x) ** k,
-            "err_ratio": abs(fk - float(x) ** k) / float(x) ** (k - k / 2.0),
-        })
+        psi = goldbach.smooth_Fk(psi_conv, x, tol=args.tol)
+        xk = float(x) ** k
+        values = [float(x), fk, psi**k, fk / xk, abs(fk - xk) / float(x) ** (k - k / 2.0)]
+        rows.append(dict(zip(header, values)))
     if k == 2:
-        n_check = min(100, conv_limit)
         val, imag = goldbach.contour_extract(table, n_check)
         direct = float(np.sum(goldbach.psi2_centered(table, n_check)[: n_check + 1]))
         print(
@@ -176,8 +165,6 @@ def _cmd_goldbach(args):
 
 
 def _cmd_zeros(args):
-    if not (10.0 <= args.T <= 1e3):
-        raise ConfigError("T must lie in [10, 1e3]")
     zs = zeros_mod.find_zeros(args.T)
     expected = zeros_mod.riemann_vonmangoldt_count(args.T)
     print(
@@ -200,9 +187,7 @@ def _cmd_pintz(args):
     zs.require_nonempty()
     rho0 = complex(zs.betas[0], zs.gammas[0])
     p = pintz.PintzParams(mu=math.log(args.mu_scale), k=args.k, rho0=rho0)
-    width = 6.0 * math.sqrt(p.k * math.log(1.0 / args.tol))
-    limit = args.limit or pintz.loose_cutoff(math.exp(p.mu + width), 1e-5)
-    table = build_lambda(limit)
+    table = build_lambda(args.limit or pintz.U_window(p, args.tol)[1])
     ui = pintz.U_integral(table, p, tol=args.tol)
     ur = pintz.U_residue(zs, p)
     rel = abs(ui.value - ur.value) / max(abs(ur.value), 1e-300)
@@ -210,17 +195,9 @@ def _cmd_pintz(args):
         "mu", "k", "U_integral_re", "U_integral_im", "U_integral_err",
         "U_residue_re", "U_residue_im", "U_residue_err", "rel_diff",
     ]
-    rows = [{
-        "mu": p.mu,
-        "k": p.k,
-        "U_integral_re": ui.value.real,
-        "U_integral_im": ui.value.imag,
-        "U_integral_err": ui.error,
-        "U_residue_re": ur.value.real,
-        "U_residue_im": ur.value.imag,
-        "U_residue_err": ur.error,
-        "rel_diff": rel,
-    }]
+    values = [p.mu, p.k, ui.value.real, ui.value.imag, ui.error]
+    values += [ur.value.real, ur.value.imag, ur.error, rel]
+    rows = [dict(zip(header, values))]
     _emit(rows, header, args.out, args.format)
     return EXIT_OK
 
@@ -238,21 +215,24 @@ def _cmd_turan(args):
         a = rng.uniform(1, 10)
         b = rng.uniform(1, 10)
         gmax, bound = pintz.turan_bound(alphas, a, b)
-        rows.append({
-            "instance": i,
-            "n": n,
-            "a": float(a),
-            "b": float(b),
-            "grid_max": gmax,
-            "bound": bound,
-            "ratio": gmax / bound,
-        })
+        rows.append(dict(zip(header, [i, n, float(a), float(b), gmax, bound, gmax / bound])))
         if gmax < 0.99 * bound:
             raise ToleranceError(
                 f"power-sum bound violated at instance {i}: {gmax} < 0.99*{bound}"
             )
     _emit(rows, header, args.out, args.format)
     return EXIT_OK
+
+
+# Flags several subcommands take; a subcommand may override a default.
+_SHARED_FLAGS = {
+    "--x": dict(default="10:1e4:13", help="geometric grid start:stop:points"),
+    "--limit": dict(type=int, default=None, help="sieve table limit N"),
+    "--zeros": dict(default=None, help="zero table path or 'builtin'"),
+    "--tol": dict(type=float, default=1e-6),
+    "--out": dict(default=None, help="output path (default: stdout)"),
+    "--format": dict(choices=("csv", "json"), default="csv"),
+}
 
 
 def build_parser():
@@ -262,49 +242,42 @@ def build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, grid_default="10:1e4:13"):
-        p.add_argument("--x", default=grid_default, help="geometric grid start:stop:points")
-        p.add_argument("--limit", type=int, default=None, help="sieve table limit N")
-        p.add_argument("--zeros", default=None, help="zero table path or 'builtin'")
-        p.add_argument("--tol", type=float, default=1e-6)
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+    def shared(p, *names, **defaults):
+        """Add the shared flags `names`, in that order; `defaults` overrides theirs."""
+        for name in names:
+            spec = _SHARED_FLAGS["--" + name]
+            p.add_argument("--" + name, **{**spec, "default": defaults.get(name, spec["default"])})
 
     p = sub.add_parser("metrics", help="S/D/W/omega metric family per grid point")
-    common(p)
+    shared(p, "x", "limit", "zeros", "tol", "out", "format")
     p.add_argument("--s-grid", type=int, default=64, help="grid size for S and D")
     p.set_defaults(func=_cmd_metrics)
 
     p = sub.add_parser("delta", help="smoothed sums and explicit-formula residual")
-    common(p)
+    shared(p, "x", "limit", "zeros", "tol", "out", "format")
     p.add_argument("--constant", choices=("paper", "derived"), default="derived")
     p.set_defaults(func=_cmd_delta)
 
     p = sub.add_parser("goldbach", help="F_k identity columns for one k")
-    common(p, grid_default="10:1e3:7")
+    shared(p, "x", "limit", "tol", "out", "format", x="10:1e3:7")
     p.add_argument("--k", type=int, default=2)
     p.set_defaults(func=_cmd_goldbach)
 
     p = sub.add_parser("zeros", help="locate critical-line zeros up to T")
     p.add_argument("--T", type=float, required=True)
-    p.add_argument("--out", default=None)
+    shared(p, "out")
     p.set_defaults(func=_cmd_zeros)
 
     p = sub.add_parser("pintz", help="dual-representation check of the smoothing integral")
     p.add_argument("--mu-scale", type=float, default=200.0, help="u-scale e^mu")
     p.add_argument("--k", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=0.1)
-    p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--zeros", default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    shared(p, "tol", "limit", "zeros", "out", "format", tol=0.1)
     p.set_defaults(func=_cmd_pintz)
 
     p = sub.add_parser("turan", help="seeded random verification of the power-sum bound")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--instances", type=int, default=1000)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    shared(p, "out", "format")
     p.set_defaults(func=_cmd_turan)
     return ap
 
@@ -317,16 +290,13 @@ def main(argv=None):
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
     except (ToleranceError, AccuracyError, AliasError) as exc:
         print(f"tolerance error: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE
-    except NumericsError as exc:
+    except (ConfigError, NumericsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

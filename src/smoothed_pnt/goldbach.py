@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import AliasError, CapacityError, DomainError
 from .sieve import LambdaTable
-from .smooth import weighted_exp_sum
+from .smooth import _smallest_cutoff, weighted_exp_sum
 
 __all__ = [
     "ConvolutionTable",
@@ -29,6 +29,8 @@ __all__ = [
     "psi2_centered",
     "smooth_Fk",
     "fk_tail_bound",
+    "fk_cutoff",
+    "contour_cutoff",
     "contour_extract",
 ]
 
@@ -46,9 +48,14 @@ class ConvolutionTable:
     values: np.ndarray
 
 
-def _self_convolve(seq, k, N, method):
-    """k-fold additive self-convolution of seq (index = n, seq[0] ignored)."""
-    conv = seq[: N + 1].copy()
+def _self_convolve(table, k, N, method, shift=0.0):
+    """k-fold additive self-convolution of Lambda(n) - shift, 1 <= n <= N, at index n."""
+    if N > table.limit:
+        raise CapacityError(f"N = {N} exceeds table limit {table.limit}")
+    if method == "auto":
+        method = "direct" if N <= DIRECT_LIMIT else "fft"
+    conv = np.zeros(N + 1)
+    conv[1:] = table.values[1 : N + 1] - shift
     acc = conv
     for _ in range(k - 1):
         if method == "direct":
@@ -71,27 +78,14 @@ def convolve_psik(table: LambdaTable, k, N, method="auto"):
     if not (1 <= k <= 8):
         raise DomainError("k must be in [1, 8]")
     N = int(N)
-    if N > table.limit:
-        raise CapacityError(f"N = {N} exceeds table limit {table.limit}")
-    if method == "auto":
-        method = "direct" if N <= DIRECT_LIMIT else "fft"
-    seq = np.zeros(N + 1)
-    seq[1 : N + 1] = table.values[1 : N + 1]
-    vals = _self_convolve(seq, k, N, method)
-    vals[: min(2 * k, N + 1)] = 0.0  # exact zeros, keep FFT dust out
+    vals = _self_convolve(table, k, N, method)
+    vals[: 2 * k] = 0.0  # exact zeros, keep FFT dust out
     return ConvolutionTable(k=k, limit=N, values=vals)
 
 
 def psi2_centered(table: LambdaTable, N, method="auto"):
     """psi2_0(n) = sum_{m+m'=n} (Lambda(m)-1)(Lambda(m')-1) for 0 <= n <= N."""
-    N = int(N)
-    if N > table.limit:
-        raise CapacityError(f"N = {N} exceeds table limit {table.limit}")
-    if method == "auto":
-        method = "direct" if N <= DIRECT_LIMIT else "fft"
-    seq = np.zeros(N + 1)
-    seq[1 : N + 1] = table.values[1 : N + 1] - 1.0
-    return _self_convolve(seq, 2, N, method)
+    return _self_convolve(table, 2, int(N), method, shift=1.0)
 
 
 def fk_tail_bound(k, limit, x):
@@ -105,22 +99,31 @@ def fk_tail_bound(k, limit, x):
     return math.exp(log_term - limit / x) / (1.0 - ratio)
 
 
+def fk_cutoff(k, x, tol):
+    """Smallest convolution limit L with fk_tail_bound(k, L, x) <= tol.
+
+    The bound is finite only past max(8, 4kx), and there it decreases.
+    """
+    if not tol > 0.0:
+        raise DomainError("tol must be positive")
+    lo = int(max(8, 4 * k * x)) + 1
+    return _smallest_cutoff(lambda m: fk_tail_bound(k, m, x) <= tol, lo)
+
+
 def smooth_Fk(conv: ConvolutionTable, x, tol=1e-9):
     """F_k(x) = sum psi_k(n) e^{-n/x}, certified within tol of the full sum."""
     bound = fk_tail_bound(conv.k, conv.limit, x)
     if not bound <= tol:
-        need = int(4 * conv.k * x) + 8
-        while fk_tail_bound(conv.k, need, x) > tol:
-            need = int(need * 1.3) + 1
-        raise CapacityError(
-            f"tail bound {bound:.2e} > tol; need convolution limit >= {need}"
-        )
+        need = fk_cutoff(conv.k, x, tol)
+        raise CapacityError(f"tail bound {bound:.2e} > tol; need convolution limit >= {need}")
     return weighted_exp_sum(conv.values[1:], x)
 
 
-def _power_series_cutoff(r, floor=1e-18):
-    """Smallest C with r^C < floor."""
-    return int(math.ceil(math.log(floor) / math.log(r)))
+def contour_cutoff(N, r=None):
+    """Table limit contour_extract(table, N, r) reads: smallest C with r^C < 1e-18."""
+    if r is None:
+        r = math.exp(-1.0 / N)
+    return int(math.ceil(math.log(1e-18) / math.log(r)))
 
 
 def contour_extract(table: LambdaTable, N, r=None, nodes=None, squared=True):
@@ -139,7 +142,7 @@ def contour_extract(table: LambdaTable, N, r=None, nodes=None, squared=True):
         r = math.exp(-1.0 / N)
     if not (0.0 < r < 1.0):
         raise DomainError("radius must satisfy 0 < r < 1")
-    cutoff = _power_series_cutoff(r)
+    cutoff = contour_cutoff(N, r)
     if cutoff > table.limit:
         raise CapacityError(
             f"power-series cutoff {cutoff} exceeds table limit {table.limit}"

@@ -40,10 +40,10 @@ __all__ = [
     "mellin_H_closed",
     "mellin_H_quadrature",
     "gaussian_line_check",
+    "U_window",
     "U_integral",
     "U_residue",
     "turan_bound",
-    "loose_cutoff",
     "QuadResult",
 ]
 
@@ -115,7 +115,7 @@ def mellin_H_closed(s):
     return s * gamma_complex(s) * (zeta_logderiv(s) + zeta_em(s))
 
 
-def loose_cutoff(u, eps):
+def _loose_cutoff(u, eps):
     """Direct tail bound for sum_{n>M} log(n) e^{-n/u}: first-term/(1-ratio) style."""
     u = max(u, 1.0)
     m = u * max(5.0, math.log(2.4 * u * 20.0 / eps))
@@ -133,7 +133,7 @@ def _delta_point(table, u, eps, delta_fn=None):
         return float(delta_fn(u))
     if u < 0.004:
         return 0.0
-    cutoff = min(loose_cutoff(u, eps), table.limit)
+    cutoff = min(_loose_cutoff(u, eps), table.limit)
     psi = weighted_exp_sum(table.values[1 : cutoff + 1], u)
     return psi - smooth_baseline(u)
 
@@ -233,10 +233,19 @@ def _g_weight(u, p: PintzParams):
 
 def _g_prime_times_u(u, p: PintzParams):
     """u * g'(u) = u^{-rho0} e^{-(mu-log u)^2/4k} (-rho0 + (mu - log u)/2k)."""
-    lu = np.log(u)
-    return np.exp(-p.rho0 * lu - (p.mu - lu) ** 2 / (4.0 * p.k)) * (
-        -p.rho0 + (p.mu - lu) / (2.0 * p.k)
-    )
+    return _g_weight(u, p) * (-p.rho0 + (p.mu - np.log(u)) / (2.0 * p.k))
+
+
+def U_window(p: PintzParams, tol):
+    """U_integral's window half-width in log u, and the table limit its nodes reach.
+
+    The window is [e^{mu-width}, e^{mu+width}] with width = 6 sqrt(k
+    log(1/tol)); Delta at its top is read to 1e-5 under the loose tail.
+    """
+    if tol <= 0.0 or tol >= 1.0:
+        raise DomainError("tol must lie in (0, 1)")
+    width = 6.0 * math.sqrt(p.k * math.log(1.0 / tol))
+    return width, _loose_cutoff(math.exp(p.mu + width), 1e-5)
 
 
 def U_integral(table: LambdaTable, p: PintzParams, tol=0.1, delta_fn=None, panel_scale=1.0):
@@ -244,7 +253,7 @@ def U_integral(table: LambdaTable, p: PintzParams, tol=0.1, delta_fn=None, panel
 
         U = (1/(2 sqrt(pi k))) * int Delta(u) d/du[u^{-rho0} e^{-(mu-log u)^2/4k}] du
 
-    over the window [e^{mu-width}, e^{mu+width}], width = 6 sqrt(k log(1/tol)).
+    over the window of U_window(p, tol).
 
     The smooth limit constant of Delta is split off and integrated in
     closed form (the integrand is an exact derivative, so this is an
@@ -255,12 +264,10 @@ def U_integral(table: LambdaTable, p: PintzParams, tol=0.1, delta_fn=None, panel
     window is covered by an empirical envelope bound from probe
     evaluations, reported inside `error` together with head/tail bounds.
     """
-    if tol <= 0.0 or tol >= 1.0:
-        raise DomainError("tol must lie in (0, 1)")
-    width = 6.0 * math.sqrt(p.k * math.log(1.0 / tol))
+    width, limit = U_window(p, tol)
     b = math.exp(p.mu + width)
     pref = 1.0 / (2.0 * math.sqrt(math.pi * p.k))
-    if delta_fn is None and loose_cutoff(b, 1e-5) > table.limit:
+    if delta_fn is None and limit > table.limit:
         raise CapacityError(
             f"window reaches u = {b:.3g}, beyond table limit {table.limit}"
         )
@@ -356,7 +363,7 @@ def U_residue(zeros: ZeroSet, p: PintzParams):
     return QuadResult(value=complex(total), error=float(remainder))
 
 
-def turan_bound(alphas, a, b, refine=1):
+def turan_bound(alphas, a, b):
     """Grid maximum of |sum_j e^{alpha_j t}| on [a, a+b] against the power-sum bound.
 
     Returns (grid_max, bound) with bound = (b/(8e(a+b)))^n.  The grid max
@@ -375,7 +382,7 @@ def turan_bound(alphas, a, b, refine=1):
         raise NormalizationError(
             "max Re(alpha) must be 0 and attained by the first exponent"
         )
-    ts = np.linspace(a, a + b, 10_000 * int(refine))
+    ts = np.linspace(a, a + b, 10_000)
     vals = np.abs(np.exp(np.outer(alphas, ts)).sum(axis=0))
     i = int(np.argmax(vals))
     grid_max = float(vals[i])

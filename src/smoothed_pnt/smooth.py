@@ -117,17 +117,22 @@ def truncation_cutoff(x, tol):
         raise RangeError("tol must be positive")
     lo = max(20, int(math.ceil(10.0 * x)))
     log_tol = math.log(tol)
-    if _log_tail(lo, x) <= log_tol:
+    return _smallest_cutoff(lambda m: _log_tail(m, x) <= log_tol, lo)
+
+
+def _smallest_cutoff(fits, lo):
+    """Smallest M >= lo with fits(M), by doubling then bisection; fits fails, then holds."""
+    if fits(lo):
         return lo
     hi = lo
-    while _log_tail(hi, x) > log_tol:
+    while not fits(hi):
         hi *= 2
     while lo + 1 < hi:
         mid = (lo + hi) // 2
-        if _log_tail(mid, x) > log_tol:
-            lo = mid
-        else:
+        if fits(mid):
             hi = mid
+        else:
+            lo = mid
     return hi
 
 

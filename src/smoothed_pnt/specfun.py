@@ -160,7 +160,8 @@ def _em_core(s, n_terms, deriv=False):
     zeta' differentiates the truncated formula analytically, which avoids
     the cancellation a finite difference would suffer near zeros.  Returns
     (values, bounds), each a list [zeta] or [zeta, zeta'] of arrays shaped
-    like s.  Valid for Re s > -1, s != 1.
+    like s; a bound covers the truncation and the head sum's rounding.
+    Valid for Re s > -1, s != 1.
     """
     s = np.asarray(s, dtype=complex)
     sigma = s.real
@@ -198,7 +199,14 @@ def _em_core(s, n_terms, deriv=False):
             best_val[i] = np.where(better, acc[i], best_val[i])
         if all(np.all(b < 1e-18 * np.maximum(1.0, np.abs(v))) for b, v in zip(best, best_val)):
             break
-    return best_val, best
+    # rounding in the head sums: n_terms * eps times the sum of the terms'
+    # moduli n^{-sigma} (times log n for zeta'), one row per distinct Re s
+    # (hardy_Z's whole grid shares Re s = 1/2), not one per s
+    sig, at = np.unique(sigma, return_inverse=True)
+    moduli = np.exp(-np.multiply.outer(sig, log_n))
+    heads = [moduli.sum(axis=-1)] + ([(moduli * log_n).sum(axis=-1)] if deriv else [])
+    eps_n = n_terms * np.finfo(float).eps
+    return best_val, [b + eps_n * h[at].reshape(s.shape) for b, h in zip(best, heads)]
 
 
 def _auto_terms(s):
@@ -235,7 +243,9 @@ def _em_point(s, terms, deriv=False, contract=True):
 def _certified(value, bound, tol, n_terms, what):
     # |zeta| can vanish on the critical line; the floor keeps the
     # relative contract meaningful away from zeros without lying near them.
-    if bound > tol * max(abs(value), 1e-4):
+    # It sits above the head sum's own rounding: at the first zero that
+    # alone is 5.6e-14, past the 1e-14 a floor of 1e-4 would demand.
+    if bound > tol * max(abs(value), 1e-3):
         raise AccuracyError(f"{what} {bound:.2e} exceeds tolerance with {n_terms} terms")
     return value
 
@@ -244,8 +254,9 @@ def zeta_em(s, terms=None, tol=1e-10):
     """Riemann zeta via Euler-Maclaurin summation.
 
     `terms` is the number of direct head terms (auto-sized from Im s when
-    omitted).  Certified remainder <= tol * max(|value|, 1e-4), else
-    AccuracyError.  Supported domain: Re s > -1, |Im s| <= 1e3.
+    omitted).  Certified error (truncation plus head-sum rounding) <=
+    tol * max(|value|, 1e-3), else AccuracyError.  Supported domain:
+    Re s > -1, |Im s| <= 1e3.
     """
     (z,), (zb,), n_terms = _em_point(s, terms)
     return _certified(z, zb, tol, n_terms, "remainder bound")
@@ -308,15 +319,18 @@ def _hardy_Z_array(ts, terms=None):
     if np.any(bound > 1e-9):
         raise AccuracyError("zeta remainder too large for hardy_Z at this height")
     rotated = np.exp(1j * rs_theta(ts)) * val
+    if np.any(np.abs(rotated.imag) > 1e-10 * np.maximum(1.0, np.abs(rotated.real))):
+        raise AccuracyError("e^{i theta} zeta(1/2 + it) is off the real axis by more than 1e-10")
     return rotated
 
 
 def hardy_Z(t, terms=None):
     """Hardy's Z function: e^{i theta(t)} zeta(1/2 + it), a real number.
 
-    Accepts a scalar or an array of heights in [0, 1e3].  The rotation is
-    checked to land on the real axis to ~1e-12; sign changes of the
-    result bracket critical-line zeros.
+    Accepts a scalar or an array of heights in [0, 1e3].  The rotation
+    must land on the real axis: an imaginary part above 1e-10 max(1, |Z|)
+    raises AccuracyError (it is ~2e-12 on find_zeros' grid up to 1e3).
+    Sign changes of the result bracket critical-line zeros.
     """
     arr = np.atleast_1d(np.asarray(t, dtype=float))
     if arr.size and (arr.min() < 0.0 or arr.max() > 1e3):

@@ -101,6 +101,21 @@ class TestGoldbachCommand:
         code, _, err = run(capsys, "goldbach", "--k", "7", "--x", "20:50:2")
         assert code == 2
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_default_grid_sizes_its_own_table(self, capsys, k):
+        # the convolution limit is the smallest one goldbach.fk_cutoff certifies
+        code, out, _ = run(capsys, "goldbach", "--k", str(k))
+        assert code == 0
+        assert len(out.strip().split("\n")) == 8
+
+    def test_tight_tol_sizes_its_own_table(self, capsys):
+        code, _, _ = run(capsys, "goldbach", "--k", "2", "--tol", "1e-12")
+        assert code == 0
+
+    def test_takes_no_zero_table(self, capsys):
+        code, _, _ = run(capsys, "goldbach", "--zeros", "builtin")
+        assert code == 2
+
 
 class TestZerosCommand:
     def test_single_zero_file(self, capsys, tmp_path):
@@ -191,7 +206,8 @@ class TestPintzCommand:
 def test_all_commands_run_without_scipy(tmp_path):
     # numpy is the only runtime dependency: a child that cannot import
     # scipy still imports the package and runs every command (the goldbach
-    # grid reaches the FFT convolution branch, conv_limit 24016 > 20000)
+    # grid reaches the FFT convolution branch: fk_cutoff(2, 600, 1e-6) is
+    # 21282 > DIRECT_LIMIT = 20000)
     script = textwrap.dedent(
         """
         import contextlib, io, sys

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothed_pnt.errors import AliasError, CapacityError, DomainError
 from smoothed_pnt.goldbach import (
+    contour_cutoff,
     contour_extract,
     convolve_psik,
+    fk_cutoff,
     fk_tail_bound,
     psi2_centered,
     smooth_Fk,
@@ -89,7 +93,20 @@ class TestSmoothFk:
         conv = convolve_psik(table_small, 2, 100)
         with pytest.raises(CapacityError) as exc:
             smooth_Fk(conv, 50.0, tol=1e-9)
-        assert ">=" in str(exc.value)
+        assert f">= {fk_cutoff(2, 50.0, 1e-9)}" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "k,x,tol,want",
+        [(3, 1e3, 1e-6, 50_210), (2, 1e3, 1e-6, 36_630), (2, 600.0, 1e-6, 21_282)],
+    )
+    def test_cutoff_is_smallest_certified_limit(self, k, x, tol, want):
+        L = fk_cutoff(k, x, tol)
+        assert L == want
+        assert fk_tail_bound(k, L, x) <= tol < fk_tail_bound(k, L - 1, x)
+
+    def test_cutoff_needs_positive_tol(self):
+        with pytest.raises(DomainError):
+            fk_cutoff(2, 10.0, 0.0)
 
     def test_tail_bound_conservative(self, table_small):
         # the bound must dominate the actual omitted tail
@@ -139,3 +156,28 @@ class TestContour:
     def test_radius_domain(self, table_small):
         with pytest.raises(DomainError):
             contour_extract(table_small, 100, r=1.5)
+
+    def test_cutoff_is_the_table_the_quadrature_reads(self):
+        from smoothed_pnt.sieve import build_lambda
+
+        C = contour_cutoff(100)
+        assert C == 4145
+        contour_extract(build_lambda(C), 100)
+        with pytest.raises(CapacityError):
+            contour_extract(build_lambda(C - 1), 100)
+
+
+# The FFT's rounding is absolute, on the scale of the largest coefficient
+# psi_k(L) ~ L^{k-1}, so relative to F_k(x) ~ x^k it grows like
+# eps (L/x)^{k-1}.  Measured on x in [10, 300] at tol = 1e-15 x^k: at most
+# 2.7 eps (L/x)^{k-1} over 1,700 draws at k = 2, and 0.06 of it at k = 5.
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 5), x=st.floats(10.0, 300.0))
+def test_fk_equals_psi_power(table_mid, k, x):
+    tol = 1e-15 * x**k
+    L = fk_cutoff(k, x, tol)
+    fk = smooth_Fk(convolve_psik(table_mid, k, L, method="fft"), x, tol=tol)
+    psi = smooth_Fk(convolve_psik(table_mid, 1, L), x, tol=tol)
+    # Psi_L^k adds to F_k only k-tuples past L, which the tail bound covers
+    rounding = 8.0 * np.finfo(float).eps * (L / x) ** (k - 1) * psi**k
+    assert abs(fk - psi**k) <= tol + rounding

@@ -10,6 +10,7 @@ from smoothed_pnt.pintz import (
     PintzParams,
     U_integral,
     U_residue,
+    U_window,
     gaussian_line_check,
     mellin_H_closed,
     mellin_H_quadrature,
@@ -147,6 +148,19 @@ class TestUIntegral:
 
         with pytest.raises(CapacityError):
             U_integral(table_small, p, tol=0.01)
+
+    def test_window_sizes_the_table(self):
+        from smoothed_pnt.errors import CapacityError
+        from smoothed_pnt.sieve import build_lambda
+
+        p = PintzParams(mu=math.log(20.0), k=0.5, rho0=RHO1)
+        width, limit = U_window(p, 0.2)
+        assert width == 6.0 * math.sqrt(0.5 * math.log(5.0))
+        U_integral(build_lambda(limit), p, tol=0.2)
+        with pytest.raises(CapacityError):
+            U_integral(build_lambda(limit - 1), p, tol=0.2)
+        with pytest.raises(DomainError):
+            U_window(p, 1.0)
 
     def test_dual_representation_secondary_point(self, zeros_rh):
         # a second (mu, k) besides the acceptance one

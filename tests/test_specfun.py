@@ -196,6 +196,12 @@ class TestZeta:
         with pytest.raises(AccuracyError):
             zeta_em(complex(0.5, 80.0), terms=5)
 
+    def test_head_rounding_is_certified(self):
+        # near Re s = -1 the head terms grow like n^0.95 and cancel: with
+        # 1000 of them the value is 2.6e-10 off mpmath's, past tol 1e-12
+        with pytest.raises(AccuracyError):
+            zeta_em(complex(-0.95, 5.0), terms=1000, tol=1e-12)
+
 
 class TestZetaDeriv:
     # s = 0 is where (s)_{2k-1} vanishes, so |poch| alone would bound the
@@ -232,6 +238,11 @@ class TestZetaDeriv:
             zeta_deriv_em(complex(0.5, 80.0), terms=5)
         with pytest.raises(AccuracyError):
             zeta_deriv_em(0.0, terms=2, tol=1e-12)
+
+    def test_head_rounding_is_certified(self):
+        # the computed value is 4.3e-9 relative from mpmath's here
+        with pytest.raises(AccuracyError):
+            zeta_deriv_em(complex(-0.95, 5.0), terms=1000, tol=1e-12)
 
     def test_pole_and_domain(self):
         with pytest.raises(PoleError):
@@ -305,6 +316,14 @@ class TestHardyZ:
     def test_height_guard(self):
         with pytest.raises(AccuracyError):
             hardy_Z(1500.0)
+
+    def test_rotation_off_the_real_axis_raises(self, monkeypatch):
+        import smoothed_pnt.specfun as specfun
+
+        theta = specfun.rs_theta
+        monkeypatch.setattr(specfun, "rs_theta", lambda t: theta(t) + 1e-6)
+        with pytest.raises(AccuracyError):
+            hardy_Z(np.linspace(1.0, 50.0, 200))
 
 
 def _outcome(f, z):
