@@ -125,8 +125,14 @@ def _cmd_delta(args):
     rows = []
     for x, psi, baseline, delta in zip(xs, batch.psi, batch.baseline, batch.delta):
         ed = zeros_mod.explicit_delta(x, zs, constant_mode=args.constant)
-        values = [float(x), float(psi), float(baseline), float(delta), ed, float(delta) - ed]
-        rows.append(dict(zip(header, values)))
+        rows.append({
+            "x": float(x),
+            "psi": float(psi),
+            "baseline": float(baseline),
+            "delta": float(delta),
+            "explicit_delta": ed,
+            "residual": float(delta) - ed,
+        })
     _emit(rows, header, args.out, args.format)
     return EXIT_OK
 
@@ -149,9 +155,13 @@ def _cmd_goldbach(args):
     for x in xs:
         fk = goldbach.smooth_Fk(conv, x, tol=args.tol)
         psi = goldbach.smooth_Fk(psi_conv, x, tol=args.tol)
-        xk = float(x) ** k
-        values = [float(x), fk, psi**k, fk / xk, abs(fk - xk) / float(x) ** (k - k / 2.0)]
-        rows.append(dict(zip(header, values)))
+        rows.append({
+            "x": float(x),
+            "F_k": fk,
+            "psi_pow_k": psi**k,
+            "ratio_to_xk": fk / float(x) ** k,
+            "err_ratio": abs(fk - float(x) ** k) / float(x) ** (k - k / 2.0),
+        })
     if k == 2:
         val, imag = goldbach.contour_extract(table, n_check)
         direct = float(np.sum(goldbach.psi2_centered(table, n_check)[: n_check + 1]))
@@ -195,9 +205,17 @@ def _cmd_pintz(args):
         "mu", "k", "U_integral_re", "U_integral_im", "U_integral_err",
         "U_residue_re", "U_residue_im", "U_residue_err", "rel_diff",
     ]
-    values = [p.mu, p.k, ui.value.real, ui.value.imag, ui.error]
-    values += [ur.value.real, ur.value.imag, ur.error, rel]
-    rows = [dict(zip(header, values))]
+    rows = [{
+        "mu": p.mu,
+        "k": p.k,
+        "U_integral_re": ui.value.real,
+        "U_integral_im": ui.value.imag,
+        "U_integral_err": ui.error,
+        "U_residue_re": ur.value.real,
+        "U_residue_im": ur.value.imag,
+        "U_residue_err": ur.error,
+        "rel_diff": rel,
+    }]
     _emit(rows, header, args.out, args.format)
     return EXIT_OK
 
@@ -215,7 +233,15 @@ def _cmd_turan(args):
         a = rng.uniform(1, 10)
         b = rng.uniform(1, 10)
         gmax, bound = pintz.turan_bound(alphas, a, b)
-        rows.append(dict(zip(header, [i, n, float(a), float(b), gmax, bound, gmax / bound])))
+        rows.append({
+            "instance": i,
+            "n": n,
+            "a": float(a),
+            "b": float(b),
+            "grid_max": gmax,
+            "bound": bound,
+            "ratio": gmax / bound,
+        })
         if gmax < 0.99 * bound:
             raise ToleranceError(
                 f"power-sum bound violated at instance {i}: {gmax} < 0.99*{bound}"

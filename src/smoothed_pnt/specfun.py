@@ -160,8 +160,8 @@ def _em_core(s, n_terms, deriv=False):
     zeta' differentiates the truncated formula analytically, which avoids
     the cancellation a finite difference would suffer near zeros.  Returns
     (values, bounds), each a list [zeta] or [zeta, zeta'] of arrays shaped
-    like s; a bound covers the truncation and the head sum's rounding.
-    Valid for Re s > -1, s != 1.
+    like s.  A bound is the truncation bound plus a floor for the head
+    sum's rounding, one ulp per head term.  Valid for Re s > -1, s != 1.
     """
     s = np.asarray(s, dtype=complex)
     sigma = s.real
@@ -199,14 +199,16 @@ def _em_core(s, n_terms, deriv=False):
             best_val[i] = np.where(better, acc[i], best_val[i])
         if all(np.all(b < 1e-18 * np.maximum(1.0, np.abs(v))) for b, v in zip(best, best_val)):
             break
-    # rounding in the head sums: n_terms * eps times the sum of the terms'
-    # moduli n^{-sigma} (times log n for zeta'), one row per distinct Re s
-    # (hardy_Z's whole grid shares Re s = 1/2), not one per s
+    # a floor for the head sums' rounding, one ulp per term: eps times the
+    # sum of the moduli n^{-sigma} (times log n for zeta').  It is not a
+    # bound: summation and the phase t log n of each term (about eps |s|
+    # log n) round further, up to ~100 times this floor against mpmath.
+    # One row per distinct Re s (hardy_Z's grid shares Re s = 1/2).
     sig, at = np.unique(sigma, return_inverse=True)
     moduli = np.exp(-np.multiply.outer(sig, log_n))
     heads = [moduli.sum(axis=-1)] + ([(moduli * log_n).sum(axis=-1)] if deriv else [])
-    eps_n = n_terms * np.finfo(float).eps
-    return best_val, [b + eps_n * h[at].reshape(s.shape) for b, h in zip(best, heads)]
+    eps = np.finfo(float).eps
+    return best_val, [b + eps * h[at].reshape(s.shape) for b, h in zip(best, heads)]
 
 
 def _auto_terms(s):
@@ -243,9 +245,7 @@ def _em_point(s, terms, deriv=False, contract=True):
 def _certified(value, bound, tol, n_terms, what):
     # |zeta| can vanish on the critical line; the floor keeps the
     # relative contract meaningful away from zeros without lying near them.
-    # It sits above the head sum's own rounding: at the first zero that
-    # alone is 5.6e-14, past the 1e-14 a floor of 1e-4 would demand.
-    if bound > tol * max(abs(value), 1e-3):
+    if bound > tol * max(abs(value), 1e-4):
         raise AccuracyError(f"{what} {bound:.2e} exceeds tolerance with {n_terms} terms")
     return value
 
@@ -254,8 +254,9 @@ def zeta_em(s, terms=None, tol=1e-10):
     """Riemann zeta via Euler-Maclaurin summation.
 
     `terms` is the number of direct head terms (auto-sized from Im s when
-    omitted).  Certified error (truncation plus head-sum rounding) <=
-    tol * max(|value|, 1e-3), else AccuracyError.  Supported domain:
+    omitted).  The certified remainder, plus a floor for the head sum's
+    rounding (one ulp per term; not a bound on it), must be <=
+    tol * max(|value|, 1e-4), else AccuracyError.  Supported domain:
     Re s > -1, |Im s| <= 1e3.
     """
     (z,), (zb,), n_terms = _em_point(s, terms)
@@ -292,7 +293,6 @@ def zeta_logderiv(s, terms=None, with_error=False):
     if with_error:
         # crude but honest: remainder of both series, amplified by 1/|zeta|
         est = zb * (math.log(n_terms) + 3.0) * (1.0 + abs(ratio)) / abs(z)
-        est += 5e-16 * n_terms * (1.0 + abs(ratio))
         return ratio, est
     return ratio
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -101,16 +103,26 @@ class TestGoldbachCommand:
         code, _, err = run(capsys, "goldbach", "--k", "7", "--x", "20:50:2")
         assert code == 2
 
+    @staticmethod
+    def _assert_fk_is_psi_power(out, rows):
+        body = list(csv.DictReader(io.StringIO(out)))
+        assert len(body) == rows
+        for r in body:
+            psi_k = float(r["psi_pow_k"])
+            assert abs(float(r["F_k"]) - psi_k) <= 1e-11 * psi_k, r["x"]
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_default_grid_sizes_its_own_table(self, capsys, k):
-        # the convolution limit is the smallest one goldbach.fk_cutoff certifies
+        # the convolution limit is the smallest one goldbach.fk_cutoff
+        # certifies, and F_k at the grid's small x keeps its accuracy
         code, out, _ = run(capsys, "goldbach", "--k", str(k))
         assert code == 0
-        assert len(out.strip().split("\n")) == 8
+        self._assert_fk_is_psi_power(out, 7)
 
     def test_tight_tol_sizes_its_own_table(self, capsys):
-        code, _, _ = run(capsys, "goldbach", "--k", "2", "--tol", "1e-12")
+        code, out, _ = run(capsys, "goldbach", "--k", "2", "--tol", "1e-12")
         assert code == 0
+        self._assert_fk_is_psi_power(out, 7)
 
     def test_takes_no_zero_table(self, capsys):
         code, _, _ = run(capsys, "goldbach", "--zeros", "builtin")

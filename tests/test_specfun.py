@@ -196,7 +196,7 @@ class TestZeta:
         with pytest.raises(AccuracyError):
             zeta_em(complex(0.5, 80.0), terms=5)
 
-    def test_head_rounding_is_certified(self):
+    def test_tol_below_head_rounding_raises(self):
         # near Re s = -1 the head terms grow like n^0.95 and cancel: with
         # 1000 of them the value is 2.6e-10 off mpmath's, past tol 1e-12
         with pytest.raises(AccuracyError):
@@ -239,7 +239,7 @@ class TestZetaDeriv:
         with pytest.raises(AccuracyError):
             zeta_deriv_em(0.0, terms=2, tol=1e-12)
 
-    def test_head_rounding_is_certified(self):
+    def test_tol_below_head_rounding_raises(self):
         # the computed value is 4.3e-9 relative from mpmath's here
         with pytest.raises(AccuracyError):
             zeta_deriv_em(complex(-0.95, 5.0), terms=1000, tol=1e-12)
