@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import AliasError, CapacityError, DomainError
 from .sieve import LambdaTable
-from .smooth import _smallest_cutoff, weighted_exp_sum
+from .smooth import _psi_many, _smallest_cutoff
 
 __all__ = [
     "ConvolutionTable",
@@ -153,13 +153,14 @@ def smooth_Fk(conv: ConvolutionTable, x, tol=1e-9):
 
     The omitted tail n > conv.limit is bounded by fk_tail_bound.  Rounding
     is not part of tol: it is relative, like that of the coefficients, a
-    few eps of F_k (at most 2.1e-15 for k <= 5 against direct sums).
+    few eps of F_k (at most 2.0e-15 for k <= 5 against direct sums).  The
+    sum runs through the Delta engine's kernel, up to conv.limit.
     """
     bound = fk_tail_bound(conv.k, conv.limit, x)
     if not bound <= tol:
         need = fk_cutoff(conv.k, x, tol)
         raise CapacityError(f"tail bound {bound:.2e} > tol; need convolution limit >= {need}")
-    return weighted_exp_sum(conv.values[1:], x)
+    return float(_psi_many(conv.values, np.array([float(x)]), np.array([conv.limit]))[0])
 
 
 def contour_cutoff(N, r=None):

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .metrics import _golden_section
 from .sieve import LambdaTable
-from .smooth import DELTA_LIMIT, smooth_baseline, weighted_exp_sum
+from .smooth import DELTA_LIMIT, delta_many, smooth_baseline, weighted_exp_sum
 from .specfun import gamma_complex, loggamma, zeta_em, zeta_logderiv
 from .zeros import ZeroSet
 
@@ -102,6 +102,16 @@ _GAUSS_LEGENDRE = {
 }
 
 
+def _gl_nodes(edges, m):
+    """Nodes and weights of the m-point Gauss-Legendre rule on each panel between edges."""
+    xg, wg = _GAUSS_LEGENDRE[m]
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    rads = 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mids[:, None] + rads[:, None] * xg[None, :]).ravel()
+    weights = (rads[:, None] * wg[None, :]).ravel()
+    return nodes, weights
+
+
 class QuadResult(NamedTuple):
     value: complex
     error: float
@@ -127,10 +137,15 @@ def _loose_cutoff(u, eps):
     return int(m) + 1
 
 
-def _delta_point(table, u, eps, delta_fn=None):
-    """Delta(u) to absolute accuracy ~eps, cheap tail rule (not the certified one)."""
-    if delta_fn is not None:
-        return float(delta_fn(u))
+def _delta_point(table, u, eps):
+    """Delta(u) to absolute accuracy ~eps, cheap tail rule (not the certified one).
+
+    The cutoff is clamped to table.limit without notice: where the table
+    is shorter than _loose_cutoff(u, eps), Delta is read only as far as
+    the table reaches, not to eps.  U_window sizes the table for 1e-5 at
+    the window's top, so U_integral's tail envelope probes, which ask for
+    1e-7, read a shorter table than they ask for near that top.
+    """
     if u < 0.004:
         return 0.0
     cutoff = min(_loose_cutoff(u, eps), table.limit)
@@ -138,14 +153,17 @@ def _delta_point(table, u, eps, delta_fn=None):
     return psi - smooth_baseline(u)
 
 
-def mellin_H_quadrature(table: LambdaTable, s, upper=2000.0, delta_fn=None):
+def mellin_H_quadrature(table: LambdaTable, s, upper=2000.0):
     """H(s) from its integral form: -s * integral of Delta(u) u^{-s-1} du.
 
     Composite Gauss-Legendre in log u on [0.02, upper]; the omitted head
     is doubly-exponentially small and the tail beyond `upper` is bounded
     with the trivial |Delta| envelope and folded into the reported error.
-    Requires Re s >= 2 and upper >= 1e3; raises ToleranceError when the
-    estimate exceeds 1e-4.
+    The error estimate compares against the rule on panels joined in
+    pairs.  Delta at the nodes of both rules and at `upper` comes from
+    one delta_many call at tol 1e-10, so a table too short for `upper`
+    raises CapacityError.  Requires Re s >= 2 and upper >= 1e3; raises
+    ToleranceError when the estimate exceeds 1e-4.
     """
     s = complex(s)
     if s.real < 2.0:
@@ -155,26 +173,17 @@ def mellin_H_quadrature(table: LambdaTable, s, upper=2000.0, delta_fn=None):
     u_min = 0.02
     node_eps = 1e-10
     h = 0.5 / max(abs(s.imag), 1.0)
-    xg, wg = _GAUSS_LEGENDRE[10]
     v_lo, v_hi = math.log(u_min), math.log(upper)
     n_panels = int(math.ceil((v_hi - v_lo) / h))
     edges = np.linspace(v_lo, v_hi, n_panels + 1)
-
-    def integral(step):
-        total = 0j
-        for i in range(0, n_panels, step):
-            va, vb = edges[i], edges[min(i + step, n_panels)]
-            mid, rad = 0.5 * (va + vb), 0.5 * (vb - va)
-            for xx, ww in zip(xg, wg):
-                v = mid + rad * xx
-                u = math.exp(v)
-                d = _delta_point(table, u, node_eps, delta_fn)
-                total += ww * rad * d * np.exp(-s * v)
-        return -s * total
-
-    fine = integral(1)
-    coarse = integral(2)
-    d_upper = abs(_delta_point(table, upper, 1e-6, delta_fn))
+    v_fine, w_fine = _gl_nodes(edges, 10)
+    v_coarse, w_coarse = _gl_nodes(np.append(edges[:-1:2], edges[-1]), 10)
+    vs = np.concatenate([v_fine, v_coarse])
+    d = delta_many(table, np.append(np.exp(vs), upper), tol=node_eps).delta
+    terms = d[:-1] * np.exp(-s * vs)
+    fine = -s * np.dot(w_fine, terms[: len(v_fine)])
+    coarse = -s * np.dot(w_coarse, terms[len(v_fine) :])
+    d_upper = abs(d[-1])
     tail = max(2.0, 1.5 * d_upper) * abs(s) * upper ** (-s.real) / s.real
     head = 3.0 * math.exp(-1.0 / u_min) * abs(s) * u_min ** (-s.real)
     est = abs(fine - coarse) + tail + head + node_eps * abs(s) * 60.0
@@ -203,13 +212,8 @@ def gaussian_line_check(kk, w, height=None):
     if height is None:
         height = 10.0 / math.sqrt(kk) + (abs(w) / kk if sigma == 2.0 else 0.0) + 2.0
     h = 0.5 / max(omega, math.sqrt(kk), 1.0)
-    xg, wg = _GAUSS_LEGENDRE[12]
     n_panels = int(math.ceil(2.0 * height / h))
-    edges = np.linspace(-height, height, n_panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    rads = 0.5 * (edges[1:] - edges[:-1])
-    t = (mids[:, None] + rads[:, None] * xg[None, :]).ravel()
-    weights = (rads[:, None] * wg[None, :]).ravel()
+    t, weights = _gl_nodes(np.linspace(-height, height, n_panels + 1), 12)
     s = sigma + 1j * t
     vals = np.exp(kk * s * s + w * s)
     quad = complex(np.sum(weights * vals) / (2.0 * math.pi))
@@ -248,7 +252,7 @@ def U_window(p: PintzParams, tol):
     return width, _loose_cutoff(math.exp(p.mu + width), 1e-5)
 
 
-def U_integral(table: LambdaTable, p: PintzParams, tol=0.1, delta_fn=None, panel_scale=1.0):
+def U_integral(table: LambdaTable, p: PintzParams, tol=0.1, panel_scale=1.0):
     """The smoothing integral from the u-side:
 
         U = (1/(2 sqrt(pi k))) * int Delta(u) d/du[u^{-rho0} e^{-(mu-log u)^2/4k}] du
@@ -267,11 +271,10 @@ def U_integral(table: LambdaTable, p: PintzParams, tol=0.1, delta_fn=None, panel
     width, limit = U_window(p, tol)
     b = math.exp(p.mu + width)
     pref = 1.0 / (2.0 * math.sqrt(math.pi * p.k))
-    if delta_fn is None and limit > table.limit:
+    if limit > table.limit:
         raise CapacityError(
             f"window reaches u = {b:.3g}, beyond table limit {table.limit}"
         )
-    c_split = 0.0 if delta_fn is not None else DELTA_LIMIT
     gamma0 = abs(p.rho0.imag)
     h = min(0.7 / max(gamma0, 1.0), 0.25 * math.sqrt(p.k)) * panel_scale
     xg, wg = _GAUSS_LEGENDRE[12]
@@ -291,7 +294,7 @@ def U_integral(table: LambdaTable, p: PintzParams, tol=0.1, delta_fn=None, panel
             panel = 0j
             for xx, ww in zip(xg, wg):
                 u = math.exp(p.mu + mid + rad * xx)
-                d = _delta_point(table, u, node_eps, delta_fn) - c_split
+                d = _delta_point(table, u, node_eps) - DELTA_LIMIT
                 gw = _g_prime_times_u(u, p)
                 panel += ww * rad * d * gw
                 weight_mass += ww * rad * abs(gw)
@@ -308,22 +311,21 @@ def U_integral(table: LambdaTable, p: PintzParams, tol=0.1, delta_fn=None, panel
 
     node_eps = 1e-8
     total, weight_mass, y_stop = run(node_eps)
-    if delta_fn is None:
-        refined = max(1e-13, tol * abs(total) / max(30.0 * weight_mass, 1.0))
-        if refined < node_eps:
-            node_eps = refined
-            total, weight_mass, y_stop = run(node_eps)
+    refined = max(1e-13, tol * abs(total) / max(30.0 * weight_mass, 1.0))
+    if refined < node_eps:
+        node_eps = refined
+        total, weight_mass, y_stop = run(node_eps)
     # the constant's share over the full half line is exactly zero
     # (int c g' du = c [g] with g vanishing at both ends), so splitting it
     # off leaves one exact boundary term at the start of the march; the
     # far end is inside the envelope bound below since Delta - c decays
-    const_term = -c_split * _g_weight(math.exp(p.mu + y_lo), p)
+    const_term = -DELTA_LIMIT * _g_weight(math.exp(p.mu + y_lo), p)
     # tail envelope for the skipped [y_stop, width] from probe evaluations
     tail_bound = 0.0
-    if y_stop < width - 1e-9 and delta_fn is None:
+    if y_stop < width - 1e-9:
         u_stop = math.exp(p.mu + y_stop)
         probes = np.geomspace(u_stop, b, 6)
-        env = max(abs(_delta_point(table, u, 1e-7) - c_split) for u in probes)
+        env = max(abs(_delta_point(table, u, 1e-7) - DELTA_LIMIT) for u in probes)
         # cover the skipped stretch plus the beyond-window residue of the
         # Gaussian weight (the envelope is taken non-increasing past b)
         ys = np.linspace(y_stop, width + 6.0, 240)
@@ -332,8 +334,7 @@ def U_integral(table: LambdaTable, p: PintzParams, tol=0.1, delta_fn=None, panel
         tail_bound = 3.0 * env * float(np.trapezoid(wts, ys))
     u_head = math.exp(p.mu + y_lo)
     head_bound = 3.0 * math.exp(-1.0 / u_head) * abs(_g_prime_times_u(u_head, p))
-    node_error = 0.0 if delta_fn is not None else node_eps * weight_mass
-    err = pref * (node_error + tail_bound + head_bound)
+    err = pref * (node_eps * weight_mass + tail_bound + head_bound)
     err += tol * abs(pref * (total + const_term)) * 0.1  # quadrature share
     value = pref * (total + const_term)
     if err > tol * max(abs(value), 1e-300) + 1e-12:

@@ -34,16 +34,18 @@ column to GEMV and small products to other kernels), and then even
 S(x) >= |Delta(x)|, a max over a grid that contains x, can fail by an
 ulp.
 
-weighted_exp_sum, the one-point GEMV form of the same split, stays for
-callers that sum other coefficients (goldbach's F_k) or other cutoffs
-(pintz's loose tail).  Pintz's U integral cancels ~8 digits, so moving
-its Delta onto the GEMM kernel shifts U by ~5e-7 relative; keeping it on
-weighted_exp_sum keeps its output bit for bit.
+weighted_exp_sum, the one-point GEMV form of the same split, has one
+caller left: pintz._delta_point, which U_integral's march and its tail
+envelope probes use under their loose tail rule.  U cancels ~8 digits,
+so moving those nodes onto the GEMM kernel shifts U by ~5e-7 relative,
+past the 1e-9 at which the benchmark's reference outputs pin it; they
+stay on weighted_exp_sum until those references are re-recorded.
+Goldbach's F_k and pintz's Mellin quadrature go through the engine.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -312,17 +314,10 @@ def hybrid_grid(x, points=2048, include_zero=False):
     return grid
 
 
-def delta_on_grid(table, us, tol=1e-9, delta_fn: Optional[Callable] = None):
-    """Delta at every grid point; the hook replaces the integrand in tests."""
-    if delta_fn is not None:
-        return np.array([delta_fn(u) for u in us], dtype=float)
-    return delta_many(table, us, tol=tol).delta
-
-
-def sup_metric(table, x, grid=2048, tol=1e-9, delta_fn=None):
+def sup_metric(table, x, grid=2048, tol=1e-9):
     """max |Delta(u)| over the hybrid grid: a lower bound on the true sup."""
     us = hybrid_grid(x, points=grid)
-    return float(np.max(np.abs(delta_on_grid(table, us, tol=tol, delta_fn=delta_fn))))
+    return float(np.max(np.abs(delta_many(table, us, tol=tol).delta)))
 
 
 class AvgMetric(NamedTuple):
@@ -330,7 +325,7 @@ class AvgMetric(NamedTuple):
     quad_error: float
 
 
-def avg_metric(table, x, panels=2048, tol=1e-9, delta_fn=None):
+def avg_metric(table, x, panels=2048, tol=1e-9):
     """(1/x) integral of |Delta| over [0, x] by composite trapezoid.
 
     Uses the same hybrid grid (plus u = 0, where the integrand vanishes)
@@ -338,7 +333,7 @@ def avg_metric(table, x, panels=2048, tol=1e-9, delta_fn=None):
     every-other-point trapezoid.
     """
     us = hybrid_grid(x, points=panels, include_zero=True)
-    vals = np.abs(delta_on_grid(table, us, tol=tol, delta_fn=delta_fn))
+    vals = np.abs(delta_many(table, us, tol=tol).delta)
     return trapezoid_mean(us, vals, x)
 
 

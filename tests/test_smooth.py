@@ -15,6 +15,7 @@ from smoothed_pnt.smooth import (
     smooth_baseline,
     smooth_psi,
     sup_metric,
+    trapezoid_mean,
     truncation_cutoff,
     weighted_exp_sum,
 )
@@ -120,9 +121,12 @@ class TestGrids:
         d_hi = avg_metric(table_mid, 1e3, panels=4096, tol=1e-6)
         assert abs(d_lo.value - d_hi.value) <= 1e-3
 
-    def test_avg_constant_hook(self, table_small):
-        res = avg_metric(table_small, 250.0, panels=64, delta_fn=lambda u: 1.0)
+    def test_trapezoid_mean_of_constant(self):
+        us = hybrid_grid(250.0, points=64, include_zero=True)
+        assert us[0] == 0.0
+        res = trapezoid_mean(us, np.ones(len(us)), 250.0)
         assert res.value == pytest.approx(1.0, abs=1e-12)
+        assert res.quad_error <= 1e-12
 
     def test_sup_nondecreasing_in_x(self, table_mid):
         xs = np.geomspace(10.0, 1e4, 13)
