@@ -2,7 +2,7 @@
 
 Modules:
     specfun   complex Gamma, zeta, zeta'/zeta, Hardy's Z
-    sieve     von Mangoldt table and Chebyshev psi
+    sieve     segmented von Mangoldt sieve, its tables, and Chebyshev psi
     smooth    Psi(x), I(x), Delta(x), and the S/D metrics
     zeros     zero location, persistence, explicit-formula prediction
     metrics   W, omega family, zero-free-region profiles, 1-D minimizers
@@ -33,6 +33,7 @@ from .metrics import (
     eta_from_zeros,
     load_eta,
     metrics_row,
+    metrics_rows,
     omega_eta,
     omega_from_value,
     omega_zero,
@@ -48,7 +49,7 @@ from .pintz import (
     mellin_H_quadrature,
     turan_bound,
 )
-from .sieve import LambdaTable, build_lambda, chebyshev_psi
+from .sieve import LambdaStream, LambdaTable, build_lambda, chebyshev_psi, lambda_tiles
 from .smooth import (
     DELTA_LIMIT,
     DeltaBatch,

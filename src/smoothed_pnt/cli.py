@@ -8,7 +8,9 @@ diagnostic goes to standard error.
 
 Without --limit, each table is as long as the certificate that reads it
 needs: smooth.truncation_cutoff for metrics and delta, goldbach.fk_cutoff
-and contour_cutoff for goldbach, pintz.U_window for pintz.
+and contour_cutoff for goldbach, pintz.U_window for pintz.  metrics and
+delta stream their table through the Delta engine (sieve.LambdaStream)
+instead of holding it.
 
 Exit codes: 0 ok, 2 configuration error, 3 capacity (table too small),
 4 tolerance/accuracy failure.
@@ -34,7 +36,7 @@ from .errors import (
     NumericsError,
     ToleranceError,
 )
-from .sieve import build_lambda
+from .sieve import LambdaStream, build_lambda, check_limit
 
 ENV_ZEROS = "SMOOTHED_PNT_ZEROS"
 
@@ -63,6 +65,8 @@ def _parse_grid(spec):
         start, stop, points = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError(f"grid endpoints must be finite, got {spec!r}")
     if start < 1.0 or stop < start or points < 1:
         raise ConfigError("grid needs start >= 1, stop >= start, points >= 1")
     if points == 1:
@@ -74,12 +78,20 @@ def _load_zero_source(arg):
     source = arg or os.environ.get(ENV_ZEROS) or "builtin"
     if source == "builtin":
         return zeros_mod.builtin_zeros()
-    return zeros_mod.load_zeros(source)
+    try:
+        return zeros_mod.load_zeros(source)
+    except OSError as exc:
+        raise ConfigError(f"cannot read zero table {source!r}: {exc.strerror}") from None
 
 
 def _check_tol(args):
     if not (0.0 < args.tol < 1.0):
         raise ConfigError(f"tol must lie in (0, 1), got {args.tol}")
+
+
+def _table_limit(args, auto):
+    """--limit when given (0 is a size the sieve rejects, not "unset"), else auto."""
+    return check_limit(args.limit) if args.limit is not None else auto
 
 
 def _emit(rows, header, out_path, fmt):
@@ -99,21 +111,25 @@ def _emit(rows, header, out_path, fmt):
 
 
 def _grid_inputs(args):
-    """The x grid, zero table and Lambda table that metrics and delta read."""
+    """The x grid, zero table and Lambda table that metrics and delta read.
+
+    The engine reads the table once, in order, so it is streamed, never
+    held whole.
+    """
     _check_tol(args)
     xs = _parse_grid(args.x)
     zs = _load_zero_source(args.zeros)
-    table = build_lambda(args.limit or smooth.truncation_cutoff(float(np.max(xs)), args.tol))
+    table = LambdaStream(_table_limit(args, smooth.truncation_cutoff(float(np.max(xs)), args.tol)))
     return xs, zs, table
 
 
 def _cmd_metrics(args):
     xs, zs, table = _grid_inputs(args)
     header = [f.name for f in dataclasses.fields(metrics.MetricsRow)] + ["psi_over_x"]
-    rows = []
-    for x in xs:
-        row = metrics.metrics_row(table, zs, x, grid=args.s_grid, tol=args.tol)
-        rows.append({**dataclasses.asdict(row), "psi_over_x": row.psi / float(x)})
+    rows = [
+        {**dataclasses.asdict(row), "psi_over_x": row.psi / row.x}
+        for row in metrics.metrics_rows(table, zs, xs, grid=args.s_grid, tol=args.tol)
+    ]
     _emit(rows, header, args.out, args.format)
     return EXIT_OK
 
@@ -143,7 +159,7 @@ def _cmd_goldbach(args):
     k = args.k
     if not (1 <= k <= 5):
         raise ConfigError("k must be in [1, 5]")
-    conv_limit = args.limit or goldbach.fk_cutoff(k, float(np.max(xs)), args.tol)
+    conv_limit = _table_limit(args, goldbach.fk_cutoff(k, float(np.max(xs)), args.tol))
     n_check = min(100, conv_limit)  # k = 2 also checks the contour identity at N = 100
     table_limit = max(conv_limit, goldbach.contour_cutoff(n_check)) if k == 2 else conv_limit
     table = build_lambda(table_limit)
@@ -193,11 +209,13 @@ def _cmd_zeros(args):
 
 def _cmd_pintz(args):
     _check_tol(args)
+    if not (0.0 < args.mu_scale < math.inf):
+        raise ConfigError(f"mu-scale must be positive and finite, got {args.mu_scale}")
     zs = _load_zero_source(args.zeros)
     zs.require_nonempty()
     rho0 = complex(zs.betas[0], zs.gammas[0])
     p = pintz.PintzParams(mu=math.log(args.mu_scale), k=args.k, rho0=rho0)
-    table = build_lambda(args.limit or pintz.U_window(p, args.tol)[1])
+    table = build_lambda(_table_limit(args, pintz.U_window(p, args.tol)[1]))
     ui = pintz.U_integral(table, p, tol=args.tol)
     ur = pintz.U_residue(zs, p)
     rel = abs(ui.value - ur.value) / max(abs(ur.value), 1e-300)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AliasError, CapacityError, DomainError
-from .sieve import LambdaTable
+from .sieve import LambdaTable, array_tiles
 from .smooth import _psi_many, _smallest_cutoff
 
 __all__ = [
@@ -160,7 +160,7 @@ def smooth_Fk(conv: ConvolutionTable, x, tol=1e-9):
     if not bound <= tol:
         need = fk_cutoff(conv.k, x, tol)
         raise CapacityError(f"tail bound {bound:.2e} > tol; need convolution limit >= {need}")
-    return float(_psi_many(conv.values, np.array([float(x)]), np.array([conv.limit]))[0])
+    return float(_psi_many(array_tiles(conv.values), np.array([float(x)]), np.array([conv.limit]))[0])
 
 
 def contour_cutoff(N, r=None):

@@ -30,6 +30,8 @@ __all__ = [
     "load_eta",
     "eta_from_zeros",
     "MetricsRow",
+    "metrics_row",
+    "metrics_rows",
     "zero_sum_W",
     "omega_zero",
     "omega_eta",
@@ -163,34 +165,45 @@ class MetricsRow:
 
 
 def metrics_row(table, zeros: ZeroSet, x, grid=64, tol=1e-6):
-    """Assemble a MetricsRow; the omega_V columns are log(x/V) by construction.
+    """metrics_rows at the one scale x."""
+    return metrics_rows(table, zeros, [x], grid=grid, tol=tol)[0]
 
-    One delta_many call covers avg_metric's grid, which is sup_metric's
-    grid plus u = 0, so S and D equal what those two functions return,
-    bit for bit, at half the cost.  Psi, I and Delta at x come from the
-    same call: the grid ends at x.
+
+def metrics_rows(table, zeros: ZeroSet, xs, grid=64, tol=1e-6):
+    """A MetricsRow at every x of xs; the omega_V columns are log(x/V) by construction.
+
+    One delta_many call covers every x's avg_metric grid, which is its
+    sup_metric grid plus u = 0, so S and D equal what those two functions
+    return, bit for bit (the engine's results do not depend on the
+    batch), and the table is read once for all of them.  Psi, I and
+    Delta at x come from the same call: each grid ends at x.
     """
     from .smooth import delta_many, hybrid_grid, trapezoid_mean
 
-    us = hybrid_grid(x, points=grid, include_zero=True)
-    batch = delta_many(table, us, tol=tol)
-    vals = np.abs(batch.delta)
-    S = float(np.max(vals))
-    D = trapezoid_mean(us, vals, x).value
-    W = zero_sum_W(max(x, 1.0), zeros)
-    return MetricsRow(
-        x=float(x),
-        psi=float(batch.psi[-1]),
-        baseline=float(batch.baseline[-1]),
-        delta=float(batch.delta[-1]),
-        S=S,
-        D=D,
-        W=W,
-        omega=omega_zero(x, zeros) if x > 1.0 else float("nan"),
-        omega_S=omega_from_value(x, S),
-        omega_D=omega_from_value(x, D),
-        omega_W=omega_from_value(x, W),
-    )
+    grids = [hybrid_grid(x, points=grid, include_zero=True) for x in xs]
+    batch = delta_many(table, np.concatenate([np.empty(0), *grids]), tol=tol)
+    rows = []
+    end = 0
+    for x, us in zip(xs, grids):
+        start, end = end, end + len(us)
+        vals = np.abs(batch.delta[start:end])
+        S = float(np.max(vals))
+        D = trapezoid_mean(us, vals, x).value
+        W = zero_sum_W(max(x, 1.0), zeros)
+        rows.append(MetricsRow(
+            x=float(x),
+            psi=float(batch.psi[end - 1]),
+            baseline=float(batch.baseline[end - 1]),
+            delta=float(batch.delta[end - 1]),
+            S=S,
+            D=D,
+            W=W,
+            omega=omega_zero(x, zeros) if x > 1.0 else float("nan"),
+            omega_S=omega_from_value(x, S),
+            omega_D=omega_from_value(x, D),
+            omega_W=omega_from_value(x, W),
+        ))
+    return rows
 
 
 def zero_sum_W(x, zeros: ZeroSet):

@@ -57,8 +57,10 @@ class PintzParams:
     rho0: complex
 
     def __post_init__(self):
-        if self.k <= 0.0:
-            raise DomainError("k must be positive")
+        if not (0.0 < self.k < math.inf):
+            raise DomainError("k must be positive and finite")
+        if not math.isfinite(self.mu):
+            raise DomainError("mu must be finite")
         r = complex(self.rho0)
         if not (0.0 < r.real < 1.0) or r.imag <= 0.0:
             raise DomainError("rho0 must satisfy 0 < Re < 1 and Im > 0")

@@ -24,6 +24,17 @@ reaches it, so a grid of P points costs about one pass over the table
 instead of P.  delta, smooth_psi, the S/D grids and the CLI all go
 through it.
 
+The engine reads a table through two attributes only, `limit` and
+`tiles()`: the tiles come in order (sieve module docstring), and it
+stops after the tile that holds the largest cutoff.  A LambdaTable
+slices its array; a LambdaStream, which metrics and delta use, sieves
+each tile as it is read, so the whole table is never held.  Each point
+takes what it needs from a tile while that tile passes: its direct sum
+when its cutoff is short, its block sums, and its partial last block.
+A pass holds one tile, the inner weights of the groups still reading
+(built at a group's first tile, dropped after its last), and each
+group's block sums, sized to that group's own depth.
+
 The GEMM shape is fixed: every product is (_TILE_ROWS x B) @ (B x
 _TILE_COLS), the last tile and the spare columns are zero-padded, and a
 tile always starts at a multiple of _TILE_ROWS block rows.  With one
@@ -50,7 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError, RangeError
-from .sieve import LambdaTable
+from .sieve import _BLOCK, _TILE_ROWS
 
 __all__ = [
     "DELTA_LIMIT",
@@ -138,8 +149,6 @@ def _smallest_cutoff(fits, lo):
     return hi
 
 
-_BLOCK = 4096
-_TILE_ROWS = 64  # block rows of the table per GEMM
 _TILE_COLS = 16  # points per GEMM
 
 
@@ -178,57 +187,68 @@ def weighted_exp_sum(coeffs, x):
     return total
 
 
-def _row_tile(values, q0):
-    """Block rows q0 .. q0 + _TILE_ROWS - 1 of values[1:], zero past the end."""
-    lo = 1 + q0 * _BLOCK
-    hi = lo + _TILE_ROWS * _BLOCK
-    if hi <= len(values):
-        return values[lo:hi].reshape(_TILE_ROWS, _BLOCK)
-    tile = np.zeros((_TILE_ROWS, _BLOCK))
-    tile.flat[: len(values) - lo] = values[lo:]
-    return tile
+def _psi_many(tiles, us, cutoffs):
+    """sum_{n <= cutoffs[i]} c_n e^{-n/us[i]} for every i, all us > 0.
 
-
-def _psi_many(values, us, cutoffs):
-    """sum_{n <= cutoffs[i]} values[n] e^{-n/us[i]} for every i, all us > 0."""
+    tiles yields the coefficients c_1, c_2, ... in sieve.lambda_tiles'
+    order; it is read in order and only up to the tile holding the
+    largest cutoff.  What a point needs from a tile (its short direct
+    sum, its block sums, its partial last block) is taken while that
+    tile passes.
+    """
     B, R, P = _BLOCK, _TILE_ROWS, _TILE_COLS
     out = np.empty(len(us))
-    order = np.argsort(-cutoffs, kind="stable")
-    short = cutoffs[order] < 2 * B
-    for i in order[short]:
-        out[i] = _direct_sum(values[1 : cutoffs[i] + 1], 1, us[i])
-    tiled = order[~short]
-    if not len(tiled):
+    if not len(us):
         return out
+    order = np.argsort(-cutoffs, kind="stable")
+    is_short = cutoffs[order] < 2 * B
+    short, tiled = order[is_short], order[~is_short]
     blocks = cutoffs // B
     groups = [tiled[s : s + P] for s in range(0, len(tiled), P)]
     depth = [int(blocks[g[0]]) for g in groups]  # non-increasing
-    inner = np.zeros((len(groups), B, P))
-    for k, g in enumerate(groups):
-        for c, i in enumerate(g):
-            inner[k, :, c] = _inner_weights(us[i])
-    # block_sums[k, q, c] = sum_m values[qB + m] e^{-m/u} for point c of
-    # group k.  Each tile is read once, by every group deep enough to
-    # need it; every product has the one fixed shape (module docstring).
-    block_sums = np.empty((len(groups), -(-depth[0] // R) * R, P))
-    for q0 in range(0, depth[0], R):
-        tile = _row_tile(values, q0)
-        for k in range(len(groups)):
+    # block_sums[k][q, c] = sum_m c_{qB + m} e^{-m/u} for point c of
+    # group k, sized to the group's own depth.  Every product has the
+    # one fixed shape (module docstring).
+    block_sums = [np.empty((-(-d // R) * R, P)) for d in depth]
+    inner = [None] * len(groups)
+    # points with a partial last block, by the tile that holds it
+    partial = {}
+    for i in tiled:
+        if cutoffs[i] > blocks[i] * B:
+            partial.setdefault(int(blocks[i]) // R, []).append(i)
+    remainder = {}
+    tiles = iter(tiles)
+    for t in range((int(cutoffs[order[0]]) - 1) // (R * B) + 1):  # to the largest cutoff's tile
+        tile = next(tiles)
+        q0 = t * R
+        if t == 0:
+            for i in short:
+                out[i] = _direct_sum(tile.reshape(-1)[: cutoffs[i]], 1, us[i])
+        for k, g in enumerate(groups):
             if depth[k] <= q0:
                 break
-            np.matmul(tile, inner[k], out=block_sums[k, q0 : q0 + R])
+            if inner[k] is None:
+                inner[k] = np.zeros((B, P))
+                for c, i in enumerate(g):
+                    inner[k][:, c] = _inner_weights(us[i])
+            np.matmul(tile, inner[k], out=block_sums[k][q0 : q0 + R])
+            if depth[k] <= q0 + R:
+                inner[k] = None  # the group's last tile
+        for i in partial.get(t, ()):
+            Q = int(blocks[i])
+            remainder[i] = _direct_sum(tile[Q - q0, : cutoffs[i] - Q * B], Q * B + 1, us[i])
+        del tile  # so the next tile can be sieved in its place
     for k, g in enumerate(groups):
         per_point = np.ascontiguousarray(block_sums[k].T)
         for c, i in enumerate(g):
-            Q, M = int(blocks[i]), int(cutoffs[i])
-            total = float(_outer_weights(us[i], Q) @ per_point[c, :Q])
-            if M > Q * B:
-                total += _direct_sum(values[Q * B + 1 : M + 1], Q * B + 1, us[i])
+            total = float(_outer_weights(us[i], int(blocks[i])) @ per_point[c, : blocks[i]])
+            if i in remainder:
+                total += remainder[i]
             out[i] = total
     return out
 
 
-def delta_many(table: LambdaTable, us, tol=1e-9):
+def delta_many(table, us, tol=1e-9):
     """Psi, I and Delta at every point of us, each truncated at its certified cutoff.
 
     u = 0 gives 0 in every field (the limit from the right).  Raises
@@ -249,14 +269,14 @@ def delta_many(table: LambdaTable, us, tol=1e-9):
     psi = np.zeros(len(us))
     baseline = np.zeros(len(us))
     tail = np.zeros(len(us))
-    psi[live] = _psi_many(table.values, us[live], cutoff[live])
+    psi[live] = _psi_many(table.tiles(), us[live], cutoff[live])
     for i in live:
         baseline[i] = smooth_baseline(us[i])
         tail[i] = math.exp(_log_tail(int(cutoff[i]), us[i]))
     return DeltaBatch(psi, baseline, psi - baseline, cutoff, tail)
 
 
-def smooth_psi(table: LambdaTable, x, tol=1e-9):
+def smooth_psi(table, x, tol=1e-9):
     """Psi(x) truncated with a certified tail bound: delta_many at one point.
 
     CapacityError when the table cannot reach the cutoff the tolerance
@@ -276,7 +296,7 @@ def smooth_psi(table: LambdaTable, x, tol=1e-9):
     )
 
 
-def delta(table: LambdaTable, x, tol=1e-9):
+def delta(table, x, tol=1e-9):
     """Delta(x) = Psi(x) - I(x) with both sums at the matched cutoff."""
     return smooth_psi(table, x, tol=tol)
 

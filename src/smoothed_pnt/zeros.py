@@ -53,6 +53,8 @@ class ZeroSet:
         object.__setattr__(self, "gammas", g)
         if b.shape != g.shape:
             raise DomainError("betas and gammas must have matching shapes")
+        if not (np.all(np.isfinite(b)) and np.all(np.isfinite(g))):
+            raise DomainError("betas and gammas must be finite")
         if len(g) and (np.any(g <= 0.0) or np.any(np.diff(g) <= 0.0)):
             raise OrderError("gammas must be positive and strictly ascending")
         if np.any(b <= 0.0) or np.any(b >= 1.0):

@@ -193,6 +193,48 @@ class TestExitCodes:
         assert code == 3
         assert "capacity" in err
 
+    @pytest.mark.parametrize("grid", ["nan:100:3", "10:inf:3"])
+    def test_non_finite_grid(self, capsys, grid):
+        code, _, err = run(capsys, "delta", "--x", grid)
+        assert code == 2
+        assert "finite" in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--mu-scale", "0"], ["--mu-scale", "-5"], ["--mu-scale", "nan"], ["--k", "nan"]],
+    )
+    def test_bad_pintz_parameters(self, capsys, flags):
+        code, _, err = run(capsys, "pintz", *flags)
+        assert code == 2
+        assert "error" in err
+
+    def test_unreadable_zero_table(self, capsys, tmp_path):
+        code, _, err = run(capsys, "delta", "--x", "10:100:3", "--zeros", str(tmp_path / "absent.txt"))
+        assert code == 2
+        assert "cannot read zero table" in err
+
+    def test_non_finite_zero(self, capsys, tmp_path):
+        path = tmp_path / "z.txt"
+        path.write_text("14.134725\nnan\n25.0\n")
+        code, out, err = run(capsys, "delta", "--x", "10:100:3", "--zeros", str(path))
+        assert code == 2
+        assert out == "" and "finite" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["metrics", "--x", "10:100:3"],
+            ["delta", "--x", "10:100:3"],
+            ["goldbach", "--k", "1"],
+            ["goldbach", "--k", "2"],
+            ["pintz", "--mu-scale", "20", "--k", "0.5", "--tol", "0.2"],
+        ],
+    )
+    def test_zero_limit_is_a_capacity_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--limit", "0")
+        assert code == 3
+        assert out == "" and "N = 0 outside supported range" in err
+
     def test_tolerance_error_mapping(self, capsys, monkeypatch):
         def boom(*a, **k):
             raise ToleranceError("forced")

@@ -1,13 +1,16 @@
 """Properties of the batched Delta engine, smooth.delta_many."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothed_pnt.errors import CapacityError
-from smoothed_pnt.metrics import metrics_row
-from smoothed_pnt.sieve import build_lambda
+from smoothed_pnt.metrics import metrics_row, metrics_rows
+from smoothed_pnt.sieve import LambdaStream, build_lambda
 from smoothed_pnt.smooth import (
     _BLOCK,
     _TILE_ROWS,
@@ -107,3 +110,64 @@ def test_metrics_row_shares_one_evaluation(table_mid, zeros_rh, x):
     pt = delta(table_mid, x, tol=1e-6)
     assert bits([row.psi, row.baseline, row.delta]) == bits([pt.psi, pt.baseline, pt.delta])
     assert row.S >= abs(row.delta)
+
+
+@PROPERTY
+@given(us=batches)
+def test_streamed_table_same_bits(table_mid, us):
+    streamed = delta_many(LambdaStream(table_mid.limit), us, tol=TOL)
+    held = delta_many(table_mid, us, tol=TOL)
+    for a, b in zip(streamed, held):
+        assert bits(a) == bits(b)
+
+
+def _u_with_cutoff_past(n):
+    """A scale u whose cutoff at TOL lies just past entry n."""
+    lo, hi = 1.0, 1e5
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if truncation_cutoff(mid, TOL) > n else (mid, hi)
+    return hi
+
+
+def test_partial_block_in_a_later_tile(table_mid):
+    # cutoffs just past a tile end: the full blocks end with one tile and
+    # the partial last block is the first row of the next
+    tile = _TILE_ROWS * _BLOCK
+    us = np.array([_u_with_cutoff_past(tile), _u_with_cutoff_past(2 * tile), 50.0])
+    streamed = delta_many(LambdaStream(table_mid.limit), us, tol=TOL)
+    for edge, M in zip((tile, 2 * tile), streamed.cutoff):
+        assert edge < M < edge + _BLOCK
+    assert bits(streamed.psi) == bits(delta_many(table_mid, us, tol=TOL).psi)
+    for u, M, psi in zip(us, streamed.cutoff, streamed.psi):
+        ref = weighted_exp_sum(table_mid.values[1 : M + 1], u)
+        assert abs(psi - ref) <= 1e-13 * ref
+
+
+def test_metrics_rows_match_one_row_at_a_time(table_mid, zeros_rh):
+    xs = [0.17889447236180905, 1.0, 37.0, 777.0, 1e4]
+    rows = metrics_rows(table_mid, zeros_rh, xs, grid=64, tol=1e-6)
+    assert len(rows) == len(xs)
+    for x, row in zip(xs, rows):
+        one = metrics_row(table_mid, zeros_rh, x, grid=64, tol=1e-6)
+        assert bits(dataclasses.astuple(row)) == bits(dataclasses.astuple(one))
+
+
+def test_streamed_memory_is_per_group_not_per_table():
+    # A metrics batch whose grids mostly need tile 0 alone, plus the grid
+    # of x = 1e5, which reads all 20 tiles.  Streamed, the engine holds
+    # one tile, the inner weights of the groups deeper than it, and block
+    # sums sized to each group's own depth: well under a quarter of the
+    # 8 N bytes the whole table takes.  Sizing every group's block sums
+    # to the deepest group, or building every group's inner weights up
+    # front, goes over.
+    xs = np.append(np.geomspace(10.0, 3e3, 24), 1e5)
+    us = np.concatenate([hybrid_grid(x, points=64, include_zero=True) for x in xs])
+    table = LambdaStream(truncation_cutoff(1e5, TOL))
+    tracemalloc.start()
+    try:
+        delta_many(table, us, tol=TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * table.limit / 4

@@ -47,6 +47,12 @@ class TestParams:
     def test_validation(self):
         with pytest.raises(DomainError):
             PintzParams(mu=1.0, k=0.0, rho0=RHO1)
+        for k in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                PintzParams(mu=1.0, k=k, rho0=RHO1)
+        for mu in (math.nan, -math.inf):
+            with pytest.raises(DomainError):
+                PintzParams(mu=mu, k=1.0, rho0=RHO1)
         with pytest.raises(DomainError):
             PintzParams(mu=1.0, k=1.0, rho0=complex(1.2, 5.0))
         with pytest.raises(DomainError):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from smoothed_pnt.errors import CapacityError, RangeError
-from smoothed_pnt.sieve import build_lambda, chebyshev_psi
+from smoothed_pnt.sieve import MAX_LIMIT, LambdaStream, build_lambda, chebyshev_psi, lambda_tiles
+
+TILE = 64 * 4096  # entries per tile
 
 
 def lambda_trial_division(N):
@@ -26,6 +28,57 @@ def lambda_trial_division(N):
         elif m == 1:
             vals[n] = math.log(p)  # pure prime power
     return vals
+
+
+def lambda_whole_array(N):
+    """Whole-array oracle: one bool Eratosthenes sieve over 0..N, then p^k by exponent."""
+    is_prime = np.ones(N + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(N) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+    primes = np.nonzero(is_prime)[0]
+    values = np.zeros(N + 1)
+    if len(primes):
+        values[primes] = np.log(primes)
+        k = 2
+        while True:
+            root = int(round(N ** (1.0 / k)))
+            while root > 1 and root**k > N:
+                root -= 1
+            if root < 2:
+                break
+            base = primes[primes <= root]
+            if len(base) == 0:
+                break
+            values[base**k] = np.log(base)
+            k += 1
+    return values
+
+
+# 2^18 = TILE is a prime power and the last entry of tile 0
+@pytest.mark.parametrize("N", [1, 2, TILE - 1, TILE, TILE + 1, 3 * TILE - 1, 3 * TILE + 1])
+def test_tiles_match_whole_array_sieve(N):
+    oracle = lambda_whole_array(N)
+    tiles = list(lambda_tiles(N))
+    assert len(tiles) == -(-N // TILE)
+    assert all(t.shape == (64, 4096) and t.dtype == np.float64 for t in tiles)
+    flat = np.concatenate([t.reshape(-1) for t in tiles])
+    assert flat[:N].tobytes() == oracle[1:].tobytes()
+    assert not flat[N:].any()  # zero past N
+    table = build_lambda(N)
+    assert table.values.tobytes() == oracle.tobytes()
+    from_table = np.concatenate([t.reshape(-1) for t in table.tiles()])
+    assert from_table.tobytes() == flat.tobytes()
+
+
+def test_stream_checks_its_limit():
+    for N in (0, -5, MAX_LIMIT + 1):
+        with pytest.raises(CapacityError):
+            lambda_tiles(N)  # before any tile is asked for
+        with pytest.raises(CapacityError):
+            LambdaStream(N)
+    assert LambdaStream(1000).limit == 1000
 
 
 def test_small_values(table_small):

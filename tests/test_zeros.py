@@ -53,6 +53,13 @@ class TestLoad:
         with pytest.raises(OrderError):
             load_zeros(p)
 
+    @pytest.mark.parametrize("text", ["14.134725\nnan\n25.0\n", "14.134725\ninf\n", "nan 14.134725\n"])
+    def test_non_finite_entries(self, tmp_path, text):
+        p = tmp_path / "z.txt"
+        p.write_text(text)
+        with pytest.raises(DomainError, match="finite"):
+            load_zeros(p)
+
     def test_malformed_line_reports_number(self, tmp_path):
         p = tmp_path / "z.txt"
         p.write_text("14.13\nnot-a-number\n")
@@ -96,6 +103,14 @@ class TestZeroSetInvariants:
     def test_beta_range(self):
         with pytest.raises(DomainError):
             ZeroSet(betas=np.array([1.2]), gammas=np.array([14.0]), assume_rh=False)
+
+    @pytest.mark.parametrize(
+        "betas,gammas",
+        [([0.5], [np.nan]), ([0.5, 0.5], [14.0, np.inf]), ([np.nan], [14.0]), ([-np.inf], [14.0])],
+    )
+    def test_non_finite(self, betas, gammas):
+        with pytest.raises(DomainError, match="finite"):
+            ZeroSet(betas=np.array(betas), gammas=np.array(gammas), assume_rh=False)
 
     def test_gamma_ascending(self):
         with pytest.raises(OrderError):
