@@ -20,6 +20,7 @@ environment variable overrides it and --zeros overrides both.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -94,6 +95,15 @@ def _table_limit(args, auto):
     return check_limit(args.limit) if args.limit is not None else auto
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """Report a path that cannot be written as a configuration error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc.strerror}") from None
+
+
 def _emit(rows, header, out_path, fmt):
     if fmt == "csv":
         lines = [",".join(header)]
@@ -103,7 +113,7 @@ def _emit(rows, header, out_path, fmt):
     else:
         text = json.dumps({"rows": rows}, indent=None, separators=(",", ":")) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+        with _writing(out_path), open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         print(out_path)
     else:
@@ -199,7 +209,8 @@ def _cmd_zeros(args):
         file=sys.stderr,
     )
     if args.out:
-        zeros_mod.save_zeros(zs, args.out)
+        with _writing(args.out):
+            zeros_mod.save_zeros(zs, args.out)
         print(args.out)
     else:
         for g in zs.gammas:
@@ -239,6 +250,8 @@ def _cmd_pintz(args):
 
 
 def _cmd_turan(args):
+    if args.instances < 1:
+        raise ConfigError(f"instances must be at least 1, got {args.instances}")
     rng = np.random.default_rng(args.seed)
     header = ["instance", "n", "a", "b", "grid_max", "bound", "ratio"]
     rows = []

@@ -366,6 +366,23 @@ def U_residue(zeros: ZeroSet, p: PintzParams):
     return QuadResult(value=complex(total), error=float(remainder))
 
 
+def _turan_grid(alphas, a, b):
+    """|sum_j e^{alpha_j t}| at the 10,000 points t_j = a + j*b/9999, j = 0..9999.
+
+    With h = b/9999, B = 100 and j = qB + m, the exponential splits as
+    e^{alpha (a + qBh)} * e^{alpha mh}: two n x B tables of exps and one
+    complex GEMM give every sample, 2Bn exps instead of B^2 n.  Each
+    point is a + qBh + mh in exact arithmetic, so it lands within a few
+    ulp of a + jh; the last one stands in for a + b.
+    """
+    block = 100
+    steps = np.arange(block)
+    h = b / (block * block - 1)
+    coarse = np.exp(np.outer(alphas, a + (block * h) * steps))
+    fine = np.exp(np.outer(alphas, h * steps))
+    return np.abs((coarse.T @ fine).reshape(-1))
+
+
 def turan_bound(alphas, a, b):
     """Grid maximum of |sum_j e^{alpha_j t}| on [a, a+b] against the power-sum bound.
 
@@ -373,6 +390,15 @@ def turan_bound(alphas, a, b):
     is a lower bound on the true maximum, so the verified contract is
     grid_max >= 0.99 * bound.  Callers must normalize: max Re alpha_j = 0,
     attained by the first entry.
+
+    The scan samples t_j = a + j*b/9999, each point within a few ulp,
+    through _turan_grid's block split: 200n exps and one GEMM instead of
+    10,000n exps.  Each sample differs from the direct sum at
+    np.linspace(a, a + b, 10_000) by at most
+    8 * eps * n * (1 + max|alpha| (a+b)), the exponent's rounding carried
+    through exp (tests/test_pintz.py checks it; 3.2 in place of 8 is the
+    worst measured).  The linspace grid brackets the argmax; unless that
+    is an endpoint, a golden-section search on the direct sum refines it.
     """
     alphas = np.asarray(alphas, dtype=complex)
     n = len(alphas)
@@ -386,7 +412,7 @@ def turan_bound(alphas, a, b):
             "max Re(alpha) must be 0 and attained by the first exponent"
         )
     ts = np.linspace(a, a + b, 10_000)
-    vals = np.abs(np.exp(np.outer(alphas, ts)).sum(axis=0))
+    vals = _turan_grid(alphas, a, b)
     i = int(np.argmax(vals))
     grid_max = float(vals[i])
 

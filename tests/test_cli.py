@@ -244,6 +244,23 @@ class TestExitCodes:
         assert code == 4
         assert "tolerance" in err
 
+    @pytest.mark.parametrize("count", ["-3", "0"])
+    def test_turan_needs_an_instance(self, capsys, count):
+        code, out, err = run(capsys, "turan", "--instances", count)
+        assert code == 2
+        assert out == "" and "instances" in err
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [(["metrics", "--x", "10:100:3"], "m.csv"), (["zeros", "--T", "30"], "z.txt")],
+    )
+    def test_unwritable_out(self, capsys, tmp_path, argv, name):
+        path = tmp_path / "missing" / name
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        assert code == 2
+        assert out == "" and "error:" in err and str(path) in err
+        assert not path.parent.exists()
+
 
 class TestPintzCommand:
     def test_small_scale_run(self, capsys):

@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothed_pnt.errors import CapacityError, DomainError, NormalizationError
 from smoothed_pnt.pintz import (
     _GAUSS_LEGENDRE,
     PintzParams,
+    _turan_grid,
     U_integral,
     U_residue,
     U_window,
@@ -264,3 +267,36 @@ class TestTuran:
             b = rng.uniform(1, 10)
             gmax, bound = turan_bound(alphas, a, b)
             assert gmax >= 0.99 * bound
+
+
+EPS = np.finfo(float).eps
+# Worst |split - direct| / (EPS n (1 + max|alpha| (a+b))) seen: 2.7 over
+# 20,000 seeded draws of the distribution below (tiny a and b included),
+# 3.2 over 4,000 Hypothesis examples that targeted it.
+TURAN_GRID_C = 8.0
+
+
+@st.composite
+def turan_instances(draw):
+    n = draw(st.integers(1, 32))
+    im = st.floats(-10.0, 10.0)
+    alphas = [1j * draw(im)]
+    alphas += [complex(draw(st.floats(-1.0, 0.0)), draw(im)) for _ in range(n - 1)]
+    side = st.floats(0.0, 100.0, exclude_min=True)
+    return np.array(alphas), draw(side), draw(side)
+
+
+@settings(max_examples=100, deadline=None)
+@given(turan_instances())
+def test_turan_grid_matches_direct_sum(inst):
+    alphas, a, b = inst
+    got = _turan_grid(alphas, a, b)
+    ts = np.linspace(a, a + b, 10_000)
+    direct = np.abs(np.exp(np.outer(alphas, ts)).sum(axis=0))
+    scale = EPS * len(alphas) * (1.0 + np.abs(alphas).max() * (a + b))
+    assert got.shape == (10_000,)
+    assert np.max(np.abs(got - direct)) <= TURAN_GRID_C * scale
+    # t = a exactly: the same exps, summed in another order, so a few
+    # ulp of the terms' total modulus
+    terms = np.exp(alphas * a)
+    assert abs(got[0] - abs(terms.sum())) <= 8.0 * EPS * np.abs(terms).sum()
