@@ -4,13 +4,14 @@ Subcommands build the sieve tables, sweep a geometric x grid, and emit
 CSV (or JSON) for plotting.  Output is deterministic: floats are printed
 with repr (shortest round-trip decimal), rows are ordered by x, lines
 end with LF.  Data goes to --out or standard output; everything
-diagnostic goes to standard error.
+diagnostic goes to standard error.  An --out whose directory is missing
+or not writable is refused before any table is sieved or zero found.
 
 Without --limit, each table is as long as the certificate that reads it
 needs: smooth.truncation_cutoff for metrics and delta, goldbach.fk_cutoff
-and contour_cutoff for goldbach, pintz.U_window for pintz.  metrics and
-delta stream their table through the Delta engine (sieve.LambdaStream)
-instead of holding it.
+and contour_cutoff for goldbach, pintz.U_window for pintz.  metrics,
+delta and pintz stream their table (sieve.LambdaStream) instead of
+holding it; goldbach alone holds its table whole.
 
 Exit codes: 0 ok, 2 configuration error, 3 capacity (table too small),
 4 tolerance/accuracy failure.
@@ -22,6 +23,7 @@ environment variable overrides it and --zeros overrides both.
 import argparse
 import contextlib
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -93,6 +95,19 @@ def _check_tol(args):
 def _table_limit(args, auto):
     """--limit when given (0 is a size the sieve rejects, not "unset"), else auto."""
     return check_limit(args.limit) if args.limit is not None else auto
+
+
+def _check_out(path):
+    """ConfigError unless path's directory exists and is writable.
+
+    main checks this before any command sieves a table or finds a zero;
+    _writing still reports a write that fails anyway.
+    """
+    folder = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(folder):
+        raise ConfigError(f"cannot write {path!r}: {os.strerror(errno.ENOENT)}")
+    if not os.access(folder, os.W_OK):
+        raise ConfigError(f"cannot write {path!r}: {os.strerror(errno.EACCES)}")
 
 
 @contextlib.contextmanager
@@ -226,7 +241,7 @@ def _cmd_pintz(args):
     zs.require_nonempty()
     rho0 = complex(zs.betas[0], zs.gammas[0])
     p = pintz.PintzParams(mu=math.log(args.mu_scale), k=args.k, rho0=rho0)
-    table = build_lambda(_table_limit(args, pintz.U_window(p, args.tol)[1]))
+    table = LambdaStream(_table_limit(args, pintz.U_window(p, args.tol)[1]))
     ui = pintz.U_integral(table, p, tol=args.tol)
     ur = pintz.U_residue(zs, p)
     rel = abs(ui.value - ur.value) / max(abs(ur.value), 1e-300)
@@ -346,6 +361,8 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
+        if args.out:
+            _check_out(args.out)
         return args.func(args)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)

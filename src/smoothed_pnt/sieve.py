@@ -11,10 +11,11 @@ whatever N is.
 
 Two kinds of table carry these tiles.  build_lambda copies them into one
 array, a LambdaTable, for the readers that index Lambda directly
-(goldbach, chebyshev_psi, pintz's march).  LambdaStream holds only the
-limit and sieves afresh on each tiles() call, so a Delta grid (metrics,
-delta) never holds the whole table.  Both give the engine the same
-tiles, bit for bit.
+(goldbach, chebyshev_psi).  LambdaStream holds only the limit and sieves
+afresh on each tiles() call, so a Delta grid (metrics, delta) and
+pintz's U_integral, which holds only the prefix its march reads, never
+hold the whole table.  Both give their readers the same tiles, bit for
+bit.
 
 build_lambda's memory budget is 17 bytes per entry: 8 for values and 8
 for prefix (computed on first use).  The spare byte paid for the bool

@@ -27,10 +27,10 @@ through it.
 The engine reads a table through two attributes only, `limit` and
 `tiles()`: the tiles come in order (sieve module docstring), and it
 stops after the tile that holds the largest cutoff.  A LambdaTable
-slices its array; a LambdaStream, which metrics and delta use, sieves
-each tile as it is read, so the whole table is never held.  Each point
-takes what it needs from a tile while that tile passes: its direct sum
-when its cutoff is short, its block sums, and its partial last block.
+slices its array; a LambdaStream, which metrics, delta and pintz use,
+sieves each tile as it is read, so the whole table is never held.  Each
+point takes what it needs from a tile while that tile passes: its direct
+sum when its cutoff is short, its block sums, and its partial last block.
 A pass holds one tile, the inner weights of the groups still reading
 (built at a group's first tile, dropped after its last), and each
 group's block sums, sized to that group's own depth.
@@ -46,12 +46,15 @@ S(x) >= |Delta(x)|, a max over a grid that contains x, can fail by an
 ulp.
 
 weighted_exp_sum, the one-point GEMV form of the same split, has one
-caller left: pintz._delta_point, which U_integral's march and its tail
-envelope probes use under their loose tail rule.  U cancels ~8 digits,
-so moving those nodes onto the GEMM kernel shifts U by ~5e-7 relative,
-past the 1e-9 at which the benchmark's reference outputs pin it; they
-stay on weighted_exp_sum until those references are re-recorded.
-Goldbach's F_k and pintz's Mellin quadrature go through the engine.
+caller left: pintz._delta_point, which U_integral's march and the tail
+envelope probes inside the march's reach use under their loose tail
+rule.  It reads a held prefix of the table, sieved tile by tile only as
+far as the march's largest cutoff; the farther probes take one _psi_many
+pass over a fresh tiles() stream.  U cancels ~8 digits, so moving the
+march's nodes onto the GEMM kernel shifts U by ~5e-7 relative, past the
+1e-9 at which the benchmark's reference outputs pin it; they stay on
+weighted_exp_sum until those references are re-recorded.  Goldbach's
+F_k and pintz's Mellin quadrature go through the engine.
 """
 
 import math

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import smoothed_pnt
-from smoothed_pnt import cli
+from smoothed_pnt import cli, sieve
 from smoothed_pnt.errors import ToleranceError
 from smoothed_pnt.zeros import load_zeros
 
@@ -262,6 +262,25 @@ class TestExitCodes:
         assert not path.parent.exists()
 
 
+    def test_unwritable_out_fails_before_sieving(self, capsys, tmp_path, monkeypatch):
+        def sieved(*args):
+            raise AssertionError("the table was sieved")
+
+        monkeypatch.setattr(sieve, "lambda_tiles", sieved)
+        path = tmp_path / "missing" / "m.csv"
+        code, out, err = run(capsys, "metrics", "--x", "10:1e6:25", "--out", str(path))
+        assert code == 2
+        assert out == "" and f"cannot write {str(path)!r}" in err
+
+    def test_out_directory_without_write_access(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+        path = tmp_path / "t.csv"
+        code, out, err = run(capsys, "turan", "--instances", "2", "--out", str(path))
+        assert code == 2
+        assert out == "" and "Permission denied" in err
+        assert not path.exists()
+
+
 class TestPintzCommand:
     def test_small_scale_run(self, capsys):
         # small mu keeps the table tiny; checks the pipeline end to end
@@ -272,6 +291,35 @@ class TestPintzCommand:
         lines = out.strip().split("\n")
         assert lines[0].startswith("mu,k,U_integral_re")
         assert len(lines) == 2
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_pintz_streams_its_table(tmp_path):
+    # --mu-scale 100 sizes a table of 26,082,600 entries (209 MB held
+    # whole, 233 MB peak when pintz held it).  The march holds the
+    # 1.6e6 entries it reads and the envelope probes stream the rest.
+    # A child's ru_maxrss counts the memory of the process it was forked
+    # from, so pintz is started from a bare interpreter, not from pytest.
+    launcher = textwrap.dedent(
+        """
+        import os, subprocess, sys
+        child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(child.pid, 0)
+        print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+        """
+    )
+    src = str(Path(smoothed_pnt.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), OPENBLAS_NUM_THREADS="1")
+    argv = ["pintz", "--mu-scale", "100", "--k", "1", "--tol", "0.1"]
+    proc = subprocess.run(
+        [sys.executable, "-c", launcher, sys.executable, "-m", "smoothed_pnt.cli", *argv],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, maxrss_kib = map(int, proc.stdout.split())
+    assert code == 0, proc.stderr
+    assert maxrss_kib / 1024 < 120
 
 
 def test_all_commands_run_without_scipy(tmp_path):

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smoothed_pnt import pintz, sieve
 from smoothed_pnt.errors import CapacityError, DomainError, NormalizationError
 from smoothed_pnt.pintz import (
     _GAUSS_LEGENDRE,
     PintzParams,
+    _Prefix,
     _turan_grid,
     U_integral,
     U_residue,
@@ -19,11 +21,16 @@ from smoothed_pnt.pintz import (
     mellin_H_quadrature,
     turan_bound,
 )
+from smoothed_pnt.sieve import _TILE, LambdaStream, build_lambda
 from smoothed_pnt.specfun import gamma_complex, loggamma
 from smoothed_pnt.zeros import ZeroSet
 
 GAMMA1 = 14.134725141734693
 RHO1 = complex(0.5, GAMMA1)
+
+
+def _bits(result):
+    return (result.value.real.hex(), result.value.imag.hex(), result.error.hex())
 
 
 class TestGaussLegendreTables:
@@ -153,8 +160,6 @@ class TestUIntegral:
             U_integral(table_small, p, tol=0.01)
 
     def test_window_sizes_the_table(self):
-        from smoothed_pnt.sieve import build_lambda
-
         p = PintzParams(mu=math.log(20.0), k=0.5, rho0=RHO1)
         width, limit = U_window(p, 0.2)
         assert width == 6.0 * math.sqrt(0.5 * math.log(5.0))
@@ -164,10 +169,54 @@ class TestUIntegral:
         with pytest.raises(DomainError):
             U_window(p, 1.0)
 
+    @pytest.mark.parametrize(
+        "scale, k, tol, tiles",
+        [
+            (20.0, 0.5, 0.2, 1),  # the golden config: the march reads part of one tile
+            (60.0, 0.6, 0.1, 2),  # two tiles, and the far probes stream
+        ],
+    )
+    def test_stream_matches_held_table(self, monkeypatch, scale, k, tol, tiles):
+        held_prefixes = []
+
+        class Recording(_Prefix):
+            def __init__(self, table):
+                super().__init__(table)
+                held_prefixes.append(self)
+
+        monkeypatch.setattr(pintz, "_Prefix", Recording)
+        p = PintzParams(mu=math.log(scale), k=k, rho0=RHO1)
+        limit = U_window(p, tol)[1]
+        streamed = U_integral(LambdaStream(limit), p, tol=tol)
+        held = U_integral(build_lambda(limit), p, tol=tol)
+        assert _bits(streamed) == _bits(held)
+        reach = held_prefixes[0].reach
+        assert (tiles - 1) * _TILE < reach <= min(tiles * _TILE, limit)
+
+    def test_prefix_holds_the_table_bits(self, table_mid):
+        prefix = _Prefix(LambdaStream(table_mid.limit))
+        assert prefix.reach == 0
+        head = prefix.upto(300_000)  # into the second tile
+        assert prefix.reach == 2 * _TILE
+        assert head.tobytes() == table_mid.values[1:300_001].tobytes()
+        full = prefix.upto(table_mid.limit)  # the last tile, cut at the limit
+        assert prefix.reach == table_mid.limit
+        assert full.tobytes() == table_mid.values[1:].tobytes()
+
+    def test_short_stream_raises_before_sieving(self, monkeypatch):
+        def sieved(*args):
+            raise AssertionError("a tile was sieved")
+
+        monkeypatch.setattr(sieve, "_segment", sieved)
+        p = PintzParams(mu=math.log(20.0), k=0.5, rho0=RHO1)
+        limit = U_window(p, 0.2)[1]
+        with pytest.raises(AssertionError):
+            next(LambdaStream(limit).tiles())
+        with pytest.raises(CapacityError):
+            U_integral(LambdaStream(limit - 1), p, tol=0.2)
+
     def test_dual_representation_secondary_point(self, zeros_rh):
         # a second (mu, k) besides the acceptance one
-        from smoothed_pnt.sieve import build_lambda
-
         table = build_lambda(2_000_000)
         p = PintzParams(mu=math.log(60.0), k=0.6, rho0=RHO1)
         ui = U_integral(table, p, tol=0.1)
