@@ -14,6 +14,16 @@ on whole arrays of heights.  Valid for Re s > -1, which covers every
 consumer in this package (the supported strip is -1 < Re s <= 3 plus
 the half plane Re s > 1 where the Dirichlet series converges anyway).
 
+Hardy's Z also has a private Riemann-Siegel evaluator, _rs_Z, for the
+zero finder's sign scan: floor(sqrt(t/2pi)) <= 12 cosines per height up
+to t = 1e3, where Euler-Maclaurin needs a head of up to 1,310 terms.
+Its value carries the first correction term C_0, and its bound is
+Gabcke's (1979) remainder 0.127 (t/2pi)^{-3/4}, proven for t >= 200
+(the evaluator refuses lower heights), plus an allowance for the
+rounding of the phases.  That bound is ~1e-2 to 3e-3, far coarser than
+the core's, so the value serves for a sign where the bound is below
+|Z|.  hardy_Z itself is Euler-Maclaurin throughout.
+
 Conjugate symmetry is structural: inputs with negative imaginary part are
 folded to the upper half plane and the result conjugated, so
 f(conj z) == conj(f(z)) holds exactly, not just to rounding.
@@ -37,6 +47,8 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+# Gabcke's Riemann-Siegel remainder bound is proven from this height up
+_RS_MIN_T = 200.0
 _LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
 # Lanczos g = 607/128, 15 terms.
@@ -211,9 +223,9 @@ def _em_core(s, n_terms, deriv=False):
     return best_val, [b + eps * h[at].reshape(s.shape) for b, h in zip(best, heads)]
 
 
-def _auto_terms(s):
-    t = abs(complex(s).imag)
-    return int(max(25, 1.3 * t + 10))
+def _auto_terms(t):
+    """Head terms for zeta at heights up to |t| (hardy_Z's and zeta_em's default)."""
+    return int(max(25, 1.3 * abs(t) + 10))
 
 
 def _em_point(s, terms, deriv=False, contract=True):
@@ -232,7 +244,7 @@ def _em_point(s, terms, deriv=False, contract=True):
         raise PoleError("zeta pole at s = 1")
     if s.real <= -1.0:
         raise DomainError("zeta_em supports Re s > -1 only")
-    n_terms = terms if terms is not None else _auto_terms(s)
+    n_terms = terms if terms is not None else _auto_terms(s.imag)
     if contract and abs(s.imag) > 1e3:
         raise AccuracyError("zeta_em accuracy contract limited to |Im s| <= 1e3")
     if contract and n_terms < 2:
@@ -313,7 +325,7 @@ def rs_theta(t):
 
 def _hardy_Z_array(ts, terms=None):
     ts = np.asarray(ts, dtype=float)
-    n_terms = terms if terms is not None else int(max(25, 1.3 * ts.max() + 10))
+    n_terms = terms if terms is not None else _auto_terms(ts.max())
     s = 0.5 + 1j * ts
     (val,), (bound,) = _em_core(s, n_terms)
     if np.any(bound > 1e-9):
@@ -327,14 +339,59 @@ def _hardy_Z_array(ts, terms=None):
 def hardy_Z(t, terms=None):
     """Hardy's Z function: e^{i theta(t)} zeta(1/2 + it), a real number.
 
-    Accepts a scalar or an array of heights in [0, 1e3].  The rotation
-    must land on the real axis: an imaginary part above 1e-10 max(1, |Z|)
-    raises AccuracyError (it is ~2e-12 on find_zeros' grid up to 1e3).
-    Sign changes of the result bracket critical-line zeros.
+    Accepts a scalar or an array of heights in [0, 1e3]; an empty array
+    gives an empty array, a NaN height DomainError.  Every height goes
+    through the Euler-Maclaurin core with one head of `terms` terms
+    (sized from the largest height when omitted).  The rotation must land
+    on the real axis: an imaginary part above 1e-10 max(1, |Z|) raises
+    AccuracyError (it is ~2e-12 on find_zeros' grid up to 1e3).  Sign
+    changes of the result bracket critical-line zeros.
     """
     arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if arr.size and (arr.min() < 0.0 or arr.max() > 1e3):
+    if np.any(np.isnan(arr)):
+        raise DomainError("hardy_Z needs real heights, got NaN")
+    if not arr.size:
+        return np.zeros(arr.shape)
+    if arr.min() < 0.0 or arr.max() > 1e3:
         raise AccuracyError("hardy_Z supports 0 <= t <= 1e3")
     rotated = _hardy_Z_array(arr, terms=terms)
     out = rotated.real
     return float(out[0]) if np.isscalar(t) or np.ndim(t) == 0 else out
+
+
+def _rs_Z(ts):
+    """Riemann-Siegel Z(t) and a bound on its error, for an ndarray of heights >= 200.
+
+    With a = sqrt(t/2pi), N = floor(a) and p = a - N,
+
+        Z(t) = 2 sum_{n<=N} n^{-1/2} cos(theta(t) - t log n)
+               + (-1)^{N-1} a^{-1/2} C_0(p) + R(t),
+
+    and Gabcke (1979) proves |R(t)| <= 0.127 a^{-3/2} for t >= 200; a
+    lower height raises DomainError.  C_0(p) = cos 2pi(p^2 - p - 1/16)
+    / cos 2pi p is 0/0 at p = 1/4 and 3/4; with u = p - 1/4, v = p - 3/4
+    it equals sin(2pi uv) / (2 sin(pi u) sin(pi v)) = sinc(2uv) /
+    (pi sinc(u) sinc(v)), which has no singularity on 0 <= p < 1.
+
+    The bound adds a rounding allowance to Gabcke's term: each phase is
+    within 4 eps (|theta| + t log N) + eps (rs_theta is within 3 eps
+    |theta| of mpmath on [200, 1e3]), the sum of N terms adds N eps per
+    term, and a^{-1/2} C_0(p) is within 8 eps a.  It is ~1e-10, a
+    fraction 1e-8 of the whole.  Returns (values, bounds).
+    """
+    ts = np.asarray(ts, dtype=float)
+    if not np.all(ts >= _RS_MIN_T):
+        raise DomainError(f"Gabcke's Riemann-Siegel bound needs t >= {_RS_MIN_T:g}")
+    a = np.sqrt(ts / _TWO_PI)
+    n_cut = np.floor(a)
+    n = np.arange(1.0, n_cut.max(initial=0.0) + 1.0)
+    theta = rs_theta(ts)
+    weights = np.where(n <= n_cut[:, None], n**-0.5, 0.0)
+    main = 2.0 * (weights * np.cos(theta[:, None] - np.multiply.outer(ts, np.log(n)))).sum(axis=1)
+    u, v = a - n_cut - 0.25, a - n_cut - 0.75
+    c0 = np.sinc(2.0 * u * v) / (math.pi * np.sinc(u) * np.sinc(v))
+    sign = np.where(n_cut % 2.0 == 1.0, 1.0, -1.0)  # (-1)^{N-1}
+    eps = np.finfo(float).eps
+    per_term = 4.0 * (np.abs(theta) + ts * np.log(n_cut)) + n_cut + 1.0
+    rounding = eps * (2.0 * weights.sum(axis=1) * per_term + 8.0 * a)
+    return main + sign * c0 / np.sqrt(a), 0.127 * a**-1.5 + rounding

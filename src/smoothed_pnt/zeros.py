@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, EmptySetError, OrderError, ParseError
 from .smooth import DELTA_LIMIT
-from .specfun import hardy_Z, loggamma
+from .specfun import _RS_MIN_T, _auto_terms, _rs_Z, hardy_Z, loggamma
 
 __all__ = [
     "ZeroSet",
@@ -159,26 +159,63 @@ def _refine_zeros(a, b, za, zb):
     return np.where(np.abs(za) < np.abs(zb), a, b)
 
 
+# find_zeros evaluates Euler-Maclaurin Z in chunks of this many grid heights
+_CHUNK = 2000
+
+
+def _em_scan(ts, zs, mask):
+    """Euler-Maclaurin Z into zs at the grid heights where `mask` holds.
+
+    Each height takes the head of its chunk of the grid: the terms that
+    its chunk's top height needs.  A value depends on the head's length;
+    the other heights of a call only decide when the core's Bernoulli
+    loop stops, once every bound is below 1e-18 max(1, |zeta|), and on
+    this grid that moves no bit (tests/test_zeros.py checks it).
+    """
+    for i in range(0, len(ts), _CHUNK):
+        idx = i + np.nonzero(mask[i : i + _CHUNK])[0]
+        if idx.size:
+            zs[idx] = hardy_Z(ts[idx], terms=_auto_terms(ts[i : i + _CHUNK].max()))
+
+
 def find_zeros(T, step=0.05):
     """All critical-line zeros with gamma <= T via sign changes of Z.
 
-    Z is sampled on a grid of the given step (contract: step <= 0.05) and
-    all sign changes are refined together by regula falsi until each
+    Z is sampled on a grid of the given step (contract: 0 < step <= 0.05)
+    and all sign changes are refined together by regula falsi until each
     bracket holds no double inside, so a zero is as accurate as the
     computed Z allows (~1e-13 here).  Supported for 10 <= T <= 1e3; at
     these heights consecutive zeros are separated by far more than the
     grid step, so no pair can hide in one cell.
+
+    The scan needs only the sign of Z at most heights.  From t = 200 up
+    that sign comes from Riemann-Siegel (at most 12 cosines a height),
+    wherever its Gabcke bound (~3e-3 to 1e-2) is below |Z|.  The other
+    heights go through Euler-Maclaurin, in chunks of 2,000 grid heights
+    with the head that each chunk's top height needs (up to 1,310
+    terms): every height below 200, every height Riemann-Siegel cannot
+    certify (41 of 16,001 at T = 1e3), and then both ends of every
+    sign-change bracket.  Refinement starts from the end values and
+    keeps the end with the smaller |Z|, so the ends carry exactly the
+    values of a whole-chunk Euler-Maclaurin scan; a head of another
+    length rounds differently and moves some zeros by an ulp.
     """
     if not (10.0 <= T <= 1e3):
         raise DomainError("find_zeros supports 10 <= T <= 1e3")
-    if step > 0.05:
-        raise DomainError("grid step must be <= 0.05")
+    if not (0.0 < step <= 0.05):
+        raise DomainError("grid step must satisfy 0 < step <= 0.05")
     ts = np.append(np.arange(1.0, T, step), T)
     zs = np.empty_like(ts)
-    chunk = 2000
-    for i in range(0, len(ts), chunk):
-        zs[i : i + chunk] = hardy_Z(ts[i : i + chunk])
+    high = ts >= _RS_MIN_T
+    z_rs, bound = _rs_Z(ts[high])
+    zs[high] = z_rs
+    em = ~high
+    em[high] = np.abs(z_rs) <= bound
+    _em_scan(ts, zs, em)
     cell = np.nonzero(np.sign(zs[:-1]) * np.sign(zs[1:]) < 0)[0]
+    ends = np.zeros_like(em)
+    ends[cell] = ends[cell + 1] = True
+    _em_scan(ts, zs, ends & ~em)
     roots = _refine_zeros(ts[cell], ts[cell + 1], zs[cell], zs[cell + 1])
     gam = np.sort(roots[roots <= T])
     return ZeroSet(

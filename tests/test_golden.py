@@ -1,11 +1,15 @@
-"""Pinned CLI outputs: one small config of each of the six commands.
+"""Pinned CLI outputs: one small config of each of the six commands, plus
+`zeros --T 1000`, seven files in all.
 
 The files in tests/golden/ were recorded from the per-point Delta
 evaluator (one GEMV per point) that the batched engine replaced, so a
 refactor proves here that it changed nothing beyond rounding.
 `metrics` and `delta` sum their terms in a different order now, so
 their columns must match to 1e-12 relative or `--tol`/4 absolute; the
-other four commands must be byte-identical.
+other five files must be byte-identical.  `zeros` at T = 100 stays below
+t = 200, where the zero finder's Riemann-Siegel sign scan starts;
+`zeros_1000` (recorded from the Euler-Maclaurin-only scan that preceded
+it) pins the zeros that scan feeds.
 
 Re-record only as a deliberate re-baseline, and say so in CHANGES.md.
 Name the commands whose files are to move; the others are left as they
@@ -14,7 +18,7 @@ baseline in the last digits):
 
     PYTHONPATH=src python tests/test_golden.py pintz turan
 
-With no names, all six files are rewritten.
+With no names, all seven files are rewritten.
 """
 
 import contextlib
@@ -34,6 +38,7 @@ CASES = {
     "metrics": ["metrics", "--x", "1:1e4:7", "--tol", "1e-6", "--zeros", "builtin"],
     "delta": ["delta", "--x", "100:1e4:9", "--tol", "1e-9", "--zeros", "builtin"],
     "zeros": ["zeros", "--T", "100"],
+    "zeros_1000": ["zeros", "--T", "1000"],
     "pintz": ["pintz", "--mu-scale", "20", "--k", "0.5", "--tol", "0.2", "--zeros", "builtin"],
     "turan": ["turan", "--seed", "0", "--instances", "50"],
     "goldbach": ["goldbach", "--k", "2", "--x", "10:1e2:3"],

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from smoothed_pnt.errors import (
 from smoothed_pnt.specfun import (
     _BERNOULLI,
     _hardy_Z_array,
+    _rs_Z,
     gamma_complex,
     hardy_Z,
     loggamma,
@@ -317,6 +319,15 @@ class TestHardyZ:
         with pytest.raises(AccuracyError):
             hardy_Z(1500.0)
 
+    def test_empty_array_gives_empty_array(self):
+        out = hardy_Z(np.array([]))
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+    @pytest.mark.parametrize("t", [math.nan, np.array([14.0, math.nan])])
+    def test_nan_height_is_a_domain_error(self, t):
+        with pytest.raises(DomainError):
+            hardy_Z(t)
+
     def test_rotation_off_the_real_axis_raises(self, monkeypatch):
         import smoothed_pnt.specfun as specfun
 
@@ -324,6 +335,74 @@ class TestHardyZ:
         monkeypatch.setattr(specfun, "rs_theta", lambda t: theta(t) + 1e-6)
         with pytest.raises(AccuracyError):
             hardy_Z(np.linspace(1.0, 50.0, 200))
+
+
+def _height_with_exact_p(n, p):
+    """A double t near 2pi (n + p)^2 whose sqrt(t/2pi) has fraction exactly p."""
+    t = 2.0 * math.pi * (n + p) ** 2
+    up = down = t
+    for _ in range(100):
+        for c in (up, down):
+            a = math.sqrt(c / (2.0 * math.pi))
+            if a - math.floor(a) == p:
+                return c
+        up, down = math.nextafter(up, math.inf), math.nextafter(down, 0.0)
+    raise AssertionError(f"no double with fraction {p} near n = {n}")
+
+
+# C_0's 0/0 points: p = 1/4 and p = 3/4 exactly, every N whose t is in [200, 1e3]
+RS_SINGULAR = [_height_with_exact_p(n, p) for n in range(6, 13) for p in (0.25, 0.75)]
+RS_SINGULAR = [t for t in RS_SINGULAR if t <= 1e3]
+
+
+class TestRiemannSiegel:
+    @pytest.fixture(scope="class")
+    def siegelz(self):
+        # mpmath's siegelz costs ~20 ms a height: a seeded sample here, and
+        # the whole scan grid against Euler-Maclaurin below
+        mpmath = pytest.importorskip("mpmath")
+        ts = np.sort(np.random.default_rng(20261018).uniform(200.0, 1e3, 120))
+        ts = np.concatenate([ts, RS_SINGULAR])
+        return ts, np.array([float(mpmath.siegelz(t)) for t in ts])
+
+    def test_within_bound_of_mpmath(self, siegelz):
+        ts, ref = siegelz
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val, bound = _rs_Z(ts)
+        assert np.all(np.isfinite(val)) and np.all(np.isfinite(bound))
+        assert np.all(np.abs(val - ref) <= bound)
+        # Gabcke's term, not the rounding allowance, sets the bound
+        assert np.all(bound <= 0.128 * (ts / (2.0 * math.pi)) ** -0.75)
+
+    def test_singular_p_values_are_exact_fractions(self):
+        assert len(RS_SINGULAR) == 13
+        a = np.sqrt(np.array(RS_SINGULAR) / (2.0 * math.pi))
+        assert set(a - np.floor(a)) == {0.25, 0.75}
+
+    def test_without_c0_the_bound_breaks(self, siegelz):
+        # negative control: drop the (-1)^{N-1} a^{-1/2} C_0(p) correction
+        ts, ref = siegelz
+        val, bound = _rs_Z(ts)
+        a = np.sqrt(ts / (2.0 * math.pi))
+        n, p = np.floor(a), a - np.floor(a)
+        regular = (p != 0.25) & (p != 0.75)
+        c0 = np.cos(2.0 * math.pi * (p**2 - p - 1.0 / 16.0)) / np.cos(2.0 * math.pi * p)
+        bare = val - (-1.0) ** (n - 1.0) * c0 / np.sqrt(a)
+        assert np.any(np.abs(bare - ref)[regular] > bound[regular])
+
+    def test_signs_agree_with_euler_maclaurin_on_the_scan_grid(self):
+        ts = np.arange(200.0, 1e3, 0.05)
+        val, bound = _rs_Z(ts)
+        em = np.concatenate([hardy_Z(ts[i : i + 2000]) for i in range(0, len(ts), 2000)])
+        assert np.all(np.abs(val - em) <= bound)
+        certified = np.abs(val) > bound
+        assert np.mean(certified) > 0.99
+        assert np.array_equal(np.sign(val[certified]), np.sign(em[certified]))
+
+    def test_refuses_heights_below_gabcke_range(self):
+        with pytest.raises(DomainError):
+            _rs_Z(np.array([199.9, 500.0]))
 
 
 def _outcome(f, z):

@@ -1,13 +1,15 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import smoothed_pnt.zeros as zeros_mod
 from smoothed_pnt.errors import DomainError, EmptySetError, OrderError, ParseError
 from smoothed_pnt.smooth import DELTA_LIMIT, delta
-from smoothed_pnt.specfun import gamma_complex, loggamma, zeta_logderiv
+from smoothed_pnt.specfun import _auto_terms, gamma_complex, hardy_Z, loggamma, zeta_logderiv
 from smoothed_pnt.zeros import (
     ZeroSet,
     _zero_sum_terms,
@@ -19,6 +21,7 @@ from smoothed_pnt.zeros import (
     save_zeros,
 )
 
+GOLDEN_1000 = Path(__file__).resolve().parent / "golden" / "zeros_1000.txt"
 GAMMA1 = 14.134725141734693
 EULER_GAMMA = 0.5772156649015329
 
@@ -163,6 +166,37 @@ class TestFindZeros:
             find_zeros(5.0)
         with pytest.raises(DomainError):
             find_zeros(2000.0)
+
+    @pytest.mark.parametrize("step", [-0.05, 0.0, math.nan, 0.06, math.inf])
+    def test_step_outside_contract(self, step):
+        with pytest.raises(DomainError, match="step"):
+            find_zeros(100.0, step=step)
+
+    @pytest.mark.parametrize("T", [250.0, 500.0, 750.0, 1000.0])
+    def test_count_matches_mpmath_nzeros(self, T):
+        mpmath = pytest.importorskip("mpmath")
+        assert len(find_zeros(T)) == mpmath.nzeros(T)
+
+    def test_euler_maclaurin_only_scan_matches_golden(self, monkeypatch):
+        # Riemann-Siegel certifies no sign: every height goes through
+        # Euler-Maclaurin, and the zeros are still the pinned bytes
+        def certify_nothing(ts):
+            return np.zeros(len(ts)), np.full(len(ts), np.inf)
+
+        monkeypatch.setattr(zeros_mod, "_rs_Z", certify_nothing)
+        want = np.array(GOLDEN_1000.read_text(encoding="utf-8").split(), dtype=float)
+        assert find_zeros(1000.0).gammas.tobytes() == want.tobytes()
+
+    def test_em_value_does_not_depend_on_the_batch(self):
+        # the scan evaluates subsets of a chunk at the chunk's head length;
+        # each value must equal the one from the whole chunk, bit for bit
+        rng = np.random.default_rng(7)
+        ts = np.arange(900.0, 1000.0, 0.05)
+        n_terms = _auto_terms(ts.max())
+        whole = hardy_Z(ts, terms=n_terms)
+        for size in (1, 2, 17, 300):
+            idx = np.sort(rng.choice(len(ts), size=size, replace=False))
+            assert hardy_Z(ts[idx], terms=n_terms).tobytes() == whole[idx].tobytes()
 
 
 class TestExplicitDelta:
