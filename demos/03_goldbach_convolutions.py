@@ -20,7 +20,7 @@ from smoothed_pnt.goldbach import (
     smooth_Fk,
 )
 from smoothed_pnt.sieve import build_lambda
-from smoothed_pnt.smooth import smooth_psi
+from smoothed_pnt.smooth import delta
 
 print(__doc__)
 
@@ -35,7 +35,7 @@ print()
 
 print("F_k(x) = Psi(x)^k with matched truncation:")
 x = 50.0
-psi = smooth_psi(table, x, tol=1e-12).psi
+psi = delta(table, x, tol=1e-12).psi
 for k in (1, 2, 3, 4):
     conv = convolve_psik(table, k, 4000, method="direct")
     fk = smooth_Fk(conv, x, tol=1e-6 * psi**k)

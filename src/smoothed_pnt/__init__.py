@@ -58,7 +58,6 @@ from .smooth import (
     delta,
     delta_many,
     smooth_baseline,
-    smooth_psi,
     sup_metric,
     truncation_cutoff,
 )

@@ -13,50 +13,43 @@ certifies a one-sided bound: sup_metric never exceeds the true sup, and
 avg_metric reports its own trapezoid error estimate.
 
 One engine, delta_many, evaluates Delta at any set of points, each at
-its own certified cutoff truncation_cutoff(u, tol).  It uses the split
-e^{-(qB+m)/u} = e^{-qB/u} e^{-m/u} (B = _BLOCK) for many points at once:
-a GEMM multiplies a tile of block rows of the Lambda table by a matrix
-whose columns are the inner weights e^{-m/u} of up to _TILE_COLS points,
-and each point then takes one dot of its outer weights e^{-qB/u} with
-exactly its own block rows.  Points are sorted by cutoff (largest first)
-and grouped, and each table tile is read once for every group that
-reaches it, so a grid of P points costs about one pass over the table
-instead of P.  delta, smooth_psi, the S/D grids and the CLI all go
-through it.
+its own certified cutoff truncation_cutoff(u, tol).  Its kernel,
+_psi_many, splits this discrete Laplace transform into block moments
+(Rokhlin 1988; Strain 1992).  Block q of size B holds n = qB + m,
+m = 1..B.  With x_m = (2m - B - 1)/(B - 1) in [-1, 1], r = (B - 1)/(2u),
+a_0 = I_0(r) and a_j = 2 (-1)^j I_j(r) (the modified Bessel generating
+function), e^{-m/u} = e^{-(B+1)/(2u)} sum_j a_j(r) T_j(x_m).  So
+Psi(u) = sum_q e^{-(qB + (B+1)/2)/u} (M[q] . a(r)), and the moments
+M[q, j] = sum_m c_{qB+m} T_j(x_m) do not depend on u: one pass over the
+table computes them, and a point costs _J multiply-adds per block, not
+B.  Points with u >= _BLOCK take B = _BLOCK, those with 64 <= u < _BLOCK
+take B = 64 (r <= 1/2 either way), and those with u < 64 a direct sum;
+a partial last block is summed directly.
+
+Each moment comes from one fixed-shape product per tile, and a point
+reads only the moments and its own partial block, in shapes set by its
+own cutoff.  So a point's Delta is bitwise the same whatever else is in
+its batch, by construction, and S(x) >= |Delta(x)|, a max over a grid
+that contains x, holds exactly.  delta, the S/D grids and the CLI all
+go through the engine.
 
 The engine reads a table through two attributes only, `limit` and
 `tiles()`: the tiles come in order (sieve module docstring), and it
 stops after the tile that holds the largest cutoff.  A LambdaTable
 slices its array; a LambdaStream, which metrics, delta and pintz use,
-sieves each tile as it is read, so the whole table is never held.  Each
-point takes what it needs from a tile while that tile passes: its direct
-sum when its cutoff is short, its block sums, and its partial last block.
-A pass holds one tile, the inner weights of the groups still reading
-(built at a group's first tile, dropped after its last), and each
-group's block sums, sized to that group's own depth.
+sieves each tile as it is read, so the whole table is never held.  A
+pass holds one tile and the moment arrays, _J doubles per block (1.5 MB
+for a table of 4.8e7 entries).
 
-The GEMM shape is fixed: every product is (_TILE_ROWS x B) @ (B x
-_TILE_COLS), the last tile and the spare columns are zero-padded, and a
-tile always starts at a multiple of _TILE_ROWS block rows.  With one
-shape, BLAS sums every output element in the same order, so a point's
-Delta is bitwise the same whatever other points share its batch, and
-alone.  Variable shapes break this in the last bits (BLAS sends one
-column to GEMV and small products to other kernels), and then even
-S(x) >= |Delta(x)|, a max over a grid that contains x, can fail by an
-ulp.
-
-weighted_exp_sum, the one-point GEMV form of the same split, has one
-caller left: pintz._delta_point, which U_integral's march and the tail
-envelope probes inside the march's reach use under their loose tail
-rule.  It reads a held prefix of the table, sieved tile by tile only as
-far as the march's largest cutoff; the farther probes take one _psi_many
-pass over a fresh tiles() stream.  U cancels ~8 digits, so moving the
-march's nodes onto the GEMM kernel shifts U by ~5e-7 relative, past the
-1e-9 at which the benchmark's reference outputs pin it; they stay on
-weighted_exp_sum until those references are re-recorded.  Goldbach's
-F_k and pintz's Mellin quadrature go through the engine.
+weighted_exp_sum, a one-point GEMV of the plain split e^{-qB/u} e^{-m/u},
+serves only pintz._delta_point: U_integral's march and the envelope
+probes inside its reach.  U cancels ~8 digits, so moving the march onto
+the engine shifts U by ~5e-7 relative, past the 1e-9 at which the
+benchmark's reference outputs pin it.  Goldbach's F_k, pintz's Mellin
+quadrature and its farther probes go through the engine.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -74,7 +67,6 @@ __all__ = [
     "truncation_cutoff",
     "weighted_exp_sum",
     "delta_many",
-    "smooth_psi",
     "delta",
     "hybrid_grid",
     "sup_metric",
@@ -152,21 +144,10 @@ def _smallest_cutoff(fits, lo):
     return hi
 
 
-_TILE_COLS = 16  # points per GEMM
-
-
 def _direct_sum(coeffs, first, x):
     """sum_i coeffs[i] e^{-(first+i)/x}, one exp per term."""
     n = np.arange(first, first + len(coeffs), dtype=float)
     return float(np.dot(coeffs, np.exp(-n / x)))
-
-
-def _inner_weights(x):
-    return np.exp(-np.arange(1, _BLOCK + 1, dtype=float) / x)
-
-
-def _outer_weights(x, blocks):
-    return np.exp(-(_BLOCK / x) * np.arange(blocks, dtype=float))
 
 
 def weighted_exp_sum(coeffs, x):
@@ -183,71 +164,94 @@ def weighted_exp_sum(coeffs, x):
     if M < 2 * _BLOCK:
         return _direct_sum(coeffs, 1, x)
     Q = M // _BLOCK
-    blocked = coeffs[: Q * _BLOCK].reshape(Q, _BLOCK) @ _inner_weights(x)
-    total = float(_outer_weights(x, Q) @ blocked)
+    blocked = coeffs[: Q * _BLOCK].reshape(Q, _BLOCK) @ np.exp(-np.arange(1, _BLOCK + 1) / x)
+    total = float(np.exp(-(_BLOCK / x) * np.arange(Q, dtype=float)) @ blocked)
     if M > Q * _BLOCK:
         total += _direct_sum(coeffs[Q * _BLOCK :], Q * _BLOCK + 1, x)
     return total
+
+
+# Chebyshev terms per block.  With r <= 1/2, the first term omitted from
+# the series of e^{-r x} is at most 2 I_J(1/2) ~ 2 (1/4)^J / J!: 4.8e-18
+# <= eps at J = 13, while J = 12 leaves 2.5e-16 > eps.  J = 16 is kept,
+# as OpenBLAS multiplies a 64 x 4096 tile by 16 columns faster than by
+# 13 (0.30 against 0.46 ms on one Haswell-class Xeon core).
+_J = 16
+_SMALL_BLOCK = 64  # block size for 64 <= u < _BLOCK; direct sums below it
+# row k, column j: 1/(k! (k+j)!) times a_j's factor 1 or 2 (-1)^j, so that
+# a_j(r) = (r/2)^j sum_k (r^2/4)^k _BESSEL_SERIES[k, j] (_chebyshev_coeffs)
+_BESSEL_SERIES = np.array(
+    [[(2.0 * (-1) ** j if j else 1.0) / (math.factorial(k) * math.factorial(k + j))
+      for j in range(_J)] for k in range(_J)]
+)
+
+
+@functools.cache
+def _chebyshev_basis(B):
+    """T_j(x_m) for block offsets m = 1..B (rows) and j < _J (columns), built once."""
+    x = (2.0 * np.arange(1, B + 1) - B - 1) / (B - 1)
+    T = [np.ones(B), x]
+    while len(T) < _J:
+        T.append(2.0 * x * T[-1] - T[-2])
+    return np.stack(T, axis=1)
+
+
+def _chebyshev_coeffs(r):
+    """a_j(r), j < _J, of e^{-r x} = sum_j a_j(r) T_j(x): one row per r <= 1/2.
+
+    Elementwise only, so each row is the same whatever else is in r.
+    """
+    y = (0.25 * r * r)[:, None]
+    series = np.zeros((len(r), _J))
+    for row in _BESSEL_SERIES[::-1]:
+        series = series * y + row
+    powers = np.empty((len(r), _J))
+    powers[:, 0], powers[:, 1:] = 1.0, 0.5 * r[:, None]
+    return series * np.cumprod(powers, axis=1)
 
 
 def _psi_many(tiles, us, cutoffs):
     """sum_{n <= cutoffs[i]} c_n e^{-n/us[i]} for every i, all us > 0.
 
     tiles yields the coefficients c_1, c_2, ... in sieve.lambda_tiles'
-    order; it is read in order and only up to the tile holding the
-    largest cutoff.  What a point needs from a tile (its short direct
-    sum, its block sums, its partial last block) is taken while that
-    tile passes.
+    order; it is read in order and only as far as some point needs.
+    While a tile passes, the moments of each block size still needed are
+    taken from it, and the partial last blocks it holds are summed
+    directly.  A point with u < 64 has no full blocks: its direct sum is
+    its partial block, cut at the end of tile 0, past which every
+    e^{-n/u} underflows to 0.  Each point then sums its own full blocks
+    from the moments (module docstring).
     """
-    B, R, P = _BLOCK, _TILE_ROWS, _TILE_COLS
-    out = np.empty(len(us))
-    if not len(us):
-        return out
-    order = np.argsort(-cutoffs, kind="stable")
-    is_short = cutoffs[order] < 2 * B
-    short, tiled = order[is_short], order[~is_short]
-    blocks = cutoffs // B
-    groups = [tiled[s : s + P] for s in range(0, len(tiled), P)]
-    depth = [int(blocks[g[0]]) for g in groups]  # non-increasing
-    # block_sums[k][q, c] = sum_m c_{qB + m} e^{-m/u} for point c of
-    # group k, sized to the group's own depth.  Every product has the
-    # one fixed shape (module docstring).
-    block_sums = [np.empty((-(-d // R) * R, P)) for d in depth]
-    inner = [None] * len(groups)
-    # points with a partial last block, by the tile that holds it
-    partial = {}
-    for i in tiled:
-        if cutoffs[i] > blocks[i] * B:
-            partial.setdefault(int(blocks[i]) // R, []).append(i)
-    remainder = {}
+    T = _TILE_ROWS * _BLOCK
+    out = np.zeros(len(us))
+    size = np.select([us >= _BLOCK, us >= _SMALL_BLOCK], [_BLOCK, _SMALL_BLOCK], 0)
+    full = cutoffs // np.maximum(size, 1) * size  # terms in a point's full blocks
+    # moments[B] = M for blocks of size B, in whole tiles, as far as the
+    # deepest point of that size reaches
+    moments = {
+        B: np.empty((-(-int(full[size == B].max()) // T) * (T // B), _J))
+        for B in set(size.tolist()) - {0}
+    }
+    partial = {}  # the points whose partial block lies in tile t
+    for i in np.flatnonzero(cutoffs > full):
+        partial.setdefault(int(full[i]) // T, []).append(i)
+    # tiles to read: to each point's partial block, else to its last full one
+    reach = int(np.where(cutoffs > full, full // T + 1, -(-full // T)).max(initial=0))
     tiles = iter(tiles)
-    for t in range((int(cutoffs[order[0]]) - 1) // (R * B) + 1):  # to the largest cutoff's tile
-        tile = next(tiles)
-        q0 = t * R
-        if t == 0:
-            for i in short:
-                out[i] = _direct_sum(tile.reshape(-1)[: cutoffs[i]], 1, us[i])
-        for k, g in enumerate(groups):
-            if depth[k] <= q0:
-                break
-            if inner[k] is None:
-                inner[k] = np.zeros((B, P))
-                for c, i in enumerate(g):
-                    inner[k][:, c] = _inner_weights(us[i])
-            np.matmul(tile, inner[k], out=block_sums[k][q0 : q0 + R])
-            if depth[k] <= q0 + R:
-                inner[k] = None  # the group's last tile
+    for t in range(reach):
+        tile = next(tiles).reshape(-1)
+        for B, M in moments.items():
+            rows = slice(t * (T // B), (t + 1) * (T // B))
+            if rows.start < len(M):
+                np.matmul(tile.reshape(-1, B), _chebyshev_basis(B), out=M[rows])
         for i in partial.get(t, ()):
-            Q = int(blocks[i])
-            remainder[i] = _direct_sum(tile[Q - q0, : cutoffs[i] - Q * B], Q * B + 1, us[i])
+            out[i] = _direct_sum(tile[full[i] - t * T : cutoffs[i] - t * T], full[i] + 1, us[i])
         del tile  # so the next tile can be sieved in its place
-    for k, g in enumerate(groups):
-        per_point = np.ascontiguousarray(block_sums[k].T)
-        for c, i in enumerate(g):
-            total = float(_outer_weights(us[i], int(blocks[i])) @ per_point[c, : blocks[i]])
-            if i in remainder:
-                total += remainder[i]
-            out[i] = total
+    for B, M in moments.items():
+        at = np.flatnonzero(size == B)
+        for i, a in zip(at, _chebyshev_coeffs((B - 1) / (2.0 * us[at]))):
+            q = np.arange(full[i] // B)
+            out[i] += np.exp(-(B * q + (B + 1) / 2) / us[i]) @ (M[: len(q)] @ a)
     return out
 
 
@@ -279,12 +283,12 @@ def delta_many(table, us, tol=1e-9):
     return DeltaBatch(psi, baseline, psi - baseline, cutoff, tail)
 
 
-def smooth_psi(table, x, tol=1e-9):
-    """Psi(x) truncated with a certified tail bound: delta_many at one point.
+def delta(table, x, tol=1e-9):
+    """Delta(x) = Psi(x) - I(x) with both sums at the matched cutoff: delta_many at one point.
 
-    CapacityError when the table cannot reach the cutoff the tolerance
-    demands.  The returned point also carries baseline and delta (they
-    cost nothing extra, and delta = psi - baseline in one rounding).
+    The returned point carries psi, the baseline I(x), delta, the cutoff
+    and the certified tail bound of the truncated Psi.  CapacityError
+    when the table cannot reach the cutoff the tolerance demands.
     """
     if x <= 0.0:
         raise RangeError("x must be positive")
@@ -297,11 +301,6 @@ def smooth_psi(table, x, tol=1e-9):
         cutoff=int(b.cutoff[0]),
         tail_bound=float(b.tail_bound[0]),
     )
-
-
-def delta(table, x, tol=1e-9):
-    """Delta(x) = Psi(x) - I(x) with both sums at the matched cutoff."""
-    return smooth_psi(table, x, tol=tol)
 
 
 def hybrid_grid(x, points=2048, include_zero=False):

@@ -28,7 +28,7 @@ from smoothed_pnt.pintz import (
     turan_bound,
 )
 from smoothed_pnt.sieve import build_lambda
-from smoothed_pnt.smooth import DELTA_LIMIT, avg_metric, delta, smooth_baseline, smooth_psi, sup_metric
+from smoothed_pnt.smooth import DELTA_LIMIT, avg_metric, delta, smooth_baseline, sup_metric
 from smoothed_pnt.specfun import gamma_complex, zeta_logderiv
 from smoothed_pnt.zeros import builtin_zeros, explicit_delta, find_zeros, riemann_vonmangoldt_count
 
@@ -116,7 +116,7 @@ def test_c04_rh_bound_surrogate(big_table):
     )
     tail = ratios[xs >= 1e3]
     # smoothed-prime-count trend at the top of the grid rides along
-    pnt = smooth_psi(big_table, 1e6, tol=1e-6).psi / 1e6
+    pnt = delta(big_table, 1e6, tol=1e-6).psi / 1e6
     ok = ratios.max() <= 10.0 and np.all(np.diff(tail) < 0.0) and 0.99 <= pnt <= 1.01
     elapsed = report(
         4, "sup |delta|/sqrt(x) bounded, decreasing", t0, ok,
@@ -133,7 +133,7 @@ def test_c05_fk_power_identity():
     N = 4000  # >= 40x for both scales; also gives the tail bound headroom
     convs = {k: convolve_psik(table, k, N, method="direct") for k in (2, 3, 4)}
     for x in (50.0, 100.0):
-        psi = smooth_psi(table, x, tol=1e-12).psi
+        psi = delta(table, x, tol=1e-12).psi
         for k in (2, 3, 4):
             # half the 1e-7 relative budget goes to the certified tail
             fk = smooth_Fk(convs[k], x, tol=0.5e-7 * psi**k)

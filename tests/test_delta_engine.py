@@ -24,12 +24,17 @@ from smoothed_pnt.smooth import (
 )
 
 TOL = 1e-9
-# table_mid (limit 600,000) reaches u = 1.3e4 at tol 1e-9; cutoffs past
-# 2 * _BLOCK (u above ~300) take the tiled GEMM path, and those past
-# 524,288 (u above ~1.15e4) need a zero-padded last tile.
+# table_mid (limit 600,000) reaches u = 1.3e4 at tol 1e-9.  The kernel
+# sums points with u < 64 directly, takes blocks of 64 for u < _BLOCK and
+# blocks of _BLOCK past it, so two strategies straddle those two edges
+# and one takes the edges themselves; cutoffs past 524,288 (u above
+# ~1.15e4) end in the zero-padded third tile.
 points = st.one_of(
     st.floats(min_value=0.01, max_value=300.0),
     st.floats(min_value=300.0, max_value=1.3e4),
+    st.floats(min_value=60.0, max_value=68.0),
+    st.floats(min_value=4000.0, max_value=4200.0),
+    st.sampled_from([np.nextafter(64.0, 0.0), 64.0, np.nextafter(4096.0, 0.0), 4096.0]),
 )
 batches = st.lists(points, min_size=1, max_size=40)
 PROPERTY = settings(max_examples=50, deadline=None)
@@ -153,14 +158,14 @@ def test_metrics_rows_match_one_row_at_a_time(table_mid, zeros_rh):
         assert bits(dataclasses.astuple(row)) == bits(dataclasses.astuple(one))
 
 
-def test_streamed_memory_is_per_group_not_per_table():
+def test_streamed_memory_is_one_tile_and_the_moments():
     # A metrics batch whose grids mostly need tile 0 alone, plus the grid
     # of x = 1e5, which reads all 20 tiles.  Streamed, the engine holds
-    # one tile, the inner weights of the groups deeper than it, and block
-    # sums sized to each group's own depth: well under a quarter of the
-    # 8 N bytes the whole table takes.  Sizing every group's block sums
-    # to the deepest group, or building every group's inner weights up
-    # front, goes over.
+    # one tile, the sieve's working arrays for the next, and the moment
+    # arrays, 16 doubles per block: under the bytes of three tiles, 6.3 MB
+    # (4.2-4.7 MB measured), where the whole table takes 8 N = 40 MB.
+    # Holding the tiles, or weights a block long for each point, goes
+    # over.
     xs = np.append(np.geomspace(10.0, 3e3, 24), 1e5)
     us = np.concatenate([hybrid_grid(x, points=64, include_zero=True) for x in xs])
     table = LambdaStream(truncation_cutoff(1e5, TOL))
@@ -170,4 +175,36 @@ def test_streamed_memory_is_per_group_not_per_table():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * table.limit / 4
+    assert peak < 3 * 8 * _TILE_ROWS * _BLOCK
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="np.longdouble is no wider than binary64 here",
+)
+def test_within_four_eps_u_of_long_double_sums():
+    # seeded u on both sides of the kernel's edges u = 64 and u = _BLOCK,
+    # one within 1e-6 relative of the edge and one up to half the edge
+    # away, and a jittered geometric ladder out to 2e5; the oracle sums
+    # the same truncated series in long double, over the nonzero entries
+    # of each tile
+    rng = np.random.default_rng(64)
+    near = [
+        e * (1.0 + s * rng.uniform([1e-9, 1e-3], [1e-6, 0.5]))
+        for e in (64.0, _BLOCK)
+        for s in (-1.0, 1.0)
+    ]
+    ladder = np.geomspace(10.0, 2e5, 12) * rng.uniform(0.9, 1.0, 12)
+    us = np.concatenate(near + [ladder, [2e5]])
+    table = LambdaStream(truncation_cutoff(2e5, TOL))
+    b = delta_many(table, us, tol=TOL)
+    ref = np.zeros(len(us), dtype=np.longdouble)
+    for t, tile in enumerate(table.tiles()):
+        at = np.flatnonzero(tile.reshape(-1))
+        n = (at + 1 + t * _TILE_ROWS * _BLOCK).astype(np.longdouble)
+        c = tile.reshape(-1)[at].astype(np.longdouble)
+        for i, (u, M) in enumerate(zip(us, b.cutoff)):
+            keep = n <= M
+            ref[i] += np.sum(c[keep] * np.exp(-n[keep] / np.longdouble(u)))
+    err = np.abs(b.psi.astype(np.longdouble) - ref).astype(float)
+    assert np.all(err <= 4.0 * np.finfo(float).eps * us), err / (np.finfo(float).eps * us)

@@ -15,7 +15,7 @@ from smoothed_pnt.goldbach import (
     psi2_centered,
     smooth_Fk,
 )
-from smoothed_pnt.smooth import smooth_psi, truncation_cutoff
+from smoothed_pnt.smooth import delta, truncation_cutoff
 
 LOG2 = math.log(2)
 LOG3 = math.log(3)
@@ -75,18 +75,18 @@ class TestCentered:
 
 
 class TestSmoothFk:
-    def test_k1_equals_smooth_psi(self, table_mid):
+    def test_k1_equals_delta_psi(self, table_mid):
         x = 100.0
         limit = truncation_cutoff(x, 1e-9)
         conv = convolve_psik(table_mid, 1, limit)
         fk = smooth_Fk(conv, x, tol=1e-9)
-        assert fk == pytest.approx(smooth_psi(table_mid, x, tol=1e-9).psi, rel=1e-12)
+        assert fk == pytest.approx(delta(table_mid, x, tol=1e-9).psi, rel=1e-12)
 
     @pytest.mark.parametrize("k,x,tol", [(2, 50.0, 1e-8), (3, 50.0, 1e-7)])
     def test_power_identity(self, table_small, k, x, tol):
         conv = convolve_psik(table_small, k, 3000)
         fk = smooth_Fk(conv, x, tol=1e-9)
-        psi = smooth_psi(table_small, x, tol=1e-12).psi
+        psi = delta(table_small, x, tol=1e-12).psi
         assert fk == pytest.approx(psi**k, rel=tol)
 
     def test_capacity_reports_required_limit(self, table_small):

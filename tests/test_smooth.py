@@ -13,7 +13,6 @@ from smoothed_pnt.smooth import (
     delta,
     hybrid_grid,
     smooth_baseline,
-    smooth_psi,
     sup_metric,
     trapezoid_mean,
     truncation_cutoff,
@@ -59,26 +58,26 @@ class TestSmoothPsi:
         oracle = float(
             np.dot(table_small.values[1:51], np.exp(-np.arange(1, 51, dtype=float)))
         )
-        pt = smooth_psi(table_small, 1.0, tol=1e-13)
+        pt = delta(table_small, 1.0, tol=1e-13)
         assert pt.psi == pytest.approx(oracle, abs=1e-12)
         # the n = 2 term carries half the total
         assert math.log(2) * math.exp(-2.0) / pt.psi > 0.5
 
     def test_monotone_in_x(self, table_small):
-        assert smooth_psi(table_small, 20.0).psi > smooth_psi(table_small, 10.0).psi
+        assert delta(table_small, 20.0).psi > delta(table_small, 10.0).psi
 
     def test_pnt_trend(self, table_mid):
-        pt = smooth_psi(table_mid, 1e4, tol=1e-6)
+        pt = delta(table_mid, 1e4, tol=1e-6)
         assert 0.99 <= pt.psi / 1e4 <= 1.01
 
     def test_tail_bound_recorded(self, table_mid):
-        pt = smooth_psi(table_mid, 100.0, tol=1e-9)
+        pt = delta(table_mid, 100.0, tol=1e-9)
         assert 0.0 < pt.tail_bound <= 1e-9
         assert pt.cutoff >= 1000
 
     def test_capacity_error(self, table_small):
         with pytest.raises(CapacityError):
-            smooth_psi(table_small, 1e4, tol=1e-9)
+            delta(table_small, 1e4, tol=1e-9)
 
 
 class TestDelta:
