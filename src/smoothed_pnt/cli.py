@@ -3,7 +3,8 @@
 Subcommands build the sieve tables, sweep a geometric x grid, and emit
 CSV (or JSON) for plotting.  Output is deterministic: floats are printed
 with repr (shortest round-trip decimal), rows are ordered by x, lines
-end with LF.  Data goes to --out or standard output; everything
+end with LF.  JSON writes a non-finite float as null, as JSON has no
+NaN or infinity.  Data goes to --out or standard output; everything
 diagnostic goes to standard error.  An --out whose directory is missing
 or not writable is refused before any table is sieved or zero found.
 
@@ -119,6 +120,10 @@ def _writing(path):
         raise ConfigError(f"cannot write {path!r}: {exc.strerror}") from None
 
 
+def _json_value(v):
+    return None if isinstance(v, float) and not math.isfinite(v) else v
+
+
 def _emit(rows, header, out_path, fmt):
     if fmt == "csv":
         lines = [",".join(header)]
@@ -126,7 +131,8 @@ def _emit(rows, header, out_path, fmt):
             lines.append(",".join(_fmt(row[h]) for h in header))
         text = "\n".join(lines) + "\n"
     else:
-        text = json.dumps({"rows": rows}, indent=None, separators=(",", ":")) + "\n"
+        rows = [{h: _json_value(v) for h, v in row.items()} for row in rows]
+        text = json.dumps({"rows": rows}, separators=(",", ":"), allow_nan=False) + "\n"
     if out_path:
         with _writing(out_path), open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -267,6 +273,8 @@ def _cmd_pintz(args):
 def _cmd_turan(args):
     if args.instances < 1:
         raise ConfigError(f"instances must be at least 1, got {args.instances}")
+    if args.seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     header = ["instance", "n", "a", "b", "grid_max", "bound", "ratio"]
     rows = []

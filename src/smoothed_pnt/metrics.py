@@ -59,6 +59,8 @@ class EtaFunction:
             us, vs = self.table
             us = np.asarray(us, dtype=float)
             vs = np.asarray(vs, dtype=float)
+            if not (np.all(np.isfinite(us)) and np.all(np.isfinite(vs))):
+                raise DomainError("tabulated eta needs finite u and values")
             if len(us) == 0 or np.any(np.diff(us) <= 0.0):
                 raise DomainError("tabulated eta needs strictly ascending u")
             if np.any(vs <= 0.0) or np.any(vs > 0.5):

@@ -30,7 +30,7 @@ from .errors import (
     ToleranceError,
 )
 from .metrics import _golden_section
-from .sieve import LambdaTable
+from .sieve import LambdaBuffer, LambdaTable
 from .smooth import DELTA_LIMIT, _psi_many, delta_many, smooth_baseline, weighted_exp_sum
 from .specfun import gamma_complex, loggamma, zeta_em, zeta_logderiv
 from .zeros import ZeroSet
@@ -139,54 +139,28 @@ def _loose_cutoff(u, eps):
     return int(m) + 1
 
 
-class _Prefix:
-    """Lambda(1..reach) of a table, sieved from one tiles() pass only as far as asked.
-
-    values has the table's full length, but np.zeros maps an array this
-    large as untouched zero pages, which take memory only once a tile is
-    written to them: memory follows reach, not limit.  U_integral's
-    march reads a few percent of its table (10 of about 200 tiles at
-    the benchmark's pintz config).
-    """
-
-    def __init__(self, table):
-        self.limit = table.limit
-        self.values = np.zeros(table.limit + 1)
-        self.reach = 0
-        self._tiles = iter(table.tiles())
-
-    def upto(self, n):
-        """values[1 : n + 1] for n <= limit, sieving further tiles while reach < n."""
-        while self.reach < n:
-            tile = next(self._tiles).reshape(-1)
-            hi = min(self.reach + len(tile), self.limit)
-            self.values[self.reach + 1 : hi + 1] = tile[: hi - self.reach]
-            self.reach = hi
-        return self.values[1 : n + 1]
-
-
 def _clamped_cutoff(u, eps, limit):
     """_loose_cutoff(u, eps), clamped to the table's limit without notice."""
     return min(_loose_cutoff(u, eps), limit)
 
 
-def _delta_point(prefix, u, eps):
+def _delta_point(held, u, eps):
     """Delta(u) to absolute accuracy ~eps, cheap tail rule (not the certified one).
 
-    The sum runs to _clamped_cutoff(u, eps, prefix.limit) and is read by
-    weighted_exp_sum from the held prefix, which is sieved that far
-    first.  The clamp is silent: where the table is shorter than
+    The sum runs to _clamped_cutoff(u, eps, held.limit) and is read by
+    weighted_exp_sum from held, a sieve.LambdaBuffer, which is filled
+    that far first.  The clamp is silent: where the table is shorter than
     _loose_cutoff(u, eps), Delta is read only as far as the table
     reaches, not to eps.  U_window sizes the table for 1e-5 at the
     window's top, so U_integral's tail envelope probes, which ask for
     1e-7, read a shorter table than they ask for near that top; the
-    probes past the prefix take the same clamp in U_integral before
+    probes past held.reach take the same clamp in U_integral before
     their streamed pass.
     """
     if u < 0.004:
         return 0.0
-    cutoff = _clamped_cutoff(u, eps, prefix.limit)
-    psi = weighted_exp_sum(prefix.upto(cutoff), u)
+    cutoff = _clamped_cutoff(u, eps, held.limit)
+    psi = weighted_exp_sum(held.upto(cutoff), u)
     return psi - smooth_baseline(u)
 
 
@@ -307,8 +281,8 @@ def U_integral(table, p: PintzParams, tol=0.1, panel_scale=1.0):
 
     The table is read only through `limit` and `tiles()`, as the Delta
     engine reads it, so a sieve.LambdaStream serves: the march's nodes
-    read a held prefix, sieved only as far as their largest cutoff; the
-    probes inside that prefix read it too, and the rest take one
+    read a sieve.LambdaBuffer, filled only as far as their largest
+    cutoff; the probes inside its reach read it too, and the rest take one
     streamed _psi_many pass at the same clamped cutoffs.  CapacityError
     comes before any tile is sieved.
     """
@@ -319,7 +293,7 @@ def U_integral(table, p: PintzParams, tol=0.1, panel_scale=1.0):
         raise CapacityError(
             f"window reaches u = {b:.3g}, beyond table limit {table.limit}"
         )
-    prefix = _Prefix(table)
+    held = LambdaBuffer(table)
     gamma0 = abs(p.rho0.imag)
     h = min(0.7 / max(gamma0, 1.0), 0.25 * math.sqrt(p.k)) * panel_scale
     xg, wg = _GAUSS_LEGENDRE[12]
@@ -339,7 +313,7 @@ def U_integral(table, p: PintzParams, tol=0.1, panel_scale=1.0):
             panel = 0j
             for xx, ww in zip(xg, wg):
                 u = math.exp(p.mu + mid + rad * xx)
-                d = _delta_point(prefix, u, node_eps) - DELTA_LIMIT
+                d = _delta_point(held, u, node_eps) - DELTA_LIMIT
                 gw = _g_prime_times_u(u, p)
                 panel += ww * rad * d * gw
                 weight_mass += ww * rad * abs(gw)
@@ -370,12 +344,12 @@ def U_integral(table, p: PintzParams, tol=0.1, panel_scale=1.0):
     if y_stop < width - 1e-9:
         u_stop = math.exp(p.mu + y_stop)
         probes = np.geomspace(u_stop, b, 6)
-        # probes the march's prefix reaches read it as the march does;
+        # probes the march's buffer reaches read it as the march does;
         # the rest share one streamed pass, at the same clamped cutoffs
         cutoffs = np.array([_clamped_cutoff(u, 1e-7, table.limit) for u in probes])
-        far = cutoffs > prefix.reach
+        far = cutoffs > held.reach
         d = np.empty(len(probes))
-        d[~far] = [_delta_point(prefix, u, 1e-7) for u in probes[~far]]
+        d[~far] = [_delta_point(held, u, 1e-7) for u in probes[~far]]
         psi = _psi_many(table.tiles(), probes[far], cutoffs[far])
         d[far] = psi - [smooth_baseline(u) for u in probes[far]]
         env = float(np.max(np.abs(d - DELTA_LIMIT)))

@@ -1,26 +1,22 @@
 """Sieved von Mangoldt values Lambda(n) and the Chebyshev step function.
 
 There is one sieve, lambda_tiles: a segmented sieve of Eratosthenes
-(Bays and Hudson, 1977) that yields the table in the Delta engine's
-tile order.  Tile t holds Lambda(n) for 1 + t T <= n <= (t+1) T, where
-T = _TILE_ROWS * _BLOCK = 262,144, as a (_TILE_ROWS, _BLOCK) float64
-array, zero past N.  Each segment is marked by strided writes of the
-base primes up to sqrt(N); its primes get np.log, and the prime powers
-p^k (k >= 2) come from one ascending list.  A tile costs about 2.3 MB
-whatever N is.
+(Bays and Hudson, 1977) that yields the table as flat float64 tiles of
+_TILE = 262,144 entries.  Tile t holds Lambda(n) for
+1 + t _TILE <= n <= (t+1) _TILE, zero past N.  Each segment is marked by
+strided writes of the base primes up to sqrt(N); its primes get np.log,
+and the prime powers p^k (k >= 2) come from one ascending list.  A tile
+costs about 2.3 MB whatever N is.
 
-Two kinds of table carry these tiles.  build_lambda copies them into one
-array, a LambdaTable, for the readers that index Lambda directly
-(goldbach, chebyshev_psi).  LambdaStream holds only the limit and sieves
-afresh on each tiles() call, so a Delta grid (metrics, delta) and
-pintz's U_integral, which holds only the prefix its march reads, never
-hold the whole table.  Both give their readers the same tiles, bit for
-bit.
-
-build_lambda's memory budget is 17 bytes per entry: 8 for values and 8
-for prefix (computed on first use).  The spare byte paid for the bool
-array of the whole-array sieve this one replaced; it is kept so that the
-budget check still refuses the same N.  A LambdaStream needs no budget.
+Every table gives its readers these tiles, bit for bit, through
+tiles().  A LambdaStream holds only the limit and sieves afresh on each
+tiles() call, so a Delta grid (metrics, delta) never holds the whole
+table.  A LambdaBuffer copies the tiles of one tiles() pass into an
+array, only as far as it is asked: pintz's U_integral holds just the
+part its march reads.  build_lambda is a LambdaBuffer filled to N, kept
+as a LambdaTable for the readers that index Lambda directly (goldbach,
+chebyshev_psi).  MAX_LIMIT caps N, so a table holds at most 1.6 GB of
+values and prefix sums.
 """
 
 import math
@@ -34,6 +30,7 @@ from .errors import CapacityError, RangeError
 __all__ = [
     "LambdaTable",
     "LambdaStream",
+    "LambdaBuffer",
     "build_lambda",
     "lambda_tiles",
     "array_tiles",
@@ -42,12 +39,7 @@ __all__ = [
 ]
 
 MAX_LIMIT = 100_000_000
-# 17 bytes per entry (module docstring); the default allows the full MAX_LIMIT.
-DEFAULT_BUDGET_BYTES = 4 * 1024**3
-
-_BLOCK = 4096  # entries per block row
-_TILE_ROWS = 64  # block rows per tile
-_TILE = _TILE_ROWS * _BLOCK
+_TILE = 262_144  # entries per tile
 
 
 @dataclass(frozen=True)
@@ -69,7 +61,7 @@ class LambdaTable:
         return np.cumsum(self.values)
 
     def tiles(self):
-        """The table in lambda_tiles' order, as views where a whole tile fits."""
+        """The table's tiles, as views where a whole tile fits."""
         return array_tiles(self.values)
 
 
@@ -90,6 +82,32 @@ class LambdaStream:
         return lambda_tiles(self.limit)
 
 
+class LambdaBuffer:
+    """Lambda(1..reach) of a table, copied from one tiles() pass only as far as asked.
+
+    values has the table's full length, but np.zeros maps an array this
+    large as untouched zero pages, which take memory only once a tile is
+    written to them: memory follows reach, not limit.  U_integral's
+    march reads a few percent of its table (10 of about 200 tiles at
+    the benchmark's pintz config).
+    """
+
+    def __init__(self, table):
+        self.limit = table.limit
+        self.values = np.zeros(table.limit + 1)
+        self.reach = 0
+        self._tiles = iter(table.tiles())
+
+    def upto(self, n):
+        """values[1 : n + 1] for n <= limit, copying further tiles while reach < n."""
+        while self.reach < n:
+            tile = next(self._tiles)
+            hi = min(self.reach + _TILE, self.limit)
+            self.values[self.reach + 1 : hi + 1] = tile[: hi - self.reach]
+            self.reach = hi
+        return self.values[1 : n + 1]
+
+
 def check_limit(N):
     """N as an int, or CapacityError when it lies outside [1, MAX_LIMIT]."""
     N = int(N)
@@ -101,13 +119,8 @@ def check_limit(N):
 def array_tiles(values):
     """Tiles of values[1:] in lambda_tiles' order, zero-padded past its end."""
     for lo in range(1, len(values), _TILE):
-        hi = lo + _TILE
-        if hi <= len(values):
-            yield values[lo:hi].reshape(_TILE_ROWS, _BLOCK)
-        else:
-            tile = np.zeros((_TILE_ROWS, _BLOCK))
-            tile.flat[: len(values) - lo] = values[lo:]
-            yield tile
+        tile = values[lo : lo + _TILE]
+        yield tile if len(tile) == _TILE else np.pad(tile, (0, _TILE - len(tile)))
 
 
 def lambda_tiles(N):
@@ -159,20 +172,14 @@ def _segment(lo, hi, base, powers, logs):
     tile[offsets] = np.log(offsets + lo)
     a, b = np.searchsorted(powers, [lo, hi])
     tile[powers[a:b] - lo] = logs[a:b]
-    return tile.reshape(_TILE_ROWS, _BLOCK)
+    return tile
 
 
-def build_lambda(N, budget_bytes=DEFAULT_BUDGET_BYTES):
-    """Lambda up to N as one array: the tiles of lambda_tiles(N), copied in."""
-    N = check_limit(N)
-    if 17 * N > budget_bytes:
-        raise CapacityError(f"N = {N} exceeds memory budget of {budget_bytes} bytes")
-    values = np.zeros(N + 1)
-    for t, tile in enumerate(lambda_tiles(N)):
-        lo = 1 + t * _TILE
-        hi = min(lo + _TILE, N + 1)
-        values[lo:hi] = tile.reshape(-1)[: hi - lo]
-    return LambdaTable(limit=N, values=values)
+def build_lambda(N):
+    """Lambda up to N as one array: a LambdaBuffer of lambda_tiles(N), filled to N."""
+    buffer = LambdaBuffer(LambdaStream(N))
+    buffer.upto(buffer.limit)
+    return LambdaTable(limit=buffer.limit, values=buffer.values)
 
 
 def chebyshev_psi(table, t):

@@ -34,8 +34,8 @@ that contains x, holds exactly.  delta, the S/D grids and the CLI all
 go through the engine.
 
 The engine reads a table through two attributes only, `limit` and
-`tiles()`: the tiles come in order (sieve module docstring), and it
-stops after the tile that holds the largest cutoff.  A LambdaTable
+`tiles()`: flat tiles of sieve._TILE entries, in order, and it stops
+after the tile that holds the largest cutoff.  A LambdaTable
 slices its array; a LambdaStream, which metrics, delta and pintz use,
 sieves each tile as it is read, so the whole table is never held.  A
 pass holds one tile and the moment arrays, _J doubles per block (1.5 MB
@@ -57,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError, RangeError
-from .sieve import _BLOCK, _TILE_ROWS
+from .sieve import _TILE
 
 __all__ = [
     "DELTA_LIMIT",
@@ -174,10 +174,12 @@ def weighted_exp_sum(coeffs, x):
 # Chebyshev terms per block.  With r <= 1/2, the first term omitted from
 # the series of e^{-r x} is at most 2 I_J(1/2) ~ 2 (1/4)^J / J!: 4.8e-18
 # <= eps at J = 13, while J = 12 leaves 2.5e-16 > eps.  J = 16 is kept,
-# as OpenBLAS multiplies a 64 x 4096 tile by 16 columns faster than by
-# 13 (0.30 against 0.46 ms on one Haswell-class Xeon core).
+# as OpenBLAS multiplies a tile, as 64 blocks of 4096, by 16 columns
+# faster than by 13 (0.30 against 0.46 ms on one Haswell-class Xeon core).
 _J = 16
-_SMALL_BLOCK = 64  # block size for 64 <= u < _BLOCK; direct sums below it
+# Block sizes.  Both must divide _TILE, as moments are taken over whole tiles.
+_BLOCK = 4096  # weighted_exp_sum's, and the engine's for u >= _BLOCK
+_SMALL_BLOCK = 64  # the engine's for 64 <= u < _BLOCK; direct sums below it
 # row k, column j: 1/(k! (k+j)!) times a_j's factor 1 or 2 (-1)^j, so that
 # a_j(r) = (r/2)^j sum_k (r^2/4)^k _BESSEL_SERIES[k, j] (_chebyshev_coeffs)
 _BESSEL_SERIES = np.array(
@@ -213,8 +215,8 @@ def _chebyshev_coeffs(r):
 def _psi_many(tiles, us, cutoffs):
     """sum_{n <= cutoffs[i]} c_n e^{-n/us[i]} for every i, all us > 0.
 
-    tiles yields the coefficients c_1, c_2, ... in sieve.lambda_tiles'
-    order; it is read in order and only as far as some point needs.
+    tiles yields the coefficients c_1, c_2, ... as flat tiles of _TILE
+    entries; it is read in order and only as far as some point needs.
     While a tile passes, the moments of each block size still needed are
     taken from it, and the partial last blocks it holds are summed
     directly.  A point with u < 64 has no full blocks: its direct sum is
@@ -222,7 +224,7 @@ def _psi_many(tiles, us, cutoffs):
     e^{-n/u} underflows to 0.  Each point then sums its own full blocks
     from the moments (module docstring).
     """
-    T = _TILE_ROWS * _BLOCK
+    T = _TILE
     out = np.zeros(len(us))
     size = np.select([us >= _BLOCK, us >= _SMALL_BLOCK], [_BLOCK, _SMALL_BLOCK], 0)
     full = cutoffs // np.maximum(size, 1) * size  # terms in a point's full blocks
@@ -239,7 +241,7 @@ def _psi_many(tiles, us, cutoffs):
     reach = int(np.where(cutoffs > full, full // T + 1, -(-full // T)).max(initial=0))
     tiles = iter(tiles)
     for t in range(reach):
-        tile = next(tiles).reshape(-1)
+        tile = next(tiles)
         for B, M in moments.items():
             rows = slice(t * (T // B), (t + 1) * (T // B))
             if rows.start < len(M):

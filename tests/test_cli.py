@@ -280,6 +280,61 @@ class TestExitCodes:
         assert out == "" and "Permission denied" in err
         assert not path.exists()
 
+    def test_negative_turan_seed(self, capsys):
+        code, out, err = run(capsys, "turan", "--seed", "-1", "--instances", "2")
+        assert code == 2
+        assert out == "" and "seed" in err
+
+
+def _strict_json(text):
+    """json.loads, refusing the NaN and Infinity tokens that JSON does not have."""
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestJsonOutput:
+    # every command with --format; zeros has no --format, it writes one
+    # gamma per line
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["metrics", "--x", "1:10:2"],  # omega is NaN at x = 1
+            ["delta", "--x", "10:100:3"],
+            ["goldbach", "--k", "2", "--x", "20:50:2"],
+            ["pintz", "--mu-scale", "20", "--k", "0.5", "--tol", "0.2"],
+            ["turan", "--seed", "3", "--instances", "5"],
+        ],
+    )
+    def test_json_parses_strictly_and_matches_csv(self, capsys, argv):
+        code, out_csv, _ = run(capsys, *argv)
+        assert code == 0
+        code, out_json, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        rows = _strict_json(out_json)["rows"]
+        body = list(csv.DictReader(io.StringIO(out_csv)))
+        assert len(rows) == len(body) > 0
+        for row, line in zip(rows, body):
+            assert list(row) == list(line)
+            for name, text in line.items():
+                value = float(text)
+                if math.isfinite(value):
+                    assert row[name] == value, name
+                else:
+                    assert row[name] is None, name
+
+    def test_non_finite_is_null(self, capsys):
+        code, out, _ = run(capsys, "metrics", "--x", "1:10:2", "--format", "json")
+        assert code == 0
+        assert "NaN" not in out
+        assert _strict_json(out)["rows"][0]["omega"] is None
+
+    def test_zeros_takes_no_format(self, capsys):
+        code, _, _ = run(capsys, "zeros", "--T", "20", "--format", "json")
+        assert code == 2
+
 
 class TestPintzCommand:
     def test_small_scale_run(self, capsys):

@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 
 from smoothed_pnt.errors import CapacityError
 from smoothed_pnt.metrics import metrics_row, metrics_rows
-from smoothed_pnt.sieve import LambdaStream, build_lambda
+from smoothed_pnt.sieve import _TILE, LambdaStream, build_lambda
 from smoothed_pnt.smooth import (
     _BLOCK,
-    _TILE_ROWS,
     avg_metric,
     delta,
     delta_many,
@@ -76,8 +75,8 @@ def test_table_end_padding():
     # term that matters
     u = 1.0e3
     M = truncation_cutoff(u, TOL)
-    last_tile = (M // _BLOCK - 1) // _TILE_ROWS * _TILE_ROWS
-    assert (last_tile + _TILE_ROWS) * _BLOCK > M
+    last_tile = (M // _BLOCK * _BLOCK - 1) // _TILE * _TILE
+    assert last_tile + _TILE > M
     table = build_lambda(M)
     us = np.array([u, 0.6 * u, 0.9 * u, 15.0])
     b = delta_many(table, us, tol=TOL)
@@ -138,10 +137,9 @@ def _u_with_cutoff_past(n):
 def test_partial_block_in_a_later_tile(table_mid):
     # cutoffs just past a tile end: the full blocks end with one tile and
     # the partial last block is the first row of the next
-    tile = _TILE_ROWS * _BLOCK
-    us = np.array([_u_with_cutoff_past(tile), _u_with_cutoff_past(2 * tile), 50.0])
+    us = np.array([_u_with_cutoff_past(_TILE), _u_with_cutoff_past(2 * _TILE), 50.0])
     streamed = delta_many(LambdaStream(table_mid.limit), us, tol=TOL)
-    for edge, M in zip((tile, 2 * tile), streamed.cutoff):
+    for edge, M in zip((_TILE, 2 * _TILE), streamed.cutoff):
         assert edge < M < edge + _BLOCK
     assert bits(streamed.psi) == bits(delta_many(table_mid, us, tol=TOL).psi)
     for u, M, psi in zip(us, streamed.cutoff, streamed.psi):
@@ -175,7 +173,7 @@ def test_streamed_memory_is_one_tile_and_the_moments():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * 8 * _TILE_ROWS * _BLOCK
+    assert peak < 3 * 8 * _TILE
 
 
 @pytest.mark.skipif(
@@ -200,9 +198,9 @@ def test_within_four_eps_u_of_long_double_sums():
     b = delta_many(table, us, tol=TOL)
     ref = np.zeros(len(us), dtype=np.longdouble)
     for t, tile in enumerate(table.tiles()):
-        at = np.flatnonzero(tile.reshape(-1))
-        n = (at + 1 + t * _TILE_ROWS * _BLOCK).astype(np.longdouble)
-        c = tile.reshape(-1)[at].astype(np.longdouble)
+        at = np.flatnonzero(tile)
+        n = (at + 1 + t * _TILE).astype(np.longdouble)
+        c = tile[at].astype(np.longdouble)
         for i, (u, M) in enumerate(zip(us, b.cutoff)):
             keep = n <= M
             ref[i] += np.sum(c[keep] * np.exp(-n[keep] / np.longdouble(u)))

@@ -137,6 +137,28 @@ class TestEtaFunction:
         with pytest.raises(ParseError):
             load_eta(p2)
 
+    @pytest.mark.parametrize(
+        "us, values",
+        [
+            ([0.0, 10.0], [0.5, math.nan]),
+            ([0.0, 10.0], [math.nan, 0.25]),
+            ([0.0, math.nan], [0.5, 0.25]),
+            ([0.0, math.inf], [0.5, 0.25]),
+            ([math.inf], [0.3]),
+            ([-math.inf, 0.0], [0.5, 0.25]),
+        ],
+    )
+    def test_tabulated_rejects_non_finite(self, us, values):
+        with pytest.raises(DomainError, match="finite"):
+            EtaFunction.tabulated(us, values)
+
+    @pytest.mark.parametrize("line", ["inf 0.3", "nan 0.3", "1.0 nan", "1.0 -inf"])
+    def test_load_eta_rejects_non_finite(self, tmp_path, line):
+        p = tmp_path / "eta.txt"
+        p.write_text(f"0.0 0.5\n{line}\n")
+        with pytest.raises(DomainError, match="finite"):
+            load_eta(p)
+
 
 class TestOmegaEta:
     def test_constant_half_minimizes_at_one(self):

@@ -11,7 +11,6 @@ from smoothed_pnt.errors import CapacityError, DomainError, NormalizationError
 from smoothed_pnt.pintz import (
     _GAUSS_LEGENDRE,
     PintzParams,
-    _Prefix,
     _turan_grid,
     U_integral,
     U_residue,
@@ -21,7 +20,7 @@ from smoothed_pnt.pintz import (
     mellin_H_quadrature,
     turan_bound,
 )
-from smoothed_pnt.sieve import _TILE, LambdaStream, build_lambda
+from smoothed_pnt.sieve import _TILE, LambdaBuffer, LambdaStream, build_lambda
 from smoothed_pnt.specfun import gamma_complex, loggamma
 from smoothed_pnt.zeros import ZeroSet
 
@@ -177,30 +176,30 @@ class TestUIntegral:
         ],
     )
     def test_stream_matches_held_table(self, monkeypatch, scale, k, tol, tiles):
-        held_prefixes = []
+        buffers = []
 
-        class Recording(_Prefix):
+        class Recording(LambdaBuffer):
             def __init__(self, table):
                 super().__init__(table)
-                held_prefixes.append(self)
+                buffers.append(self)
 
-        monkeypatch.setattr(pintz, "_Prefix", Recording)
+        monkeypatch.setattr(pintz, "LambdaBuffer", Recording)
         p = PintzParams(mu=math.log(scale), k=k, rho0=RHO1)
         limit = U_window(p, tol)[1]
         streamed = U_integral(LambdaStream(limit), p, tol=tol)
         held = U_integral(build_lambda(limit), p, tol=tol)
         assert _bits(streamed) == _bits(held)
-        reach = held_prefixes[0].reach
+        reach = buffers[0].reach
         assert (tiles - 1) * _TILE < reach <= min(tiles * _TILE, limit)
 
     def test_prefix_holds_the_table_bits(self, table_mid):
-        prefix = _Prefix(LambdaStream(table_mid.limit))
-        assert prefix.reach == 0
-        head = prefix.upto(300_000)  # into the second tile
-        assert prefix.reach == 2 * _TILE
+        buffer = LambdaBuffer(LambdaStream(table_mid.limit))
+        assert buffer.reach == 0
+        head = buffer.upto(300_000)  # into the second tile
+        assert buffer.reach == 2 * _TILE
         assert head.tobytes() == table_mid.values[1:300_001].tobytes()
-        full = prefix.upto(table_mid.limit)  # the last tile, cut at the limit
-        assert prefix.reach == table_mid.limit
+        full = buffer.upto(table_mid.limit)  # the last tile, cut at the limit
+        assert buffer.reach == table_mid.limit
         assert full.tobytes() == table_mid.values[1:].tobytes()
 
     def test_short_stream_raises_before_sieving(self, monkeypatch):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from smoothed_pnt.errors import CapacityError, RangeError
+from smoothed_pnt.sieve import _TILE as TILE
 from smoothed_pnt.sieve import MAX_LIMIT, LambdaStream, build_lambda, chebyshev_psi, lambda_tiles
-
-TILE = 64 * 4096  # entries per tile
+from smoothed_pnt.smooth import _BLOCK, _SMALL_BLOCK
 
 
 def lambda_trial_division(N):
@@ -59,17 +59,28 @@ def lambda_whole_array(N):
 # 2^18 = TILE is a prime power and the last entry of tile 0
 @pytest.mark.parametrize("N", [1, 2, TILE - 1, TILE, TILE + 1, 3 * TILE - 1, 3 * TILE + 1])
 def test_tiles_match_whole_array_sieve(N):
+    # every tile source yields flat TILE-long float64 tiles holding
+    # Lambda(1..N), zero past N
     oracle = lambda_whole_array(N)
-    tiles = list(lambda_tiles(N))
-    assert len(tiles) == -(-N // TILE)
-    assert all(t.shape == (64, 4096) and t.dtype == np.float64 for t in tiles)
-    flat = np.concatenate([t.reshape(-1) for t in tiles])
-    assert flat[:N].tobytes() == oracle[1:].tobytes()
-    assert not flat[N:].any()  # zero past N
     table = build_lambda(N)
     assert table.values.tobytes() == oracle.tobytes()
-    from_table = np.concatenate([t.reshape(-1) for t in table.tiles()])
-    assert from_table.tobytes() == flat.tobytes()
+    sources = {
+        "lambda_tiles": lambda_tiles(N),
+        "LambdaStream": LambdaStream(N).tiles(),
+        "LambdaTable": table.tiles(),
+    }
+    for name, tiles in sources.items():
+        tiles = list(tiles)
+        assert len(tiles) == -(-N // TILE), name
+        assert all(t.shape == (TILE,) and t.dtype == np.float64 for t in tiles), name
+        flat = np.concatenate(tiles)
+        assert flat[:N].tobytes() == oracle[1:].tobytes(), name
+        assert not flat[N:].any(), name
+
+
+def test_block_sizes_divide_the_tile():
+    # the engine takes its moments over whole tiles, reshaped to (-1, B)
+    assert TILE % _BLOCK == TILE % _SMALL_BLOCK == 0
 
 
 def test_stream_checks_its_limit():
@@ -168,5 +179,3 @@ def test_psi_pnt_sanity_and_prime_count():
 def test_capacity_gate():
     with pytest.raises(CapacityError):
         build_lambda(200_000_000)
-    with pytest.raises(CapacityError):
-        build_lambda(1_000_000, budget_bytes=1024)
