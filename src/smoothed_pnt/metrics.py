@@ -59,6 +59,8 @@ class EtaFunction:
             us, vs = self.table
             us = np.asarray(us, dtype=float)
             vs = np.asarray(vs, dtype=float)
+            if us.shape != vs.shape or us.ndim != 1:
+                raise DomainError("tabulated eta needs one value per u")
             if not (np.all(np.isfinite(us)) and np.all(np.isfinite(vs))):
                 raise DomainError("tabulated eta needs finite u and values")
             if len(us) == 0 or np.any(np.diff(us) <= 0.0):

@@ -155,7 +155,7 @@ def _delta_point(held, u, eps):
     window's top, so U_integral's tail envelope probes, which ask for
     1e-7, read a shorter table than they ask for near that top; the
     probes past held.reach take the same clamp in U_integral before
-    their streamed pass.
+    their _psi_many pass.
     """
     if u < 0.004:
         return 0.0
@@ -283,8 +283,9 @@ def U_integral(table, p: PintzParams, tol=0.1, panel_scale=1.0):
     engine reads it, so a sieve.LambdaStream serves: the march's nodes
     read a sieve.LambdaBuffer, filled only as far as their largest
     cutoff; the probes inside its reach read it too, and the rest take one
-    streamed _psi_many pass at the same clamped cutoffs.  CapacityError
-    comes before any tile is sieved.
+    _psi_many pass at the same clamped cutoffs over the buffer's tiles,
+    so no tile is sieved twice.  CapacityError comes before any tile is
+    sieved.
     """
     width, limit = U_window(p, tol)
     b = math.exp(p.mu + width)
@@ -345,12 +346,13 @@ def U_integral(table, p: PintzParams, tol=0.1, panel_scale=1.0):
         u_stop = math.exp(p.mu + y_stop)
         probes = np.geomspace(u_stop, b, 6)
         # probes the march's buffer reaches read it as the march does;
-        # the rest share one streamed pass, at the same clamped cutoffs
+        # the rest share one pass over its held tiles and then the rest of
+        # its stream, at the same clamped cutoffs
         cutoffs = np.array([_clamped_cutoff(u, 1e-7, table.limit) for u in probes])
         far = cutoffs > held.reach
         d = np.empty(len(probes))
         d[~far] = [_delta_point(held, u, 1e-7) for u in probes[~far]]
-        psi = _psi_many(table.tiles(), probes[far], cutoffs[far])
+        psi = _psi_many(held.tiles(), probes[far], cutoffs[far])
         d[far] = psi - [smooth_baseline(u) for u in probes[far]]
         env = float(np.max(np.abs(d - DELTA_LIMIT)))
         # cover the skipped stretch plus the beyond-window residue of the

@@ -128,6 +128,52 @@ def truncation_cutoff(x, tol):
     return _smallest_cutoff(lambda m: _log_tail(m, x) <= log_tol, lo)
 
 
+def _truncation_cutoffs(xs, tol):
+    """truncation_cutoff(x, tol) at every x of xs: the same integers, searched together.
+
+    _cutoff_candidates proposes each M with numpy logs.  np.log differs
+    from math.log in the last bit for about 1 argument in 10^4, so each
+    M is then confirmed with the scalar predicate: it fits, and it is lo
+    or, past lo, M - 1 does not fit.  From lo = max(20, 10x) on, the log
+    tail falls by more than 0.86/x per step, far above its rounding
+    while x < 1e12, so the predicate turns true once and a confirmed M
+    is the scalar search's.  The other points, those truncation_cutoff
+    refuses among them, take the scalar search.
+    """
+    xs = np.asarray(xs, dtype=float)
+    quick = (xs > 0.0) & (xs < 1e12) if tol > 0.0 else np.zeros(len(xs), dtype=bool)
+    log_tol = math.log(tol) if tol > 0.0 else 0.0
+    first = np.zeros(len(xs), dtype=np.int64)
+    out = np.zeros(len(xs), dtype=np.int64)
+    first[quick], out[quick] = _cutoff_candidates(xs[quick], log_tol)
+    rows = zip(xs.tolist(), out.tolist(), first.tolist(), quick.tolist())
+    for i, (x, m, lo, q) in enumerate(rows):
+        fit = q and _log_tail(m, x) <= log_tol
+        if not (fit and (m == lo or m > lo and _log_tail(m - 1, x) > log_tol)):
+            out[i] = truncation_cutoff(x, tol)
+    return out
+
+
+def _cutoff_candidates(x, log_tol):
+    """truncation_cutoff's lo and its doubling-plus-bisection, for all of x at once in numpy."""
+    log_x = np.log(x)
+
+    def fits(m):
+        return np.log(m) + np.log(np.log(m)) - m / x + log_x <= log_tol
+
+    lo = np.maximum(20, np.ceil(10.0 * x)).astype(np.int64)
+    hi = lo.copy()
+    while not (held := fits(hi)).all():
+        hi[~held] *= 2
+    low = lo.copy()
+    while (live := low + 1 < hi).any():
+        mid = (low + hi) // 2
+        mid_fits = fits(mid)
+        hi = np.where(live & mid_fits, mid, hi)
+        low = np.where(live & ~mid_fits, mid, low)
+    return lo, hi
+
+
 def _smallest_cutoff(fits, lo):
     """Smallest M >= lo with fits(M), by doubling then bisection; fits fails, then holds."""
     if fits(lo):
@@ -267,8 +313,7 @@ def delta_many(table, us, tol=1e-9):
     us = np.asarray(us, dtype=float)
     live = np.flatnonzero(us != 0.0)
     cutoff = np.zeros(len(us), dtype=np.int64)
-    for i in live:
-        cutoff[i] = truncation_cutoff(us[i], tol)
+    cutoff[live] = _truncation_cutoffs(us[live], tol)
     over = live[cutoff[live] > table.limit]
     if len(over):
         i = over[0]

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smoothed_pnt.errors import CapacityError
+from smoothed_pnt import smooth
+from smoothed_pnt.errors import CapacityError, RangeError
 from smoothed_pnt.metrics import metrics_row, metrics_rows
 from smoothed_pnt.sieve import _TILE, LambdaStream, build_lambda
 from smoothed_pnt.smooth import (
     _BLOCK,
+    _truncation_cutoffs,
     avg_metric,
     delta,
     delta_many,
@@ -68,6 +70,35 @@ def test_matches_per_point_reference(table_mid, us):
         assert abs(b.psi[i] - ref) <= 1e-13 * ref
         assert b.delta[i] == b.psi[i] - b.baseline[i]
         assert 0.0 <= b.tail_bound[i] <= TOL  # underflows to 0 for tiny u
+
+
+def test_batched_cutoffs_are_the_scalar_search():
+    # 20,000 seeded (x, tol) draws: 200 tolerances of 100 points each
+    rng = np.random.default_rng(20_000)
+    for tol in 10.0 ** rng.uniform(-15.0, -0.5, 200):
+        xs = 10.0 ** rng.uniform(-3.0, 7.0, 100)
+        assert _truncation_cutoffs(xs, tol).tolist() == [truncation_cutoff(x, tol) for x in xs]
+
+
+def test_unconfirmed_cutoffs_take_the_scalar_search(monkeypatch):
+    # candidates one off in either direction fail the scalar check
+    xs = np.geomspace(0.5, 1e6, 50)
+    exact = [truncation_cutoff(x, TOL) for x in xs]
+    search = smooth._cutoff_candidates
+    for shift in (-1, 1):
+
+        def shifted(x, log_tol, shift=shift):
+            lo, hi = search(x, log_tol)
+            return lo, hi + shift
+
+        monkeypatch.setattr(smooth, "_cutoff_candidates", shifted)
+        assert _truncation_cutoffs(xs, TOL).tolist() == exact
+    # points and tolerances truncation_cutoff refuses are refused alike
+    with pytest.raises(RangeError, match="x must be positive"):
+        _truncation_cutoffs(np.array([5.0, -1.0]), TOL)
+    with pytest.raises(RangeError, match="tol must be positive"):
+        _truncation_cutoffs(xs, 0.0)
+    assert _truncation_cutoffs(np.array([1e13]), TOL)[0] == truncation_cutoff(1e13, TOL)
 
 
 def test_table_end_padding():

@@ -152,6 +152,18 @@ class TestEtaFunction:
         with pytest.raises(DomainError, match="finite"):
             EtaFunction.tabulated(us, values)
 
+    @pytest.mark.parametrize(
+        "us, values",
+        [
+            ([0.0, 10.0], [0.5]),  # the step past 10 would have no value
+            ([0.0], [0.5, 0.25]),
+            ([[0.0, 10.0]], [[0.5, 0.25]]),
+        ],
+    )
+    def test_tabulated_rejects_mismatched_lengths(self, us, values):
+        with pytest.raises(DomainError, match="one value per u"):
+            EtaFunction.tabulated(us, values)
+
     @pytest.mark.parametrize("line", ["inf 0.3", "nan 0.3", "1.0 nan", "1.0 -inf"])
     def test_load_eta_rejects_non_finite(self, tmp_path, line):
         p = tmp_path / "eta.txt"

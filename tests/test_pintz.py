@@ -192,6 +192,29 @@ class TestUIntegral:
         reach = buffers[0].reach
         assert (tiles - 1) * _TILE < reach <= min(tiles * _TILE, limit)
 
+    def test_far_probes_read_the_held_tiles(self, monkeypatch):
+        # the march holds two tiles; the far probes read those, then sieve
+        # the rest of the table once
+        sieved = []
+        segment = sieve._segment
+
+        def recording(lo, *args):
+            sieved.append(lo)
+            return segment(lo, *args)
+
+        monkeypatch.setattr(sieve, "_segment", recording)
+        p = PintzParams(mu=math.log(60.0), k=0.6, rho0=RHO1)
+        limit = U_window(p, 0.1)[1]
+        U_integral(LambdaStream(limit), p, tol=0.1)
+        assert sieved == list(range(1, limit + 1, _TILE))
+
+    def test_buffer_tiles_hold_then_stream(self, table_mid):
+        buffer = LambdaBuffer(LambdaStream(table_mid.limit))
+        buffer.upto(300_000)
+        tiles = list(buffer.tiles())
+        assert [t.tobytes() for t in tiles] == [t.tobytes() for t in table_mid.tiles()]
+        assert buffer.upto(2 * _TILE).tobytes() == table_mid.values[1 : 2 * _TILE + 1].tobytes()
+
     def test_prefix_holds_the_table_bits(self, table_mid):
         buffer = LambdaBuffer(LambdaStream(table_mid.limit))
         assert buffer.reach == 0

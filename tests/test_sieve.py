@@ -1,8 +1,12 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from smoothed_pnt import sieve
 from smoothed_pnt.errors import CapacityError, RangeError
 from smoothed_pnt.sieve import _TILE as TILE
 from smoothed_pnt.sieve import MAX_LIMIT, LambdaStream, build_lambda, chebyshev_psi, lambda_tiles
@@ -57,7 +61,7 @@ def lambda_whole_array(N):
 
 
 # 2^18 = TILE is a prime power and the last entry of tile 0
-@pytest.mark.parametrize("N", [1, 2, TILE - 1, TILE, TILE + 1, 3 * TILE - 1, 3 * TILE + 1])
+@pytest.mark.parametrize("N", [1, 2] + [k * TILE + d for k in (1, 2, 3, 4) for d in (-1, 0, 1)])
 def test_tiles_match_whole_array_sieve(N):
     # every tile source yields flat TILE-long float64 tiles holding
     # Lambda(1..N), zero past N
@@ -76,6 +80,62 @@ def test_tiles_match_whole_array_sieve(N):
         flat = np.concatenate(tiles)
         assert flat[:N].tobytes() == oracle[1:].tobytes(), name
         assert not flat[N:].any(), name
+
+
+def assert_tiles_are_the_oracle(N):
+    tiles = list(lambda_tiles(N))
+    assert len(tiles) == -(-N // TILE)
+    flat = np.concatenate(tiles)
+    assert flat[:N].tobytes() == lambda_whole_array(N)[1:].tobytes()
+    assert not flat[N:].any()
+
+
+def test_small_limits_match_whole_array_sieve():
+    # the wheel primes 3..13, their squares and cubes, n = 1 and n = 2
+    for N in range(1, 201):
+        assert_tiles_are_the_oracle(N)
+
+
+@settings(max_examples=25, deadline=None)
+@given(N=st.integers(1, 3 * TILE))
+def test_any_limit_matches_whole_array_sieve(N):
+    assert_tiles_are_the_oracle(N)
+
+
+@pytest.mark.parametrize("split", [17, 100])
+def test_scattered_primes_match_whole_array_sieve(monkeypatch, split):
+    # below the pinned size only base primes under sqrt(3 TILE) < 900
+    # exist, so move the strided/scattered split down to reach the octaves
+    monkeypatch.setattr(sieve, "_SCATTER_FROM", split)
+    for N in (200, 17 * 17, 18_000, TILE - 1, TILE + 1, 3 * TILE + 1):
+        assert_tiles_are_the_oracle(N)
+
+
+@pytest.mark.parametrize("m", [TILE // 2, 1000, 1])
+def test_octaves_cover_every_odd_multiple(m):
+    primes = sieve._primes_upto(10_000)
+    primes = primes[primes > 13]
+    octaves = sieve._octaves(primes, m)
+    assert octaves[0][0].start == 0
+    assert [a.stop for a, _ in octaves[:-1]] == [b.start for b, _ in octaves[1:]]
+    assert octaves[-1][0].stop == len(primes)
+    for rows, k in octaves:
+        group = primes[rows]
+        assert group[-1] < 2 * group[0]
+        # a prime p has at most ceil(m / p) odd multiples among m consecutive odd n
+        assert all(-(-m // p) <= len(k) for p in group.tolist())
+        assert k.tolist() == list(range(len(k)))
+
+
+def test_large_table_bits_are_pinned():
+    # at this size every path of the segment sieve runs: strided and
+    # scattered base primes, 188 wheel phases, prime powers in most tiles.
+    # The digest of the concatenated tiles was recorded from the plain
+    # segmented sieve (every base prime a strided write over all n).
+    digest = hashlib.sha256()
+    for tile in lambda_tiles(49_066_291):
+        digest.update(tile)
+    assert digest.hexdigest() == "e17206c78d911d675337a6b1ddd1406d01abfefe12053ab3fa21ba13cec22ad3"
 
 
 def test_block_sizes_divide_the_tile():
