@@ -179,26 +179,34 @@ def metrics_rows(table, zeros: ZeroSet, xs, grid=64, tol=1e-6):
     One delta_many call covers every x's avg_metric grid, which is its
     sup_metric grid plus u = 0, so S and D equal what those two functions
     return, bit for bit (the engine's results do not depend on the
-    batch), and the table is read once for all of them.  Psi, I and
-    Delta at x come from the same call: each grid ends at x.
+    batch), and the table is read once for all of them.  The grids share
+    their [0.02, 1] head and u = 0, so the call takes each distinct
+    point once.  Psi, I and Delta at x come from the same call: each
+    grid ends at x.
     """
     from .smooth import delta_many, hybrid_grid, trapezoid_mean
 
     grids = [hybrid_grid(x, points=grid, include_zero=True) for x in xs]
-    batch = delta_many(table, np.concatenate([np.empty(0), *grids]), tol=tol)
+    us_all = np.concatenate([np.empty(0), *grids])
+    points = np.unique(us_all)
+    # each grid point's place among the distinct ones (a lighter inverse
+    # than np.unique's, which argsorts)
+    at = np.searchsorted(points, us_all)
+    batch = delta_many(table, points, tol=tol)
     rows = []
     end = 0
     for x, us in zip(xs, grids):
         start, end = end, end + len(us)
-        vals = np.abs(batch.delta[start:end])
+        vals = np.abs(batch.delta[at[start:end]])
         S = float(np.max(vals))
         D = trapezoid_mean(us, vals, x).value
         W = zero_sum_W(max(x, 1.0), zeros)
+        last = at[end - 1]
         rows.append(MetricsRow(
             x=float(x),
-            psi=float(batch.psi[end - 1]),
-            baseline=float(batch.baseline[end - 1]),
-            delta=float(batch.delta[end - 1]),
+            psi=float(batch.psi[last]),
+            baseline=float(batch.baseline[last]),
+            delta=float(batch.delta[last]),
             S=S,
             D=D,
             W=W,

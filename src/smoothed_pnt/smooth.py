@@ -118,10 +118,12 @@ def truncation_cutoff(x, tol):
 
     The left side dominates the omitted tail sum_{n>M} (log n) e^{-n/x}
     by an integral comparison, so stopping at M certifies the tail.
+    RangeError unless x is positive and finite and tol positive (a NaN
+    fails both checks).
     """
-    if x <= 0.0:
-        raise RangeError("x must be positive")
-    if tol <= 0.0:
+    if not (0.0 < x < math.inf):
+        raise RangeError("x must be positive and finite")
+    if not (tol > 0.0):
         raise RangeError("tol must be positive")
     lo = max(20, int(math.ceil(10.0 * x)))
     log_tol = math.log(tol)

@@ -1,6 +1,7 @@
 """Properties of the batched Delta engine, smooth.delta_many."""
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -101,6 +102,16 @@ def test_unconfirmed_cutoffs_take_the_scalar_search(monkeypatch):
     assert _truncation_cutoffs(np.array([1e13]), TOL)[0] == truncation_cutoff(1e13, TOL)
 
 
+@pytest.mark.parametrize(
+    "x, tol", [(10.0, math.nan), (math.nan, TOL), (math.inf, TOL), (-math.inf, TOL)]
+)
+def test_nan_and_infinite_inputs_are_range_errors(table_small, x, tol):
+    with pytest.raises(RangeError):
+        truncation_cutoff(x, tol)
+    with pytest.raises(RangeError):
+        delta_many(table_small, [10.0, x], tol=tol)
+
+
 def test_table_end_padding():
     # the table ends inside the first and only tile, which holds every
     # term that matters
@@ -185,6 +196,23 @@ def test_metrics_rows_match_one_row_at_a_time(table_mid, zeros_rh):
     for x, row in zip(xs, rows):
         one = metrics_row(table_mid, zeros_rh, x, grid=64, tol=1e-6)
         assert bits(dataclasses.astuple(row)) == bits(dataclasses.astuple(one))
+
+
+def test_metrics_rows_evaluate_each_distinct_point_once(table_mid, zeros_rh, monkeypatch):
+    # the grids share their [0.02, 1] head and u = 0; the engine sees each
+    # distinct point once
+    xs = np.geomspace(10.0, 1e3, 25)
+    grids = [hybrid_grid(x, points=64, include_zero=True) for x in xs]
+    sizes = []
+
+    def counting(table, us, tol):
+        sizes.append(len(us))
+        return delta_many(table, us, tol=tol)
+
+    monkeypatch.setattr(smooth, "delta_many", counting)
+    metrics_rows(table_mid, zeros_rh, xs, grid=64, tol=1e-6)
+    assert sizes == [len(np.unique(np.concatenate(grids)))]
+    assert sizes[0] < sum(map(len, grids))
 
 
 def test_streamed_memory_is_one_tile_and_the_moments():

@@ -2,12 +2,14 @@ import cmath
 import math
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import smoothed_pnt.specfun as specfun
 from smoothed_pnt.errors import (
     AccuracyError,
     DomainError,
@@ -17,6 +19,7 @@ from smoothed_pnt.errors import (
 )
 from smoothed_pnt.specfun import (
     _BERNOULLI,
+    _em_core,
     _hardy_Z_array,
     _rs_Z,
     gamma_complex,
@@ -29,6 +32,7 @@ from smoothed_pnt.specfun import (
 )
 
 GAMMA1 = 14.134725141734693
+GOLDEN_1000 = Path(__file__).resolve().parent / "golden" / "zeros_1000.txt"
 
 
 class TestGamma:
@@ -290,6 +294,58 @@ class TestLogDeriv:
         assert err2 > 0.0  # degrades gracefully but still reports
 
 
+def _sliced_bits(monkeypatch, s, n_terms, deriv):
+    """_em_core's values and bounds as bytes, with one row a slice and with every row at once."""
+    out = []
+    for size in (1, 1 << 40):
+        monkeypatch.setattr(specfun, "_HEAD_BUF", size)
+        vals, bounds = _em_core(s, n_terms, deriv=deriv)
+        out.append([v.tobytes() for v in vals + bounds])
+    return out
+
+
+class TestEmHeadSlices:
+    """_em_core's head sums go a slice of s at a time through one buffer."""
+
+    @pytest.mark.parametrize("deriv", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_row_or_all_rows_same_bits(self, monkeypatch, seed, deriv):
+        rng = np.random.default_rng(seed)
+        s = rng.uniform(-0.99, 3.0, 300) + 1j * rng.uniform(0.0, 1e3, 300)
+        one, every = _sliced_bits(monkeypatch, s, int(rng.integers(2, 1400)), deriv)
+        assert one == every
+
+    @pytest.mark.parametrize("deriv", [False, True])
+    def test_near_golden_zeros_same_bits(self, monkeypatch, deriv):
+        # heights within 1e-9 of the T = 1000 zeros, at the refinement's
+        # 1,310 terms, where |zeta| is smallest against its head sums
+        gammas = np.array(GOLDEN_1000.read_text(encoding="utf-8").split(), dtype=float)
+        rng = np.random.default_rng(1000)
+        s = 0.5 + 1j * (gammas + rng.uniform(-1e-9, 1e-9, len(gammas)))
+        one, every = _sliced_bits(monkeypatch, s, 1310, deriv)
+        assert one == every
+
+    def test_head_sums_are_the_unsliced_formula(self):
+        # the buffer's in-place ufuncs give the bits of the plain
+        # expressions, for complex s and for the real rounding floor
+        rng = np.random.default_rng(5)
+        log_n = np.log(np.arange(1, 1310, dtype=float))
+        for x in (0.5 + 1j * rng.uniform(0.0, 1e3, 120), rng.uniform(-0.99, 3.0, 7)):
+            powers = np.exp(-np.multiply.outer(x, log_n))
+            want = [powers.sum(axis=-1), (powers * log_n).sum(axis=-1)]
+            got = specfun._head_sums(x, log_n, deriv=True)
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+    def test_shape_and_empty_batches(self):
+        s = np.array([[2.0 + 1j, 0.5 + 14j], [3.0, -0.5 + 100j]])
+        vals, bounds = _em_core(s, 200, deriv=True)
+        flat_vals, flat_bounds = _em_core(s.ravel(), 200, deriv=True)
+        for a, b in zip(vals + bounds, flat_vals + flat_bounds):
+            assert a.shape == s.shape and a.ravel().tobytes() == b.tobytes()
+        vals, bounds = _em_core(np.empty(0, dtype=complex), 200)
+        assert vals[0].shape == bounds[0].shape == (0,)
+
+
 class TestHardyZ:
     def test_at_zero_is_zeta_half(self):
         assert hardy_Z(0.0) == pytest.approx(zeta_em(0.5).real, rel=1e-12)
@@ -329,8 +385,6 @@ class TestHardyZ:
             hardy_Z(t)
 
     def test_rotation_off_the_real_axis_raises(self, monkeypatch):
-        import smoothed_pnt.specfun as specfun
-
         theta = specfun.rs_theta
         monkeypatch.setattr(specfun, "rs_theta", lambda t: theta(t) + 1e-6)
         with pytest.raises(AccuracyError):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -186,6 +187,18 @@ class TestFindZeros:
         monkeypatch.setattr(zeros_mod, "_rs_Z", certify_nothing)
         want = np.array(GOLDEN_1000.read_text(encoding="utf-8").split(), dtype=float)
         assert find_zeros(1000.0).gammas.tobytes() == want.tobytes()
+
+    def test_memory_peak(self):
+        # the Euler-Maclaurin head powers pass through one 1 MiB buffer a
+        # slice at a time (5.3 MB measured); a call that holds its whole
+        # head-power matrix peaks at 14 MB or more
+        tracemalloc.start()
+        try:
+            find_zeros(1000.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
     def test_em_value_does_not_depend_on_the_batch(self):
         # the scan evaluates subsets of a chunk at the chunk's head length;
