@@ -184,11 +184,11 @@ def metrics_rows(table, zeros: ZeroSet, xs, grid=64, tol=1e-6):
     point once.  Psi, I and Delta at x come from the same call: each
     grid ends at x.
     """
-    from .smooth import delta_many, hybrid_grid, trapezoid_mean
+    from .smooth import _distinct, delta_many, hybrid_grid, trapezoid_mean
 
     grids = [hybrid_grid(x, points=grid, include_zero=True) for x in xs]
     us_all = np.concatenate([np.empty(0), *grids])
-    points = np.unique(us_all)
+    points = _distinct(us_all)
     # each grid point's place among the distinct ones (a lighter inverse
     # than np.unique's, which argsorts)
     at = np.searchsorted(points, us_all)

@@ -24,7 +24,9 @@ M[q, j] = sum_m c_{qB+m} T_j(x_m) do not depend on u: one pass over the
 table computes them, and a point costs _J multiply-adds per block, not
 B.  Points with u >= _BLOCK take B = _BLOCK, those with 64 <= u < _BLOCK
 take B = 64 (r <= 1/2 either way), and those with u < 64 a direct sum;
-a partial last block is summed directly.
+a partial last block is summed directly.  The zero side uses the same
+expansion at an imaginary r: specfun's head moments give the zero
+finder's Euler-Maclaurin heads, so _chebyshev_coeffs takes a complex r.
 
 Each moment comes from one fixed-shape product per tile, and a point
 reads only the moments and its own partial block, in shapes set by its
@@ -119,15 +121,22 @@ def truncation_cutoff(x, tol):
     The left side dominates the omitted tail sum_{n>M} (log n) e^{-n/x}
     by an integral comparison, so stopping at M certifies the tail.
     RangeError unless x is positive and finite and tol positive (a NaN
-    fails both checks).
+    fails both checks), and for an x so large (from about 1e305) that
+    10x or the search's M / x leaves the binary64 range.
     """
     if not (0.0 < x < math.inf):
         raise RangeError("x must be positive and finite")
     if not (tol > 0.0):
         raise RangeError("tol must be positive")
-    lo = max(20, int(math.ceil(10.0 * x)))
     log_tol = math.log(tol)
-    return _smallest_cutoff(lambda m: _log_tail(m, x) <= log_tol, lo)
+    try:
+        lo = max(20, int(math.ceil(10.0 * x)))
+        return _smallest_cutoff(lambda m: _log_tail(m, x) <= log_tol, lo)
+    except OverflowError:
+        raise RangeError(f"x = {x:g} is too large: its cutoff leaves the binary64 range") from None
+
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _truncation_cutoffs(xs, tol):
@@ -140,7 +149,8 @@ def _truncation_cutoffs(xs, tol):
     tail falls by more than 0.86/x per step, far above its rounding
     while x < 1e12, so the predicate turns true once and a confirmed M
     is the scalar search's.  The other points, those truncation_cutoff
-    refuses among them, take the scalar search.
+    refuses among them, take the scalar search.  A cutoff past the int64
+    range (x from about 8.6e16) raises RangeError.
     """
     xs = np.asarray(xs, dtype=float)
     quick = (xs > 0.0) & (xs < 1e12) if tol > 0.0 else np.zeros(len(xs), dtype=bool)
@@ -152,7 +162,10 @@ def _truncation_cutoffs(xs, tol):
     for i, (x, m, lo, q) in enumerate(rows):
         fit = q and _log_tail(m, x) <= log_tol
         if not (fit and (m == lo or m > lo and _log_tail(m - 1, x) > log_tol)):
-            out[i] = truncation_cutoff(x, tol)
+            m = truncation_cutoff(x, tol)
+            if m > _INT64_MAX:
+                raise RangeError(f"x = {x:g} is too large: its cutoff {m:.3g} exceeds int64")
+            out[i] = m
     return out
 
 
@@ -236,26 +249,34 @@ _BESSEL_SERIES = np.array(
 )
 
 
-@functools.cache
-def _chebyshev_basis(B):
-    """T_j(x_m) for block offsets m = 1..B (rows) and j < _J (columns), built once."""
-    x = (2.0 * np.arange(1, B + 1) - B - 1) / (B - 1)
-    T = [np.ones(B), x]
+def _chebyshev_table(x):
+    """T_j(x) for every x of a 1-D array in [-1, 1] (rows) and j < _J (columns)."""
+    T = [np.ones(len(x)), x]
     while len(T) < _J:
         T.append(2.0 * x * T[-1] - T[-2])
     return np.stack(T, axis=1)
 
 
-def _chebyshev_coeffs(r):
-    """a_j(r), j < _J, of e^{-r x} = sum_j a_j(r) T_j(x): one row per r <= 1/2.
+@functools.cache
+def _chebyshev_basis(B):
+    """T_j(x_m) for block offsets m = 1..B (rows) and j < _J (columns), built once."""
+    return _chebyshev_table((2.0 * np.arange(1, B + 1) - B - 1) / (B - 1))
 
-    Elementwise only, so each row is the same whatever else is in r.
+
+def _chebyshev_coeffs(r):
+    """a_j(r), j < _J, of e^{-r x} = sum_j a_j(r) T_j(x): one row per r, |r| <= 1/2.
+
+    r is real on the Lambda side and imaginary, r = iz, on the zero side
+    (specfun._moment_heads), where a_j(iz) = 2 (-i)^j J_j(z); a complex
+    r gives complex rows, a real r the real ones.  Elementwise only, so
+    each row is the same whatever else is in r.
     """
+    dtype = np.result_type(r, float)
     y = (0.25 * r * r)[:, None]
-    series = np.zeros((len(r), _J))
+    series = np.zeros((len(r), _J), dtype=dtype)
     for row in _BESSEL_SERIES[::-1]:
         series = series * y + row
-    powers = np.empty((len(r), _J))
+    powers = np.empty((len(r), _J), dtype=dtype)
     powers[:, 0], powers[:, 1:] = 1.0, 0.5 * r[:, None]
     return series * np.cumprod(powers, axis=1)
 
@@ -352,6 +373,18 @@ def delta(table, x, tol=1e-9):
     )
 
 
+def _distinct(values):
+    """The sorted distinct values of a 1-D float array without NaN: np.unique's array.
+
+    A sort and a neighbour mask, as np.unique does it; np.unique itself
+    imports numpy.ma on numpy 2.4, ~20 ms of a CLI run that needs nothing else of it.
+    """
+    out = np.sort(values)
+    keep = np.ones(len(out), dtype=bool)
+    keep[1:] = out[1:] != out[:-1]
+    return out[keep]
+
+
 def hybrid_grid(x, points=2048, include_zero=False):
     """Sampling grid for the sup/average metrics on (0, x].
 
@@ -378,7 +411,7 @@ def hybrid_grid(x, points=2048, include_zero=False):
         lin_lo = max(1.0, x / 10.0)
         lin = lin_lo + (x - lin_lo) * j
         parts = [head, geo, lin]
-    grid = np.unique(np.concatenate(parts))
+    grid = _distinct(np.concatenate(parts))
     grid = np.append(grid[grid < x], float(x))
     if include_zero:
         grid = np.concatenate([[0.0], grid])

@@ -15,6 +15,16 @@ whole arrays of heights.  Valid for Re s > -1, which covers every
 consumer in this package (the supported strip is -1 < Re s <= 3 plus
 the half plane Re s > 1 where the Dirichlet series converges anyway).
 
+The zero finder's refinement takes its heads from Chebyshev moments
+instead (_head_moments, _hardy_Z_moments): near a height t_a,
+n^{-s} = n^{-s_a} e^{-iz} e^{-iz x_n} with x_n = 2 log n / log(N-1) - 1
+in [-1, 1], and e^{-izx} is the Delta engine's expansion e^{-rx} =
+sum_j a_j(r) T_j(x) (smooth._chebyshev_coeffs) at r = iz.  So one
+expansion serves both sides of the package: moments of the Lambda
+table in smooth, moments of the head powers here.  The moment heads
+enter the same core, whose bound then carries the expansion's
+truncation as well.
+
 Hardy's Z also has a private Riemann-Siegel evaluator, _rs_Z, for the
 zero finder's sign scan: floor(sqrt(t/2pi)) <= 12 cosines per height up
 to t = 1e3, where Euler-Maclaurin needs a head of up to 1,310 terms.
@@ -36,6 +46,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import AccuracyError, DomainError, NearSingularError, PoleError
+from .smooth import _J, _chebyshev_coeffs, _chebyshev_table
 
 __all__ = [
     "gamma_complex",
@@ -175,30 +186,42 @@ def gamma_complex(z):
 _HEAD_BUF = 1 << 16
 
 
-def _head_sums(x, log_n, deriv):
+def _head_sums(x, log_n, deriv, basis=None):
     """sum_n n^{-x} and, when `deriv`, sum_n n^{-x} log n over n = e^{log_n}, for a 1-D x.
 
     The powers go through one buffer of at most _HEAD_BUF values (one
     row, if a row is longer), allocated once, a slice of rows at a time.
     Each row's sum is numpy's pairwise sum of that row alone, so a sum
-    does not depend on the slicing or on the rest of x.
+    does not depend on the slicing or on the rest of x.  Given a real
+    `basis` (one row per n) and a complex x, the one result holds the
+    moments sum_n n^{-x} basis[n, j] instead, a row per x: one real
+    matrix product per row, as the row's real and imaginary parts are
+    two columns, so a row's moments do not depend on the rest of x either.
     """
     rows = max(1, _HEAD_BUF // max(1, len(log_n)))
     buf = np.empty((min(rows, len(x)), len(log_n)), dtype=x.dtype)
-    sums = [np.empty(len(x), dtype=x.dtype) for _ in range(1 + deriv)]
+    if basis is None:
+        sums = [np.empty(len(x), dtype=x.dtype) for _ in range(1 + deriv)]
+    else:
+        basis_t = np.ascontiguousarray(basis.T)
+        sums = [np.empty((len(x), len(basis_t)), dtype=complex)]
     for i in range(0, len(x), rows):
         part = buf[: len(x[i : i + rows])]
         np.multiply.outer(x[i : i + rows], log_n, out=part)
         np.negative(part, out=part)
         np.exp(part, out=part)
-        sums[0][i : i + rows] = part.sum(axis=-1)
+        if basis is None:
+            sums[0][i : i + rows] = part.sum(axis=-1)
+        else:
+            pairs = part.view(float).reshape(len(part), len(log_n), 2)
+            sums[0][i : i + rows] = np.matmul(basis_t, pairs).view(complex)[..., 0]
         if deriv:
             np.multiply(part, log_n, out=part)
             sums[1][i : i + rows] = part.sum(axis=-1)
     return sums
 
 
-def _em_core(s, n_terms, deriv=False):
+def _em_core(s, n_terms, deriv=False, heads=None, head_err=0.0):
     """Euler-Maclaurin zeta, and zeta' when `deriv`, for an ndarray of s.
 
     Every s shares the truncation N = n_terms and the head sums over
@@ -206,18 +229,27 @@ def _em_core(s, n_terms, deriv=False):
     leans on.  The head powers pass through one buffer of _HEAD_BUF
     complex values (1 MiB) a slice of s at a time, so a call's working
     set is that buffer plus a few arrays shaped like s, whatever the
-    batch.  One loop over the Bernoulli terms carries each series with
-    its remainder bound and keeps, per s, the term with the smallest bound.
+    batch.  A caller that has the heads some other way passes them as
+    `heads`, a list shaped like the values, with `head_err`, a bound on
+    their error that joins each returned bound: the zero finder's
+    refinement takes them from Chebyshev head moments (_hardy_Z_moments).
+    One loop over the Bernoulli terms carries each series with
+    its remainder bound and keeps, per s, the term with the smallest bound;
+    an s stops taking terms once all its bounds are below 1e-18
+    max(1, |value|), so no value depends on the rest of the batch.
     zeta' differentiates the truncated formula analytically, which avoids
     the cancellation a finite difference would suffer near zeros.  Returns
     (values, bounds), each a list [zeta] or [zeta, zeta'] of arrays shaped
-    like s.  A bound is the truncation bound plus a floor for the head
-    sum's rounding, one ulp per head term.  Valid for Re s > -1, s != 1.
+    like s.  A bound is the truncation bound, plus head_err, plus a floor
+    for the head sum's rounding, one ulp per head term.  Valid for
+    Re s > -1, s != 1.
     """
     s = np.asarray(s, dtype=complex)
     sigma = s.real
     log_n = np.log(np.arange(1, n_terms, dtype=float))
-    head = [h.reshape(s.shape) for h in _head_sums(s.reshape(-1), log_n, deriv)]
+    head = heads
+    if heads is None:
+        head = [h.reshape(s.shape) for h in _head_sums(s.reshape(-1), log_n, deriv)]
     N = float(n_terms)
     acc = [head[0] + N ** (-s) / 2.0 + N ** (1.0 - s) / (s - 1.0)]
     if deriv:
@@ -229,6 +261,7 @@ def _em_core(s, n_terms, deriv=False):
         )
     best = [np.full(s.shape, np.inf) for _ in acc]
     best_val = [a.copy() for a in acc]
+    live = np.ones(s.shape, dtype=bool)  # the s still taking terms
     poch, dpoch = s.copy(), np.ones_like(s)  # (s)_{2k-1} and d/ds of it, k = 1
     for k in range(1, _EM_MAX_K + 1):
         f = _BERNOULLI[2 * k] / math.factorial(2 * k)
@@ -245,10 +278,14 @@ def _em_core(s, n_terms, deriv=False):
         for i, (term, mag) in enumerate(zip(terms, mags)):
             acc[i] = acc[i] + f * term * grow
             bound = fb * mag * shrink * np.abs(s + 2 * k + 1) / (sigma + 2 * k + 1)
-            better = bound < best[i]
+            better = live & (bound < best[i])
             best[i] = np.where(better, bound, best[i])
             best_val[i] = np.where(better, acc[i], best_val[i])
-        if all(np.all(b < 1e-18 * np.maximum(1.0, np.abs(v))) for b, v in zip(best, best_val)):
+        done = True
+        for b, v in zip(best, best_val):
+            done = done & (b < 1e-18 * np.maximum(1.0, np.abs(v)))
+        live = live & ~done
+        if not live.any():
             break
     # a floor for the head sums' rounding, one ulp per term: eps times the
     # sum of the moduli n^{-sigma} (times log n for zeta').  It is not a
@@ -256,9 +293,9 @@ def _em_core(s, n_terms, deriv=False):
     # log n) round further, up to ~100 times this floor against mpmath.
     # One row per distinct Re s (hardy_Z's grid shares Re s = 1/2).
     sig, at = np.unique(sigma, return_inverse=True)
-    heads = _head_sums(sig, log_n, deriv)
+    floors = _head_sums(sig, log_n, deriv)
     eps = np.finfo(float).eps
-    return best_val, [b + eps * h[at].reshape(s.shape) for b, h in zip(best, heads)]
+    return best_val, [b + head_err + eps * h[at].reshape(s.shape) for b, h in zip(best, floors)]
 
 
 def _auto_terms(t):
@@ -361,11 +398,11 @@ def rs_theta(t):
     return float(out) if out.ndim == 0 else out
 
 
-def _hardy_Z_array(ts, terms=None):
+def _hardy_Z_array(ts, terms=None, heads=None, head_err=0.0):
     ts = np.asarray(ts, dtype=float)
     n_terms = terms if terms is not None else _auto_terms(ts.max())
     s = 0.5 + 1j * ts
-    (val,), (bound,) = _em_core(s, n_terms)
+    (val,), (bound,) = _em_core(s, n_terms, heads=heads, head_err=head_err)
     if np.any(bound > 1e-9):
         raise AccuracyError("zeta remainder too large for hardy_Z at this height")
     rotated = np.exp(1j * rs_theta(ts)) * val
@@ -397,6 +434,70 @@ def hardy_Z(t, terms=None):
     return float(out[0]) if np.isscalar(t) or np.ndim(t) == 0 else out
 
 
+def _head_moments(ts, n_terms):
+    """Chebyshev head moments H[b, j] = sum_{n<N} n^{-(1/2 + i ts[b])} T_j(x_n), j < _J.
+
+    N = n_terms, L = log(N - 1) and x_n = 2 log n / L - 1, which runs
+    over [-1, 1].  Each row is built from its own head powers through
+    _head_sums' buffer, a slice of rows at a time.  _moment_heads
+    takes the head at any height c near ts[b] from row b.
+    """
+    log_n = np.log(np.arange(1, n_terms, dtype=float))
+    basis = _chebyshev_table(2.0 * log_n / log_n[-1] - 1.0)
+    return _head_sums(0.5 + 1j * np.asarray(ts, dtype=float), log_n, False, basis)[0]
+
+
+def _expansion_tail(z):
+    """A bound on |e^{-izx} - sum_{j<_J} a_j(iz) T_j(x)| over -1 <= x <= 1, for real z.
+
+    e^{-izx} = sum_j a_j(iz) T_j(x) with a_0 = J_0(z), a_j = 2 (-i)^j
+    J_j(z), and |T_j| <= 1 on [-1, 1].  With w = |z|/2 < 1 and
+    |J_j(z)| <= w^j / j! (DLMF 10.14.4), the omitted orders j >= J
+    contribute at most 2 w^J / (J! (1 - w/(J+1))).  Each kept a_j is
+    _chebyshev_coeffs' series in k cut at K = _J terms; what it omits,
+    2 sum_{k>=K} w^{2k+j} / (k! (k+j)!), summed over j < J, is at most
+    2 w^{2K} / (K!^2 (1 - w) (1 - w^2/(K+1)^2)).  The bound is the sum
+    of the two; at the zero finder's |z| <= 0.18 it is below 2e-30.
+    Rounding is not in it.
+    """
+    w = np.abs(z) / 2.0
+    if np.any(w >= 1.0):
+        raise AccuracyError("the head moment expansion needs |z| < 2")
+    J = K = _J
+    omitted_orders = 2.0 * w**J / (math.factorial(J) * (1.0 - w / (J + 1)))
+    cut_series = 2.0 * w ** (2 * K) / (math.factorial(K) ** 2 * (1.0 - w) * (1.0 - (w / (K + 1)) ** 2))
+    return omitted_orders + cut_series
+
+
+def _moment_heads(cs, left, moments, n_terms):
+    """Heads sum_{n<N} n^{-(1/2 + ic)} at heights cs[b] >= left[b], and a bound on their error.
+
+    moments is _head_moments(left, n_terms).  With z = (c - t_a) L / 2
+    (t_a = left[b], L = log(N - 1)), n^{-(1/2 + ic)} = n^{-(1/2 + i t_a)}
+    e^{-iz} e^{-iz x_n}, and e^{-izx} = sum_j a_j(iz) T_j(x) is the
+    Delta engine's expansion at r = iz (smooth._chebyshev_coeffs), so
+    the head is e^{-iz} sum_j a_j(iz) H[b, j]: _J complex multiply-adds
+    a height, each row on its own.  As |n^{-(1/2 + i t_a)} e^{-iz}| =
+    n^{-1/2}, the expansion's truncation moves a head by at most
+    _expansion_tail(z) sum_{n<N} n^{-1/2}, the returned bound.
+    """
+    z = (cs - left) * (0.5 * math.log(n_terms - 1))
+    head = np.exp(-1j * z) * (_chebyshev_coeffs(1j * z) * moments).sum(axis=1)
+    root_sum = float(np.sum(np.arange(1, n_terms, dtype=float) ** -0.5))
+    return head, _expansion_tail(z) * root_sum
+
+
+def _hardy_Z_moments(cs, left, moments, n_terms):
+    """Hardy's Z at heights cs[b] >= left[b], its heads from the moments of the heights left.
+
+    The Euler-Maclaurin core adds its Bernoulli terms to _moment_heads'
+    heads, and its bound takes their truncation bound, so both of
+    hardy_Z's checks hold every value.  Returns the real Z.
+    """
+    head, err = _moment_heads(cs, left, moments, n_terms)
+    return _hardy_Z_array(cs, n_terms, heads=[head], head_err=err).real
+
+
 def _rs_Z(ts):
     """Riemann-Siegel Z(t) and a bound on its error, for an ndarray of heights >= 200.
 
@@ -423,13 +524,22 @@ def _rs_Z(ts):
     a = np.sqrt(ts / _TWO_PI)
     n_cut = np.floor(a)
     n = np.arange(1.0, n_cut.max(initial=0.0) + 1.0)
+    log_n, root_n = np.log(n), n**-0.5
     theta = rs_theta(ts)
-    weights = np.where(n <= n_cut[:, None], n**-0.5, 0.0)
-    main = 2.0 * (weights * np.cos(theta[:, None] - np.multiply.outer(ts, np.log(n)))).sum(axis=1)
+    # a slice of heights at a time, _HEAD_BUF terms, as _head_sums does;
+    # each row is elementwise work and its own sum, so slicing moves no bit
+    main, weight_sum = np.empty(len(ts)), np.empty(len(ts))
+    rows = max(1, _HEAD_BUF // max(1, len(n)))
+    for i in range(0, len(ts), rows):
+        part = slice(i, i + rows)
+        weights = np.where(n <= n_cut[part, None], root_n, 0.0)
+        phase = theta[part, None] - np.multiply.outer(ts[part], log_n)
+        main[part] = 2.0 * (weights * np.cos(phase)).sum(axis=1)
+        weight_sum[part] = weights.sum(axis=1)
     u, v = a - n_cut - 0.25, a - n_cut - 0.75
     c0 = np.sinc(2.0 * u * v) / (math.pi * np.sinc(u) * np.sinc(v))
     sign = np.where(n_cut % 2.0 == 1.0, 1.0, -1.0)  # (-1)^{N-1}
     eps = np.finfo(float).eps
     per_term = 4.0 * (np.abs(theta) + ts * np.log(n_cut)) + n_cut + 1.0
-    rounding = eps * (2.0 * weights.sum(axis=1) * per_term + 8.0 * a)
+    rounding = eps * (2.0 * weight_sum * per_term + 8.0 * a)
     return main + sign * c0 / np.sqrt(a), 0.127 * a**-1.5 + rounding

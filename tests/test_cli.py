@@ -412,3 +412,39 @@ def test_all_commands_run_without_scipy(tmp_path):
     assert proc.stdout.split() == [
         w for c in ("metrics", "delta", "goldbach", "zeros", "pintz", "turan") for w in (c, "0")
     ]
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on numpy 2.4 (~20 ms a run); no command
+    # needs it, so none may import it, the metrics grids included
+    script = textwrap.dedent(
+        """
+        import contextlib, io, sys
+        from smoothed_pnt import cli
+        runs = [
+            ["metrics", "--x", "10:1e4:5"],
+            ["delta", "--x", "10:100:3"],
+            ["goldbach", "--k", "2", "--x", "10:600:3"],
+            ["zeros", "--T", "250"],
+            ["pintz", "--mu-scale", "60", "--k", "0.6", "--tol", "0.1"],
+            ["turan", "--seed", "0", "--instances", "20"],
+        ]
+        for argv in runs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv)
+            print(argv[0], code, "numpy.ma" in sys.modules)
+        """
+    )
+    src = str(Path(smoothed_pnt.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        w
+        for c in ("metrics", "delta", "goldbach", "zeros", "pintz", "turan")
+        for w in (c, "0", "False")
+    ]

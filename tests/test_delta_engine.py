@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -110,6 +111,24 @@ def test_nan_and_infinite_inputs_are_range_errors(table_small, x, tol):
         truncation_cutoff(x, tol)
     with pytest.raises(RangeError):
         delta_many(table_small, [10.0, x], tol=tol)
+
+
+@pytest.mark.parametrize("x", [2e307, sys.float_info.max])
+def test_huge_x_is_a_range_error(table_small, x):
+    # 10x, or M / x in the cutoff search, leaves the binary64 range
+    with pytest.raises(RangeError, match="too large"):
+        truncation_cutoff(x, TOL)
+    with pytest.raises(RangeError, match="too large"):
+        delta_many(table_small, [10.0, x], tol=TOL)
+
+
+def test_cutoff_past_int64_is_a_range_error(table_small):
+    # truncation_cutoff(1e17) is 1.07e19, past what delta_many's cutoffs hold
+    assert truncation_cutoff(1e17, TOL) > np.iinfo(np.int64).max
+    with pytest.raises(RangeError, match="int64"):
+        delta_many(table_small, [1e17], tol=TOL)
+    with pytest.raises(CapacityError):
+        delta_many(table_small, [1e16], tol=TOL)
 
 
 def test_table_end_padding():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from smoothed_pnt.errors import CapacityError, RangeError
 from smoothed_pnt.sieve import build_lambda
 from smoothed_pnt.smooth import (
+    _distinct,
     DELTA_LIMIT,
     avg_metric,
     delta,
@@ -165,6 +166,19 @@ class TestGridProperties:
     @given(x=GRID_X, m=st.integers(16, 256))
     def test_nests_exactly_under_doubling(self, x, m):
         assert set(hybrid_grid(x, points=m)) <= set(hybrid_grid(x, points=2 * m))
+
+    @GRID_PROPERTY
+    @given(
+        values=st.lists(st.floats(-1e6, 1e6, allow_nan=False), max_size=60),
+        repeat=st.integers(1, 3),
+    )
+    @example(values=[0.0, -0.0, 1.0, -0.0], repeat=2)
+    @example(values=[], repeat=1)
+    def test_distinct_is_np_unique(self, values, repeat):
+        # the sort and neighbour mask give np.unique's array, bit for bit
+        # (-0.0 and 0.0 included), without importing numpy.ma
+        a = np.array(values * repeat, dtype=float)
+        assert _distinct(a).tobytes() == np.unique(a).tobytes()
 
     @GRID_PROPERTY
     @given(x=st.floats(min_value=0.05, max_value=1.0))

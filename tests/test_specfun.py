@@ -17,10 +17,16 @@ from smoothed_pnt.errors import (
     NumericsError,
     PoleError,
 )
+from smoothed_pnt.smooth import _J, _chebyshev_coeffs, _chebyshev_table
 from smoothed_pnt.specfun import (
     _BERNOULLI,
+    _auto_terms,
     _em_core,
+    _expansion_tail,
     _hardy_Z_array,
+    _hardy_Z_moments,
+    _head_moments,
+    _moment_heads,
     _rs_Z,
     gamma_complex,
     hardy_Z,
@@ -389,6 +395,96 @@ class TestHardyZ:
         monkeypatch.setattr(specfun, "rs_theta", lambda t: theta(t) + 1e-6)
         with pytest.raises(AccuracyError):
             hardy_Z(np.linspace(1.0, 50.0, 200))
+
+
+# the refinement's head length at T = 1000
+N_1000 = _auto_terms(1e3)
+
+
+def _golden_brackets():
+    """The T = 1000 zeros and the scan grid point (step 0.05) below each."""
+    gammas = np.array(GOLDEN_1000.read_text(encoding="utf-8").split(), dtype=float)
+    left = 1.0 + 0.05 * np.floor((gammas - 1.0) / 0.05)
+    return gammas, left
+
+
+class TestHeadMoments:
+    """Heads at a secant point c from the Chebyshev moments at its bracket's left end."""
+
+    def test_zeta_against_mpmath(self):
+        # errors are the head powers' phase rounding, ~eps t log n a term
+        # (ROADMAP item 7): the worst over these 24 heights is 6.9e-13 from
+        # moments and 8.5e-13 from direct heads, so 2e-12 keeps a margin
+        # of ~3; a phase off by one part in 1e12 would exceed it
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(20261019)
+        cs = np.sort(np.concatenate([rng.uniform(14.0, 1e3, 23), [1e3]]))
+        left = cs - rng.uniform(0.0, 0.05, len(cs))
+        head, err = _moment_heads(cs, left, _head_moments(left, N_1000), N_1000)
+        (val,), (bound,) = _em_core(0.5 + 1j * cs, N_1000, heads=[head], head_err=err)
+        with mpmath.workdps(25):
+            ref = np.array([complex(mpmath.zeta(mpmath.mpc(0.5, c))) for c in cs])
+        assert np.all(np.abs(val - ref) <= bound + 2e-12)
+        assert np.all(err < 1e-27)  # |z| <= 0.18: the truncation is negligible
+
+    def test_at_the_left_end_the_head_is_the_zeroth_moment(self):
+        _, left = _golden_brackets()
+        moments = _head_moments(left[:50], N_1000)
+        head, err = _moment_heads(left[:50], left[:50], moments, N_1000)
+        assert head.tobytes() == moments[:, 0].tobytes() and np.all(err == 0.0)
+
+    @pytest.mark.parametrize("z", [0.18, 1.0, 1.5, 1.9])
+    def test_expansion_tail_bounds_the_truncation(self, z):
+        # at |z| >= 1 the omitted terms (~1e-14 at 1.9) show above rounding
+        x = np.linspace(-1.0, 1.0, 2001)
+        series = _chebyshev_table(x) @ _chebyshev_coeffs(np.array([1j * z]))[0]
+        gap = np.max(np.abs(np.exp(-1j * z * x) - series))
+        assert gap <= _expansion_tail(z) + 1e-15
+        with pytest.raises(AccuracyError):
+            _expansion_tail(np.array([2.0]))
+
+    def test_coefficients_are_bessel_j(self):
+        # a_j(iz) = 2 (-i)^j J_j(z), a_0 = J_0(z)
+        mpmath = pytest.importorskip("mpmath")
+        zs = np.array([0.01, 0.09, 0.18, 0.5])
+        got = _chebyshev_coeffs(1j * zs)
+        for z, row in zip(zs, got):
+            want = [(2.0 if j else 1.0) * (-1j) ** j * float(mpmath.besselj(j, z)) for j in range(_J)]
+            assert np.allclose(row, want, rtol=1e-14, atol=1e-300)
+
+    def test_real_path_keeps_its_bits(self):
+        # the engine's real r and the same r in complex dtype give one row
+        r = np.random.default_rng(3).uniform(0.0, 0.5, 200)
+        real = _chebyshev_coeffs(r)
+        assert real.dtype == np.float64
+        assert _chebyshev_coeffs(r.astype(complex)).real.tobytes() == real.tobytes()
+
+    def test_same_bits_whatever_is_live(self):
+        # a moment row and a moment-step Z at a secant point near a zero,
+        # where |Z| is smallest, do not depend on the other brackets
+        gammas, left = _golden_brackets()
+        moments = _head_moments(left, N_1000)
+        whole = _hardy_Z_moments(gammas, left, moments, N_1000)
+        rng = np.random.default_rng(16)
+        for size in (1, 2, 17, 300):
+            idx = np.sort(rng.choice(len(gammas), size=size, replace=False))
+            rows = _head_moments(left[idx], N_1000)
+            assert rows.tobytes() == moments[idx].tobytes()
+            got = _hardy_Z_moments(gammas[idx], left[idx], rows, N_1000)
+            assert got.tobytes() == whole[idx].tobytes()
+
+    def test_both_hardy_Z_checks_hold_every_value(self, monkeypatch):
+        _, left = _golden_brackets()
+        cs, left = left[:40] + 0.03, left[:40]
+        moments = _head_moments(left, N_1000)
+        monkeypatch.setattr(specfun, "_expansion_tail", lambda z: np.full(len(z), 1e-10))
+        with pytest.raises(AccuracyError, match="remainder"):
+            _hardy_Z_moments(cs, left, moments, N_1000)
+        monkeypatch.undo()
+        theta = specfun.rs_theta
+        monkeypatch.setattr(specfun, "rs_theta", lambda t: theta(t) + 1e-6)
+        with pytest.raises(AccuracyError, match="real axis"):
+            _hardy_Z_moments(cs, left, moments, N_1000)
 
 
 def _height_with_exact_p(n, p):

@@ -188,6 +188,26 @@ class TestFindZeros:
         want = np.array(GOLDEN_1000.read_text(encoding="utf-8").split(), dtype=float)
         assert find_zeros(1000.0).gammas.tobytes() == want.tobytes()
 
+    def test_no_brackets(self):
+        # no sign change below the first zero: nothing to refine
+        assert len(find_zeros(14.0)) == 0
+        empty = np.empty(0)
+        assert zeros_mod._refine_zeros(empty, empty, empty, empty).shape == (0,)
+
+    def test_siegelz_changes_sign_at_each_zero(self):
+        # an oracle independent of the finder's Z: mpmath's Z at 25 digits
+        # has opposite signs 6e-13 below and above each zero (~46 ms a
+        # height); 20 zeros spread over [14, 1000], gamma_100 and the last
+        mpmath = pytest.importorskip("mpmath")
+        gammas = find_zeros(1000.0).gammas
+        picks = sorted({*np.linspace(0, len(gammas) - 1, 20).astype(int).tolist(), 99})
+        assert picks[-1] == len(gammas) - 1 == 648
+        with mpmath.workdps(25):
+            for i in picks:
+                g = mpmath.mpf(float(gammas[i]))
+                below, above = mpmath.siegelz(g - 6e-13), mpmath.siegelz(g + 6e-13)
+                assert below * above < 0, f"zero {i + 1} at {gammas[i]!r}"
+
     def test_memory_peak(self):
         # the Euler-Maclaurin head powers pass through one 1 MiB buffer a
         # slice at a time (5.3 MB measured); a call that holds its whole
@@ -203,8 +223,18 @@ class TestFindZeros:
     def test_em_value_does_not_depend_on_the_batch(self):
         # the scan evaluates subsets of a chunk at the chunk's head length;
         # each value must equal the one from the whole chunk, bit for bit
+        self._same_bits_in_every_batch(np.arange(900.0, 1000.0, 0.05))
+
+    def test_em_value_at_zeros_does_not_depend_on_the_batch(self):
+        # at the zeros |Z| is far below the 1e-18 at which the Bernoulli
+        # loop lets a height stop, so each height must stop on its own
+        self._same_bits_in_every_batch(
+            np.array(GOLDEN_1000.read_text(encoding="utf-8").split(), dtype=float)
+        )
+
+    @staticmethod
+    def _same_bits_in_every_batch(ts):
         rng = np.random.default_rng(7)
-        ts = np.arange(900.0, 1000.0, 0.05)
         n_terms = _auto_terms(ts.max())
         whole = hardy_Z(ts, terms=n_terms)
         for size in (1, 2, 17, 300):
