@@ -48,6 +48,7 @@ from .pintz import (
     mellin_H_closed,
     mellin_H_quadrature,
     turan_bound,
+    turan_bounds,
 )
 from .sieve import LambdaStream, LambdaTable, build_lambda, chebyshev_psi, lambda_tiles
 from .smooth import (

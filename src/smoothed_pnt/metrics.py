@@ -252,34 +252,50 @@ _GOLDEN_C = 1.0 - _GOLDEN_R
 
 
 def _golden_section(f, xa, xb, xc, xtol):
-    """Golden-section search for a minimum of f inside xa < xb < xc.
+    """Golden-section searches for minima of f, one per lane, inside xa < xb < xc.
 
-    Needs f(xb) below both f(xa) and f(xc), and returns None when the
-    bracket has no such dip.  Stops once the bracket is narrower than
-    xtol * (|x1| + |x2|), xtol being relative, and returns (x, f(x)) for
-    the better of the two interior points.
+    xa, xb and xc hold one bracket per lane, and f maps an array of one
+    abscissa per lane to the values there, each lane's from its own
+    abscissa alone.  A lane needs f(xb) below both f(xa) and f(xc); one
+    without that dip is no search.  A lane stops once its bracket is
+    narrower than xtol * (|x1| + |x2|), xtol being relative, or after
+    5,000 steps.  Returns (x, fx, dip): per lane the better of the two
+    interior points and f there, and the mask of lanes with a dip (x and
+    fx mean nothing elsewhere).
+
+    Each lane makes the elementwise IEEE operations of a one-bracket
+    search in the same order (both step formulas are formed for every
+    lane and np.where keeps its own), and f is evaluated on every lane at
+    each step with the stopped ones' values discarded, so a lane's result
+    does not depend on the others.
     """
+    xa, xb, xc = (np.asarray(v, dtype=float) for v in (xa, xb, xc))
     fa, fb, fc = f(xa), f(xb), f(xc)
-    if not (fb < fa and fb < fc):
-        return None
+    dip = (fb < fa) & (fb < fc)
     x0, x3 = xa, xc
-    if abs(xc - xb) > abs(xb - xa):
-        x1, x2 = xb, xb + _GOLDEN_C * (xc - xb)
-    else:
-        x1, x2 = xb - _GOLDEN_C * (xb - xa), xb
+    wide = np.abs(xc - xb) > np.abs(xb - xa)
+    x1 = np.where(wide, xb, xb - _GOLDEN_C * (xb - xa))
+    x2 = np.where(wide, xb + _GOLDEN_C * (xc - xb), xb)
     f1, f2 = f(x1), f(x2)
+    live = dip.copy()
     for _ in range(5000):
-        if abs(x3 - x0) <= xtol * (abs(x1) + abs(x2)):
+        live &= ~(np.abs(x3 - x0) <= xtol * (np.abs(x1) + np.abs(x2)))
+        if not live.any():
             break
-        if f2 < f1:
-            x0, x1, f1 = x1, x2, f2
-            x2 = _GOLDEN_R * x1 + _GOLDEN_C * x3
-            f2 = f(x2)
-        else:
-            x3, x2, f2 = x2, x1, f1
-            x1 = _GOLDEN_R * x2 + _GOLDEN_C * x0
-            f1 = f(x1)
-    return (x1, f1) if f1 < f2 else (x2, f2)
+        down = f2 < f1
+        right, left = live & down, live & ~down
+        # right: x0, x1, f1 = x1, x2, f2 and then a new x2;
+        # left: x3, x2, f2 = x2, x1, f1 and then a new x1
+        x0 = np.where(right, x1, x0)
+        x3 = np.where(left, x2, x3)
+        x1, x2 = np.where(right, x2, x1), np.where(left, x1, x2)
+        f1, f2 = np.where(right, f2, f1), np.where(left, f1, f2)
+        t = np.where(down, _GOLDEN_R * x1 + _GOLDEN_C * x3, _GOLDEN_R * x2 + _GOLDEN_C * x0)
+        ft = f(t)
+        x1, f1 = np.where(left, t, x1), np.where(left, ft, f1)
+        x2, f2 = np.where(right, t, x2), np.where(right, ft, f2)
+    better = f1 < f2
+    return np.where(better, x1, x2), np.where(better, f1, f2), dip
 
 
 def _grid_golden_min(f, grid):
@@ -287,14 +303,20 @@ def _grid_golden_min(f, grid):
 
     The objectives here are sums of one decreasing and one increasing
     term, near-unimodal but possibly flat; the 1024-point grid guards
-    against the refinement latching onto the wrong valley.
+    against the refinement latching onto the wrong valley.  f is scalar
+    (omega_eta's takes math.log, which np.log's SIMD loop need not match
+    bit for bit), so the refinement runs it lane by lane on a batch of
+    one.
     """
     vals = np.array([f(t) for t in grid])
     i = int(np.argmin(vals))
     if 0 < i < len(grid) - 1:
-        best = _golden_section(f, grid[i - 1], grid[i], grid[i + 1], xtol=1e-12)
-        if best is not None and best[1] <= vals[i]:
-            return Minimum(float(best[1]), float(best[0]))
+        x, fx, dip = _golden_section(
+            lambda ts: np.array([f(t) for t in ts]),
+            grid[i - 1 : i], grid[i : i + 1], grid[i + 1 : i + 2], xtol=1e-12,
+        )
+        if dip[0] and fx[0] <= vals[i]:
+            return Minimum(float(fx[0]), float(x[0]))
     return Minimum(float(vals[i]), float(grid[i]))
 
 

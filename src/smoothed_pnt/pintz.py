@@ -15,6 +15,11 @@ The Turan bound verified here is  max_{a<=t<=a+b} |sum_j e^{alpha_j t}|
 >= (b / (8e(a+b)))^n.  The denominator of this bound is frequently
 misprinted as 8e(a + b/b), which is dimensionally incoherent; the form
 used here is the standard one, and the verifier makes it falsifiable.
+turan_bounds verifies a batch of instances: a grid scan per instance,
+then one vectorized golden-section search (metrics._golden_section, the
+package's one 1-D minimizer) for all instances with the same number of
+exponents.  Each row is bitwise what its instance gives alone, and
+turan_bound is the batch of one.
 """
 
 import math
@@ -44,6 +49,7 @@ __all__ = [
     "U_integral",
     "U_residue",
     "turan_bound",
+    "turan_bounds",
     "QuadResult",
 ]
 
@@ -410,26 +416,10 @@ def _turan_grid(alphas, a, b):
     return np.abs((coarse.T @ fine).reshape(-1))
 
 
-def turan_bound(alphas, a, b):
-    """Grid maximum of |sum_j e^{alpha_j t}| on [a, a+b] against the power-sum bound.
-
-    Returns (grid_max, bound) with bound = (b/(8e(a+b)))^n.  The grid max
-    is a lower bound on the true maximum, so the verified contract is
-    grid_max >= 0.99 * bound.  Callers must normalize: max Re alpha_j = 0,
-    attained by the first entry.
-
-    The scan samples t_j = a + j*b/9999, each point within a few ulp,
-    through _turan_grid's block split: 200n exps and one GEMM instead of
-    10,000n exps.  Each sample differs from the direct sum at
-    np.linspace(a, a + b, 10_000) by at most
-    8 * eps * n * (1 + max|alpha| (a+b)), the exponent's rounding carried
-    through exp (tests/test_pintz.py checks it; 3.2 in place of 8 is the
-    worst measured).  The linspace grid brackets the argmax; unless that
-    is an endpoint, a golden-section search on the direct sum refines it.
-    """
+def _turan_args(alphas, a, b):
+    """turan_bound's argument checks; alphas as a complex array."""
     alphas = np.asarray(alphas, dtype=complex)
-    n = len(alphas)
-    if not (1 <= n <= 32):
+    if not (1 <= len(alphas) <= 32):
         raise DomainError("need 1 to 32 exponents")
     if not (0.0 < a <= 100.0 and 0.0 < b <= 100.0):
         raise DomainError("a, b must lie in (0, 100]")
@@ -438,20 +428,89 @@ def turan_bound(alphas, a, b):
         raise NormalizationError(
             "max Re(alpha) must be 0 and attained by the first exponent"
         )
-    ts = np.linspace(a, a + b, 10_000)
-    vals = _turan_grid(alphas, a, b)
-    i = int(np.argmax(vals))
-    grid_max = float(vals[i])
+    return alphas, a, b
 
-    def neg_abs(t):
-        return -abs(np.exp(alphas * t).sum())
 
-    lo = ts[max(i - 1, 0)]
-    hi = ts[min(i + 1, len(ts) - 1)]
-    if lo < ts[i] < hi:
+_TURAN_LAST = 9_999  # index of the scan's last point, t = a + b
+
+
+def _turan_points(j, a, b):
+    """t_j of np.linspace(a, a + b, 10_000), by its own arithmetic, per lane.
+
+    linspace forms step = ((a + b) - a) / 9999 and t_j = j * step + a,
+    and puts a + b itself last.  (Where the step underflows to 0 it
+    forms (j / 9999) * ((a + b) - a) + a instead; that needs a + b below
+    1e-303, where every sample of the scan is the same and none is
+    refined.)
+    """
+    stop = a + b
+    t = j * ((stop - a) / _TURAN_LAST) + a
+    return np.where(j == _TURAN_LAST, stop, t)
+
+
+def turan_bound(alphas, a, b):
+    """Grid maximum of |sum_j e^{alpha_j t}| on [a, a+b] against the power-sum bound.
+
+    Returns (grid_max, bound) with bound = (b/(8e(a+b)))^n.  The grid max
+    is a lower bound on the true maximum, so the verified contract is
+    grid_max >= 0.99 * bound.  Callers must normalize: max Re alpha_j = 0,
+    attained by the first entry.  This is turan_bounds on one instance.
+    """
+    grid_max, bound = turan_bounds([(alphas, a, b)])
+    return float(grid_max[0]), float(bound[0])
+
+
+def turan_bounds(instances):
+    """turan_bound for each (alphas, a, b) of instances: arrays (grid_max, bound).
+
+    Every instance is checked, in order, before any is scanned, so the
+    first bad one raises turan_bound's error.  Each row is bitwise the
+    one a search of its instance alone gives, whatever the batch.
+
+    Each instance's scan samples t_j = a + j*b/9999, each point within a
+    few ulp, through _turan_grid's block split: 200n exps and one GEMM
+    instead of 10,000n exps.  Each sample differs from the direct sum at
+    np.linspace(a, a + b, 10_000) by at most
+    8 * eps * n * (1 + max|alpha| (a+b)), the exponent's rounding carried
+    through exp (tests/test_pintz.py checks it; 3.2 in place of 8 is the
+    worst measured).  A grid stays per instance: stacking a group's exps
+    into one batched matmul gave the same bits but ran about 25% slower.
+
+    The linspace points around each argmax bracket it; unless that is an
+    endpoint, a golden-section search on the direct sum refines it.  The
+    instances of each n share one vectorized search (metrics.
+    _golden_section) whose objective takes |sum| by np.hypot: np.abs's
+    SIMD loop differs in the last bit from the scalar abs() for about a
+    third of complex values, hypot matches it.  The bound is a Python
+    float power per instance for the same reason: np.power's SIMD loop
+    differs from the C pow in the last bit.
+    """
+    checked = [_turan_args(alphas, a, b) for alphas, a, b in instances]
+    grid_max = np.empty(len(checked))
+    peak = np.empty(len(checked), dtype=np.intp)
+    for k, (alphas, a, b) in enumerate(checked):
+        vals = _turan_grid(alphas, a, b)
+        peak[k] = np.argmax(vals)
+        grid_max[k] = vals[peak[k]]
+    a = np.array([inst[1] for inst in checked], dtype=float)
+    b = np.array([inst[2] for inst in checked], dtype=float)
+    n = np.array([len(inst[0]) for inst in checked])
+    lo = _turan_points(np.maximum(peak - 1, 0), a, b)
+    mid = _turan_points(peak, a, b)
+    hi = _turan_points(np.minimum(peak + 1, _TURAN_LAST), a, b)
+    refine = (lo < mid) & (mid < hi)
+    for size in sorted(set(n[refine].tolist())):
+        rows = np.flatnonzero(refine & (n == size))
+        exps = np.array([checked[k][0] for k in rows])
+
+        def neg_abs(t):
+            s = np.exp(exps * t[:, None]).sum(axis=1)
+            return -np.hypot(s.real, s.imag)
+
         # xtol sqrt(machine epsilon), relative
-        best = _golden_section(neg_abs, lo, ts[i], hi, xtol=2.0**-26)
-        if best is not None:
-            grid_max = max(grid_max, float(-best[1]))
-    bound = (b / (8.0 * math.e * (a + b))) ** n
+        _, fx, dip = _golden_section(neg_abs, lo[rows], mid[rows], hi[rows], xtol=2.0**-26)
+        best = -fx
+        grid_max[rows] = np.where(dip & (best > grid_max[rows]), best, grid_max[rows])
+    ratio = b / (8.0 * math.e * (a + b))
+    bound = np.array([r**k for r, k in zip(ratio.tolist(), n.tolist())])
     return grid_max, bound

@@ -41,7 +41,6 @@ f(conj z) == conj(f(z)) holds exactly, not just to rounding.
 """
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -84,17 +83,29 @@ _LANCZOS_C = (
 )
 
 
-def _bernoulli_table(n_max):
-    """B_0 .. B_n_max (B_1 = -1/2), exact from sum_{k<=n} C(n+1, k) B_k = 0."""
-    b = [Fraction(1)]
-    for n in range(1, n_max + 1):
-        b.append(-sum(math.comb(n + 1, k) * b[k] for k in range(n) if b[k]) / (n + 1))
-    return np.array([float(v) for v in b])
-
-
-# Bernoulli numbers B_0 .. B_64, each correctly rounded from its exact
-# rational value (B_62/B_64 only enter error bounds).
-_BERNOULLI = _bernoulli_table(64)
+# Bernoulli numbers B_0 .. B_64 (B_1 = -1/2), each the correctly rounded
+# float of its exact rational value, as literals, as the Gauss-Legendre
+# rules in pintz are kept (tests/test_specfun.py rebuilds them from the
+# exact recurrence).  B_62 and B_64 only enter error bounds.
+_BERNOULLI = np.array([
+    1.0, -0.5, 0.16666666666666666, 0.0,
+    -0.03333333333333333, 0.0, 0.023809523809523808, 0.0,
+    -0.03333333333333333, 0.0, 0.07575757575757576, 0.0,
+    -0.2531135531135531, 0.0, 1.1666666666666667, 0.0,
+    -7.092156862745098, 0.0, 54.971177944862156, 0.0,
+    -529.1242424242424, 0.0, 6192.123188405797, 0.0,
+    -86580.25311355312, 0.0, 1425517.1666666667, 0.0,
+    -27298231.067816094, 0.0, 601580873.9006424, 0.0,
+    -15116315767.092157, 0.0, 429614643061.1667, 0.0,
+    -13711655205088.332, 0.0, 488332318973593.2, 0.0,
+    -1.9296579341940068e+16, 0.0, 8.416930475736826e+17, 0.0,
+    -4.0338071854059454e+19, 0.0, 2.1150748638081993e+21, 0.0,
+    -1.2086626522296526e+23, 0.0, 7.500866746076964e+24, 0.0,
+    -5.038778101481069e+26, 0.0, 3.6528776484818122e+28, 0.0,
+    -2.849876930245088e+30, 0.0, 2.3865427499683627e+32, 0.0,
+    -2.1399949257225335e+34, 0.0, 2.0500975723478097e+36, 0.0,
+    -2.093800591134638e+38,
+])
 _EM_MAX_K = 30
 
 

@@ -177,6 +177,37 @@ class TestTuranCommand:
         assert cli.main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("k", [0, 7, 19])
+    def test_violation_names_the_first_violating_instance(self, capsys, monkeypatch, k):
+        batch = cli.pintz.turan_bounds
+
+        def violated(instances):
+            grid_max, bound = batch(instances)
+            for i in (k, len(instances) - 1):  # a later one too, unnamed
+                bound[i] = grid_max[i] / 0.98
+            return grid_max, bound
+
+        monkeypatch.setattr(cli.pintz, "turan_bounds", violated)
+        code, out, err = run(capsys, "turan", "--seed", "0", "--instances", "20")
+        assert code == 4
+        assert out == "" and f"power-sum bound violated at instance {k}:" in err
+
+    def test_bad_instance_fails_before_any_output(self, capsys, monkeypatch, tmp_path):
+        batch = cli.pintz.turan_bounds
+
+        def corrupted(instances):
+            alphas, _, b = instances[3]
+            instances[3] = (alphas, 0.0, b)
+            return batch(instances)
+
+        monkeypatch.setattr(cli.pintz, "turan_bounds", corrupted)
+        path = tmp_path / "t.csv"
+        for out_args in ([], ["--out", str(path)]):
+            code, out, err = run(capsys, "turan", "--instances", "20", *out_args)
+            assert code == 2
+            assert out == "" and "a, b must lie in (0, 100]" in err
+        assert not path.exists()
+
 
 class TestExitCodes:
     def test_config_error(self, capsys):
@@ -416,7 +447,9 @@ def test_all_commands_run_without_scipy(tmp_path):
 
 def test_no_command_imports_numpy_ma(tmp_path):
     # np.unique imports numpy.ma on numpy 2.4 (~20 ms a run); no command
-    # needs it, so none may import it, the metrics grids included
+    # needs it, so none may import it, the metrics grids included.  Nor
+    # fractions or decimal (exact Bernoulli numbers once took them), and
+    # json only with --format json
     script = textwrap.dedent(
         """
         import contextlib, io, sys
@@ -432,7 +465,11 @@ def test_no_command_imports_numpy_ma(tmp_path):
         for argv in runs:
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli.main(argv)
-            print(argv[0], code, "numpy.ma" in sys.modules)
+            loaded = [m in sys.modules for m in ("numpy.ma", "fractions", "decimal", "json")]
+            print(argv[0], code, *loaded)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["turan", "--instances", "3", "--format", "json"])
+        print("json", code, "json" in sys.modules)
         """
     )
     src = str(Path(smoothed_pnt.__file__).resolve().parents[1])
@@ -446,5 +483,5 @@ def test_no_command_imports_numpy_ma(tmp_path):
     assert proc.stdout.split() == [
         w
         for c in ("metrics", "delta", "goldbach", "zeros", "pintz", "turan")
-        for w in (c, "0", "False")
-    ]
+        for w in (c, "0", "False", "False", "False", "False")
+    ] + ["json", "0", "True"]

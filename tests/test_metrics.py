@@ -63,11 +63,20 @@ class TestW:
                 fn(x, zeros_rh)
 
 
+def _lanewise(f):
+    """A scalar objective applied to each lane of an array."""
+    return lambda ts: np.array([f(t) for t in ts])
+
+
 class TestGoldenSection:
     def test_flat_bracket_gives_none(self):
-        assert _golden_section(lambda t: 3.0, 0.0, 1.0, 2.0, xtol=1e-12) is None
+        _, _, dip = _golden_section(_lanewise(lambda t: 3.0), [0.0], [1.0], [2.0], xtol=1e-12)
+        assert not dip[0]
         # a middle point that only ties one end is no dip either
-        assert _golden_section(lambda t: min(t, 1.0), 0.0, 1.0, 2.0, xtol=1e-12) is None
+        _, _, dip = _golden_section(
+            _lanewise(lambda t: min(t, 1.0)), [0.0], [1.0], [2.0], xtol=1e-12
+        )
+        assert not dip[0]
 
     @pytest.mark.parametrize("xtol", [1e-12, 2.0**-26])
     def test_matches_dense_grid(self, xtol):
@@ -77,10 +86,57 @@ class TestGoldenSection:
         grid = np.linspace(0.0, 2.0, 2_000_001)
         vals = np.cosh(grid - 0.7) + 0.3 * grid
         i = int(np.argmin(vals))
-        x, fx = _golden_section(f, 0.0, 0.5, 2.0, xtol=xtol)
-        assert abs(x - grid[i]) <= 1e-6
-        assert fx <= vals[i] + 1e-15
-        assert fx == f(x)
+        x, fx, dip = _golden_section(_lanewise(f), [0.0], [0.5], [2.0], xtol=xtol)
+        assert dip[0]
+        assert abs(x[0] - grid[i]) <= 1e-6
+        assert fx[0] <= vals[i] + 1e-15
+        assert fx[0] == f(x[0])
+
+    def test_lanes_do_not_depend_on_the_batch(self):
+        # the lanes stop at different steps (at xtol 0 all run to the
+        # 5,000-step cap) and one has no dip; each equals its search alone
+        def f(t):
+            return np.cosh(t - 0.7) + 0.3 * t
+
+        xa = np.array([0.0, 0.38, -3.0, 0.0, 0.3])
+        xb = np.array([0.5, 0.4, 0.5, 1.9, 0.41])
+        xc = np.array([2.0, 0.5, 9.0, 2.0, 0.42])
+        for xtol in (1e-12, 2.0**-26, 0.0):
+            together = _golden_section(f, xa, xb, xc, xtol=xtol)
+            assert list(together[2]) == [True, True, True, False, True]
+            for k in range(len(xa)):
+                alone = _golden_section(f, xa[k : k + 1], xb[k : k + 1], xc[k : k + 1], xtol)
+                assert [v[0] for v in alone] == [v[k] for v in together]
+
+
+# omega_eta and varpi at seeded inputs, as the one-bracket scalar search
+# gave them: (eta, x, function, value.hex(), minimizer.hex())
+OMEGA_PINS = [
+    ("classical", 50.0, "omega_eta", "0x1.c98d8cda62c4fp-1", "0x1.0000000000000p+0"),
+    ("classical", 50.0, "varpi", "0x1.2c71807cdaa36p+0", "0x0.0p+0"),
+    ("classical", 1e6, "omega_eta", "0x1.93f7ca424f452p+1", "0x1.0000000000000p+0"),
+    ("classical", 1e6, "varpi", "0x1.02cfa35f43bcep+2", "0x1.b9645bb75fdeep-2"),
+    ("classical", 1e15, "omega_eta", "0x1.93bd7f30fe7a6p+2", "0x1.1309834b258b8p+4"),
+    ("classical", 1e15, "varpi", "0x1.1574445bf574cp+3", "0x1.d0e79c00a3edap+0"),
+    ("tabulated", 50.0, "omega_eta", "0x1.994904be04841p+0", "0x1.0000000000000p+0"),
+    ("tabulated", 50.0, "varpi", "0x1.994904be04841p+0", "0x0.0p+0"),
+    ("tabulated", 1e6, "omega_eta", "0x1.695a5bb2c869bp+2", "0x1.0000000000000p+0"),
+    ("tabulated", 1e6, "varpi", "0x1.695a5bb2c869bp+2", "0x0.0p+0"),
+    ("tabulated", 1e15, "omega_eta", "0x1.2898d20af3d20p+3", "0x1.1f1bc12bdafb3p+5"),
+    ("tabulated", 1e15, "varpi", "0x1.c3b0f29f7a842p+3", "0x0.0p+0"),
+]
+
+
+@pytest.mark.parametrize("kind, x, name, value, minimizer", OMEGA_PINS)
+def test_omega_eta_and_varpi_bits(kind, x, name, value, minimizer):
+    if kind == "classical":
+        eta = EtaFunction.classical(0.3)
+    else:
+        rng = np.random.default_rng(7)
+        us = np.sort(rng.uniform(0.0, 40.0, 8))
+        eta = EtaFunction.tabulated(us, np.sort(rng.uniform(0.05, 0.5, 8))[::-1])
+    res = {"omega_eta": omega_eta, "varpi": varpi}[name](x, eta)
+    assert (res.value.hex(), res.minimizer.hex()) == (value, minimizer)
 
 
 class TestOmegaZero:

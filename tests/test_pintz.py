@@ -3,10 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from smoothed_pnt import pintz, sieve
+from smoothed_pnt import metrics, pintz, sieve
 from smoothed_pnt.errors import CapacityError, DomainError, NormalizationError
 from smoothed_pnt.pintz import (
     _GAUSS_LEGENDRE,
@@ -19,6 +19,7 @@ from smoothed_pnt.pintz import (
     mellin_H_closed,
     mellin_H_quadrature,
     turan_bound,
+    turan_bounds,
 )
 from smoothed_pnt.sieve import _TILE, LambdaBuffer, LambdaStream, build_lambda
 from smoothed_pnt.specfun import gamma_complex, loggamma
@@ -371,3 +372,145 @@ def test_turan_grid_matches_direct_sum(inst):
     # ulp of the terms' total modulus
     terms = np.exp(alphas * a)
     assert abs(got[0] - abs(terms.sum())) <= 8.0 * EPS * np.abs(terms).sum()
+
+
+def _scalar_turan_bound(alphas, a, b):
+    """The one-instance verifier as a scalar reference: np.linspace's own
+    points, abs() of each direct sum and a one-bracket golden-section
+    search (the constants and steps of metrics._golden_section)."""
+    alphas = np.asarray(alphas, dtype=complex)
+    ts = np.linspace(a, a + b, 10_000)
+    vals = _turan_grid(alphas, a, b)
+    i = int(np.argmax(vals))
+    grid_max = float(vals[i])
+
+    def f(t):
+        return -abs(np.exp(alphas * t).sum())
+
+    xa, xb, xc = ts[max(i - 1, 0)], ts[i], ts[min(i + 1, len(ts) - 1)]
+    if xa < xb < xc and f(xb) < f(xa) and f(xb) < f(xc):
+        r, c = metrics._GOLDEN_R, metrics._GOLDEN_C
+        x0, x3 = xa, xc
+        if abs(xc - xb) > abs(xb - xa):
+            x1, x2 = xb, xb + c * (xc - xb)
+        else:
+            x1, x2 = xb - c * (xb - xa), xb
+        f1, f2 = f(x1), f(x2)
+        for _ in range(5000):
+            if abs(x3 - x0) <= 2.0**-26 * (abs(x1) + abs(x2)):
+                break
+            if f2 < f1:
+                x0, x1, f1 = x1, x2, f2
+                x2 = r * x1 + c * x3
+                f2 = f(x2)
+            else:
+                x3, x2, f2 = x2, x1, f1
+                x1 = r * x2 + c * x0
+                f1 = f(x1)
+        grid_max = max(grid_max, float(-min(f1, f2)))
+    return grid_max, (b / (8.0 * math.e * (a + b))) ** len(alphas)
+
+
+def _bits_of(rows):
+    return [(float(g).hex(), float(b).hex()) for g, b in rows]
+
+
+class TestTuranBatch:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(turan_instances(), min_size=1, max_size=12), st.randoms())
+    def test_rows_are_the_one_instance_search(self, insts, random):
+        got = _bits_of(zip(*turan_bounds(insts)))
+        assert got == _bits_of(turan_bound(*inst) for inst in insts)
+        assert got == _bits_of(_scalar_turan_bound(*inst) for inst in insts)
+        # a row does not depend on its batch: shuffled, or a subset
+        order = list(range(len(insts)))
+        random.shuffle(order)
+        shuffled = _bits_of(zip(*turan_bounds([insts[k] for k in order])))
+        assert shuffled == [got[k] for k in order]
+        kept = order[: len(order) // 2 + 1]
+        subset = _bits_of(zip(*turan_bounds([insts[k] for k in kept])))
+        assert subset == [got[k] for k in kept]
+
+    def test_cli_distribution_matches_scalar_search(self, rng):
+        insts = []
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            alphas = np.zeros(n, dtype=complex)
+            alphas[0] = 1j * rng.uniform(-10, 10)
+            if n > 1:
+                alphas[1:] = rng.uniform(-1, 0, n - 1) + 1j * rng.uniform(-10, 10, n - 1)
+            insts.append((alphas, rng.uniform(1, 10), rng.uniform(1, 10)))
+        got = _bits_of(zip(*turan_bounds(insts)))
+        assert got == _bits_of(_scalar_turan_bound(*inst) for inst in insts)
+
+    @pytest.mark.parametrize(
+        "alphas, a, b, peak",
+        [
+            ([0.0, -0.5], 1.0, 2.0, 0),  # |1 + e^{-t/2}| falls
+            ([0.0, complex(-0.1, math.pi)], 1.0, 0.9, 9_999),  # 1 + e^{-t/10} e^{i pi t} grows
+        ],
+    )
+    def test_endpoint_peak_is_not_refined(self, alphas, a, b, peak):
+        vals = _turan_grid(np.array(alphas, dtype=complex), a, b)
+        assert int(np.argmax(vals)) == peak
+        grid_max, _ = turan_bounds([(alphas, a, b), ([0.0, 1j], 2.0, 3.0)])
+        assert grid_max[0] == vals[peak]
+
+    @pytest.mark.parametrize(
+        "alphas, a, b",
+        [
+            # |e^{it}| is 1 up to rounding
+            ([1j], 1.0, 2.0),
+            # points inside this bracket sum higher than the grid max, but
+            # a bracket without a dip is no search, so they are not taken
+            (
+                [4.644249399284632j, complex(-0.6345713761518337, -2.044519930890085)],
+                46.539642342563866,
+                70.67728412771324,
+            ),
+        ],
+    )
+    def test_bracket_without_a_dip(self, monkeypatch, alphas, a, b):
+        # the grid's argmax is interior, but the direct sums at it and its
+        # neighbours do not peak there
+        alphas = np.array(alphas)
+        vals = _turan_grid(alphas, a, b)
+        i = int(np.argmax(vals))
+        assert 0 < i < 9_999
+        ts = np.linspace(a, a + b, 10_000)[i - 1 : i + 2]
+        lo, mid, hi = (abs(np.exp(alphas * t).sum()) for t in ts)
+        assert not (mid > lo and mid > hi)
+        dips = []
+        search = metrics._golden_section
+
+        def spy(*args, **kwargs):
+            out = search(*args, **kwargs)
+            dips.append(out[2].tolist())
+            return out
+
+        monkeypatch.setattr(pintz, "_golden_section", spy)
+        (gmax,), (bound,) = turan_bounds([(alphas, a, b)])
+        assert dips == [[False]]
+        assert (gmax, bound) == (vals[i], (b / (8.0 * math.e * (a + b))) ** len(alphas))
+
+    @settings(max_examples=200, deadline=None)
+    @given(turan_instances())
+    def test_points_are_linspace_points(self, inst):
+        _, a, b = inst
+        assume(((a + b) - a) / 9_999 > 0.0)  # _turan_points' docstring
+        j = np.arange(10_000)
+        got = pintz._turan_points(j, np.full(j.shape, a), np.full(j.shape, b))
+        assert got.tobytes() == np.linspace(a, a + b, 10_000).tobytes()
+
+    def test_first_bad_instance_raises_before_any_scan(self, monkeypatch):
+        def scanned(*args):
+            raise AssertionError("an instance was scanned")
+
+        monkeypatch.setattr(pintz, "_turan_grid", scanned)
+        good = ([0.0], 1.0, 2.0)
+        with pytest.raises(NormalizationError):
+            turan_bounds([good, ([complex(-0.5, 1.0)], 1.0, 1.0), ([0.0], 0.0, 1.0)])
+        with pytest.raises(DomainError, match="a, b"):
+            turan_bounds([good, ([0.0], 0.0, 1.0), ([complex(-0.5, 1.0)], 1.0, 1.0)])
+        with pytest.raises(DomainError, match="exponents"):
+            turan_bounds([good, (np.zeros(40, dtype=complex), 1.0, 1.0)])

@@ -166,6 +166,13 @@ class TestBernoulli:
         assert len(_BERNOULLI) == 65
         assert np.all(_BERNOULLI[3::2] == 0.0)
 
+    def test_literals_are_the_exact_recurrence_rounded(self):
+        # B_0 .. B_64 exact from sum_{k<=n} C(n+1, k) B_k = 0, B_1 = -1/2
+        b = [Fraction(1)]
+        for n in range(1, 65):
+            b.append(-sum(math.comb(n + 1, k) * b[k] for k in range(n) if b[k]) / (n + 1))
+        assert [v.hex() for v in _BERNOULLI.tolist()] == [float(v).hex() for v in b]
+
 
 class TestZeta:
     def test_classical_values(self):
