@@ -10,7 +10,10 @@ or not writable is refused before any table is sieved or zero found.
 
 Without --limit, each table is as long as the certificate that reads it
 needs: smooth.truncation_cutoff for metrics and delta, goldbach.fk_cutoff
-and contour_cutoff for goldbach, pintz.U_window for pintz.  metrics,
+and contour_cutoff for goldbach, pintz.U_window for pintz.  A --limit
+given to metrics or delta must reach truncation_cutoff at the largest x,
+a whole number of the Delta engine's blocks (up to 4,095 entries past
+where the tail bound alone would stop).  metrics,
 delta and pintz stream their table (sieve.LambdaStream) instead of
 holding it; goldbach alone holds its table whole.
 

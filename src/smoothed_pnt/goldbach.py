@@ -154,7 +154,8 @@ def smooth_Fk(conv: ConvolutionTable, x, tol=1e-9):
     The omitted tail n > conv.limit is bounded by fk_tail_bound.  Rounding
     is not part of tol: it is relative, like that of the coefficients, a
     few eps of F_k (at most 2.0e-15 for k <= 5 against direct sums).  The
-    sum runs through the Delta engine's kernel, up to conv.limit.
+    sum runs through the Delta engine's kernel, which reads whole blocks:
+    past conv.limit it reads the zeros that pad the last tile.
     """
     bound = fk_tail_bound(conv.k, conv.limit, x)
     if not bound <= tol:

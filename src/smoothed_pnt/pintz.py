@@ -289,9 +289,9 @@ def U_integral(table, p: PintzParams, tol=0.1, panel_scale=1.0):
     engine reads it, so a sieve.LambdaStream serves: the march's nodes
     read a sieve.LambdaBuffer, filled only as far as their largest
     cutoff; the probes inside its reach read it too, and the rest take one
-    _psi_many pass at the same clamped cutoffs over the buffer's tiles,
-    so no tile is sieved twice.  CapacityError comes before any tile is
-    sieved.
+    _psi_many pass at the same clamped cutoffs, rounded up to whole
+    blocks, over the buffer's tiles, so no tile is sieved twice.
+    CapacityError comes before any tile is sieved.
     """
     width, limit = U_window(p, tol)
     b = math.exp(p.mu + width)

@@ -269,8 +269,8 @@ def build_lambda(N):
 
 def chebyshev_psi(table, t):
     """psi(t) = sum of Lambda(n) over n <= t, exact with respect to the table."""
-    if t < 0:
-        raise RangeError("t must be nonnegative")
+    if not t >= 0:
+        raise RangeError(f"t = {t} must be a nonnegative number")
     if t > table.limit:
         raise RangeError(f"t = {t} beyond table limit {table.limit}")
     return float(table.prefix[int(math.floor(t))])

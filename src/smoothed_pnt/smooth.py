@@ -13,7 +13,8 @@ certifies a one-sided bound: sup_metric never exceeds the true sup, and
 avg_metric reports its own trapezoid error estimate.
 
 One engine, delta_many, evaluates Delta at any set of points, each at
-its own certified cutoff truncation_cutoff(u, tol).  Its kernel,
+its own certified cutoff, from one vectorized search (_truncation_cutoffs;
+truncation_cutoff is its one-point case).  Its kernel,
 _psi_many, splits this discrete Laplace transform into block moments
 (Rokhlin 1988; Strain 1992).  Block q of size B holds n = qB + m,
 m = 1..B.  With x_m = (2m - B - 1)/(B - 1) in [-1, 1], r = (B - 1)/(2u),
@@ -23,17 +24,19 @@ Psi(u) = sum_q e^{-(qB + (B+1)/2)/u} (M[q] . a(r)), and the moments
 M[q, j] = sum_m c_{qB+m} T_j(x_m) do not depend on u: one pass over the
 table computes them, and a point costs _J multiply-adds per block, not
 B.  Points with u >= _BLOCK take B = _BLOCK, those with 64 <= u < _BLOCK
-take B = 64 (r <= 1/2 either way), and those with u < 64 a direct sum;
-a partial last block is summed directly.  The zero side uses the same
+take B = 64 (r <= 1/2 either way), and those with u < 64 a direct sum
+(_block_size).  The block is the unit of truncation: each cutoff is the
+smallest whole number of the point's blocks that certifies tol, since
+summing more terms only shrinks the tail.  The zero side uses the same
 expansion at an imaginary r: specfun's head moments give the zero
 finder's Euler-Maclaurin heads, so _chebyshev_coeffs takes a complex r.
 
 Each moment comes from one fixed-shape product per tile, and a point
-reads only the moments and its own partial block, in shapes set by its
-own cutoff.  So a point's Delta is bitwise the same whatever else is in
-its batch, by construction, and S(x) >= |Delta(x)|, a max over a grid
-that contains x, holds exactly.  delta, the S/D grids and the CLI all
-go through the engine.
+reads only the moments (tile 0's values for a direct sum), in shapes
+set by its own cutoff.  So a point's Delta is bitwise the same whatever
+else is in its batch, by construction, and S(x) >= |Delta(x)|, a max
+over a grid that contains x, holds exactly.  delta, the S/D grids and
+the CLI all go through the engine.
 
 The engine reads a table through two attributes only, `limit` and
 `tiles()`: flat tiles of sieve._TILE entries, in order, and it stops
@@ -105,88 +108,78 @@ class DeltaBatch(NamedTuple):
 
 def smooth_baseline(x):
     """I(x) = 1/(e^{1/x} - 1), cancellation-safe for large x via expm1."""
-    if x <= 0.0:
-        raise RangeError("x must be positive")
+    if not (0.0 < x < math.inf):
+        raise RangeError("x must be positive and finite")
     return 1.0 / math.expm1(1.0 / x)
 
 
 def _log_tail(m, x):
-    """log of (m log m) e^{-m/x} x, the tail bound for a cutoff m."""
-    return math.log(m) + math.log(math.log(m)) - m / x + math.log(x)
+    """log of (m log m) e^{-m/x} x, the tail bound for a cutoff m, elementwise."""
+    return np.log(m) + np.log(np.log(m)) - m / x + np.log(x)
 
 
 def truncation_cutoff(x, tol):
-    """Smallest M >= 10x with (M log M) e^{-M/x} x <= tol.
+    """The Delta engine's certified cutoff at x: _truncation_cutoffs at a batch of one.
 
-    The left side dominates the omitted tail sum_{n>M} (log n) e^{-n/x}
-    by an integral comparison, so stopping at M certifies the tail.
-    RangeError unless x is positive and finite and tol positive (a NaN
-    fails both checks), and for an x so large (from about 1e305) that
-    10x or the search's M / x leaves the binary64 range.
+    The smallest multiple M of the engine's block for x (4096 from
+    x = 4096, 64 from x = 64, else 1) with M >= max(20, 10x) and
+    (M log M) e^{-M/x} x <= tol.  RangeError unless x is positive and
+    finite and tol positive, and when M would pass the int64 range.
     """
-    if not (0.0 < x < math.inf):
-        raise RangeError("x must be positive and finite")
-    if not (tol > 0.0):
-        raise RangeError("tol must be positive")
-    log_tol = math.log(tol)
-    try:
-        lo = max(20, int(math.ceil(10.0 * x)))
-        return _smallest_cutoff(lambda m: _log_tail(m, x) <= log_tol, lo)
-    except OverflowError:
-        raise RangeError(f"x = {x:g} is too large: its cutoff leaves the binary64 range") from None
+    return int(_truncation_cutoffs([x], tol)[0])
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def _truncation_cutoffs(xs, tol):
-    """truncation_cutoff(x, tol) at every x of xs: the same integers, searched together.
+def _block_size(u):
+    """The engine's block at each u: _BLOCK from u = _BLOCK, 64 from 64, else 1 (direct)."""
+    return np.select([u >= _BLOCK, u >= _SMALL_BLOCK], [_BLOCK, _SMALL_BLOCK], 1)
 
-    _cutoff_candidates proposes each M with numpy logs.  np.log differs
-    from math.log in the last bit for about 1 argument in 10^4, so each
-    M is then confirmed with the scalar predicate: it fits, and it is lo
-    or, past lo, M - 1 does not fit.  From lo = max(20, 10x) on, the log
-    tail falls by more than 0.86/x per step, far above its rounding
-    while x < 1e12, so the predicate turns true once and a confirmed M
-    is the scalar search's.  The other points, those truncation_cutoff
-    refuses among them, take the scalar search.  A cutoff past the int64
-    range (x from about 8.6e16) raises RangeError.
+
+def _truncation_cutoffs(xs, tol):
+    """Each x's smallest M >= max(20, 10x) in whole blocks with (M log M) e^{-M/x} x <= tol.
+
+    The left side dominates the omitted tail sum_{n>M} (log n) e^{-n/x}
+    by an integral comparison, so stopping at M certifies the tail, and
+    M is a multiple of _block_size(x), so the engine reads whole blocks
+    and nothing else.  From 10x on the bound decreases, so one doubling,
+    then bisection, over counts of blocks serves all of xs at once.
+    RangeError unless every x is positive and finite and tol positive (a
+    NaN fails both checks), and for an x whose cutoff would pass the
+    int64 range (x from about 8.6e16 at tol 1e-9), checked before any
+    arithmetic.
     """
     xs = np.asarray(xs, dtype=float)
-    quick = (xs > 0.0) & (xs < 1e12) if tol > 0.0 else np.zeros(len(xs), dtype=bool)
-    log_tol = math.log(tol) if tol > 0.0 else 0.0
-    first = np.zeros(len(xs), dtype=np.int64)
-    out = np.zeros(len(xs), dtype=np.int64)
-    first[quick], out[quick] = _cutoff_candidates(xs[quick], log_tol)
-    rows = zip(xs.tolist(), out.tolist(), first.tolist(), quick.tolist())
-    for i, (x, m, lo, q) in enumerate(rows):
-        fit = q and _log_tail(m, x) <= log_tol
-        if not (fit and (m == lo or m > lo and _log_tail(m - 1, x) > log_tol)):
-            m = truncation_cutoff(x, tol)
-            if m > _INT64_MAX:
-                raise RangeError(f"x = {x:g} is too large: its cutoff {m:.3g} exceeds int64")
-            out[i] = m
-    return out
+    if not np.all((xs > 0.0) & (xs < math.inf)):
+        raise RangeError("x must be positive and finite")
+    if not (tol > 0.0):
+        raise RangeError("tol must be positive")
 
+    def too_large(x):
+        return RangeError(f"x = {x:g} is too large: its cutoff exceeds int64")
 
-def _cutoff_candidates(x, log_tol):
-    """truncation_cutoff's lo and its doubling-plus-bisection, for all of x at once in numpy."""
-    log_x = np.log(x)
+    if np.any(huge := xs > _INT64_MAX / 10.0):
+        raise too_large(xs[huge][0])
+    log_tol = math.log(tol)
+    B = _block_size(xs)
+    most = _INT64_MAX // B  # the most blocks an int64 cutoff holds
 
-    def fits(m):
-        return np.log(m) + np.log(np.log(m)) - m / x + log_x <= log_tol
+    def fits(k):
+        return _log_tail((k * B).astype(float), xs) <= log_tol
 
-    lo = np.maximum(20, np.ceil(10.0 * x)).astype(np.int64)
-    hi = lo.copy()
+    low = hi = np.ceil(np.maximum(20.0, 10.0 * xs) / B).astype(np.int64)
     while not (held := fits(hi)).all():
-        hi[~held] *= 2
-    low = lo.copy()
+        if np.any(stuck := ~held & (hi == most)):
+            raise too_large(xs[stuck][0])
+        hi = np.where(held, hi, np.minimum(2 * hi, most))
+    # fits(hi) holds, and fits(low) fails unless low == hi
     while (live := low + 1 < hi).any():
-        mid = (low + hi) // 2
+        mid = np.where(live, (low + hi) // 2, hi)
         mid_fits = fits(mid)
-        hi = np.where(live & mid_fits, mid, hi)
-        low = np.where(live & ~mid_fits, mid, low)
-    return lo, hi
+        hi = np.where(mid_fits, mid, hi)
+        low = np.where(mid_fits, low, mid)
+    return hi * B
 
 
 def _smallest_cutoff(fits, lo):
@@ -282,74 +275,73 @@ def _chebyshev_coeffs(r):
 
 
 def _psi_many(tiles, us, cutoffs):
-    """sum_{n <= cutoffs[i]} c_n e^{-n/us[i]} for every i, all us > 0.
+    """sum_{n <= N_i} c_n e^{-n/us[i]} for every i, all us > 0: N_i is cutoffs[i] in whole blocks.
 
     tiles yields the coefficients c_1, c_2, ... as flat tiles of _TILE
-    entries; it is read in order and only as far as some point needs.
-    While a tile passes, the moments of each block size still needed are
-    taken from it, and the partial last blocks it holds are summed
-    directly.  A point with u < 64 has no full blocks: its direct sum is
-    its partial block, cut at the end of tile 0, past which every
-    e^{-n/u} underflows to 0.  Each point then sums its own full blocks
-    from the moments (module docstring).
+    entries, zero past the table's end; it is read in order and only as
+    far as some point needs.  Each cutoff is rounded up to a whole block
+    of _block_size(u): _truncation_cutoffs' already are, and a table's
+    end (goldbach's conv.limit, pintz's clamped probes) is rounded into
+    the zeros past it, inside its last tile, as _TILE is a multiple of
+    every block.  While a tile passes, the moments of each block size
+    still needed are taken from it; each point then sums its blocks from
+    the moments (module docstring).  A point with u < 64 is a direct sum
+    over tile 0 at most, past which every e^{-n/u} underflows to 0.
     """
     T = _TILE
-    out = np.zeros(len(us))
-    size = np.select([us >= _BLOCK, us >= _SMALL_BLOCK], [_BLOCK, _SMALL_BLOCK], 0)
-    full = cutoffs // np.maximum(size, 1) * size  # terms in a point's full blocks
-    # moments[B] = M for blocks of size B, in whole tiles, as far as the
-    # deepest point of that size reaches
+    out = np.empty(len(us))
+    size = _block_size(us)
+    ends = np.where(size == 1, np.minimum(cutoffs, T), -(-cutoffs // size) * size)
+    reach = -(-ends // T)  # the tiles each point reads
+    # moments[B] = M for blocks of size B, as far as the deepest point of
+    # that size reaches
     moments = {
-        B: np.empty((-(-int(full[size == B].max()) // T) * (T // B), _J))
-        for B in set(size.tolist()) - {0}
+        B: np.empty((int(reach[size == B].max()) * (T // B), _J))
+        for B in set(size.tolist()) - {1}
     }
-    partial = {}  # the points whose partial block lies in tile t
-    for i in np.flatnonzero(cutoffs > full):
-        partial.setdefault(int(full[i]) // T, []).append(i)
-    # tiles to read: to each point's partial block, else to its last full one
-    reach = int(np.where(cutoffs > full, full // T + 1, -(-full // T)).max(initial=0))
     tiles = iter(tiles)
-    for t in range(reach):
+    for t in range(int(reach.max(initial=0))):
         tile = next(tiles)
+        if t == 0:
+            for i in np.flatnonzero(size == 1):
+                out[i] = _direct_sum(tile[: ends[i]], 1, us[i])
         for B, M in moments.items():
             rows = slice(t * (T // B), (t + 1) * (T // B))
             if rows.start < len(M):
                 np.matmul(tile.reshape(-1, B), _chebyshev_basis(B), out=M[rows])
-        for i in partial.get(t, ()):
-            out[i] = _direct_sum(tile[full[i] - t * T : cutoffs[i] - t * T], full[i] + 1, us[i])
         del tile  # so the next tile can be sieved in its place
     for B, M in moments.items():
         at = np.flatnonzero(size == B)
         for i, a in zip(at, _chebyshev_coeffs((B - 1) / (2.0 * us[at]))):
-            q = np.arange(full[i] // B)
-            out[i] += np.exp(-(B * q + (B + 1) / 2) / us[i]) @ (M[: len(q)] @ a)
+            q = np.arange(ends[i] // B)
+            out[i] = np.exp(-(B * q + (B + 1) / 2) / us[i]) @ (M[: len(q)] @ a)
     return out
 
 
 def delta_many(table, us, tol=1e-9):
     """Psi, I and Delta at every point of us, each truncated at its certified cutoff.
 
-    u = 0 gives 0 in every field (the limit from the right).  Raises
-    CapacityError, for the first such point in input order, when the
-    table cannot reach the cutoff the tolerance demands.
+    The cutoffs are _truncation_cutoffs', whole blocks, and tail_bound
+    is the certificate at each.  u = 0 gives 0 in every field (the limit
+    from the right).  Raises CapacityError, for the first such point in
+    input order, when the table cannot reach the cutoff the tolerance
+    demands.
     """
     us = np.asarray(us, dtype=float)
-    live = np.flatnonzero(us != 0.0)
+    live = us != 0.0
     cutoff = np.zeros(len(us), dtype=np.int64)
     cutoff[live] = _truncation_cutoffs(us[live], tol)
-    over = live[cutoff[live] > table.limit]
+    over = np.flatnonzero(cutoff > table.limit)
     if len(over):
         i = over[0]
         raise CapacityError(
             f"cutoff {cutoff[i]} exceeds table limit {table.limit} (x={us[i]:g}, tol={tol:g})"
         )
-    psi = np.zeros(len(us))
-    baseline = np.zeros(len(us))
-    tail = np.zeros(len(us))
+    psi, baseline, tail = np.zeros((3, len(us)))
     psi[live] = _psi_many(table.tiles(), us[live], cutoff[live])
-    for i in live:
-        baseline[i] = smooth_baseline(us[i])
-        tail[i] = math.exp(_log_tail(int(cutoff[i]), us[i]))
+    with np.errstate(over="ignore"):  # e^{1/u} overflows below u ~ 1/710, where I(u) is 0
+        baseline[live] = 1.0 / np.expm1(1.0 / us[live])
+    tail[live] = np.exp(_log_tail(cutoff[live], us[live]))
     return DeltaBatch(psi, baseline, psi - baseline, cutoff, tail)
 
 
@@ -396,8 +388,8 @@ def hybrid_grid(x, points=2048, include_zero=False):
     round an ulp off x, so every point >= x is dropped and x itself
     appended: the grid ends exactly at x, and still nests.
     """
-    if x <= 0.0:
-        raise RangeError("x must be positive")
+    if not (0.0 < x < math.inf):
+        raise RangeError("x must be positive and finite")
     if points < 16:
         raise RangeError("points must be at least 16")
     m = int(points)

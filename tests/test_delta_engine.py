@@ -4,6 +4,7 @@ import dataclasses
 import math
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,28 +14,31 @@ from hypothesis import strategies as st
 from smoothed_pnt import smooth
 from smoothed_pnt.errors import CapacityError, RangeError
 from smoothed_pnt.metrics import metrics_row, metrics_rows
-from smoothed_pnt.sieve import _TILE, LambdaStream, build_lambda
+from smoothed_pnt.sieve import _TILE, LambdaStream, build_lambda, chebyshev_psi
 from smoothed_pnt.smooth import (
     _BLOCK,
+    _block_size,
     _truncation_cutoffs,
     avg_metric,
     delta,
     delta_many,
     hybrid_grid,
+    smooth_baseline,
     sup_metric,
     truncation_cutoff,
     weighted_exp_sum,
 )
 
 TOL = 1e-9
-# table_mid (limit 600,000) reaches u = 1.3e4 at tol 1e-9.  The kernel
-# sums points with u < 64 directly, takes blocks of 64 for u < _BLOCK and
-# blocks of _BLOCK past it, so two strategies straddle those two edges
-# and one takes the edges themselves; cutoffs past 524,288 (u above
-# ~1.15e4) end in the zero-padded third tile.
+# table_mid (limit 600,000) reaches u = 1.297e4 at tol 1e-9, whose
+# whole-block cutoff is 598,016.  The kernel sums points with u < 64
+# directly, takes blocks of 64 for u < _BLOCK and blocks of _BLOCK past
+# it, so two strategies straddle those two edges and one takes the edges
+# themselves; cutoffs past 524,288 (u above ~1.144e4) end in the
+# zero-padded third tile.
 points = st.one_of(
     st.floats(min_value=0.01, max_value=300.0),
-    st.floats(min_value=300.0, max_value=1.3e4),
+    st.floats(min_value=300.0, max_value=1.297e4),
     st.floats(min_value=60.0, max_value=68.0),
     st.floats(min_value=4000.0, max_value=4200.0),
     st.sampled_from([np.nextafter(64.0, 0.0), 64.0, np.nextafter(4096.0, 0.0), 4096.0]),
@@ -82,20 +86,31 @@ def test_batched_cutoffs_are_the_scalar_search():
         assert _truncation_cutoffs(xs, tol).tolist() == [truncation_cutoff(x, tol) for x in xs]
 
 
-def test_unconfirmed_cutoffs_take_the_scalar_search(monkeypatch):
-    # candidates one off in either direction fail the scalar check
-    xs = np.geomspace(0.5, 1e6, 50)
-    exact = [truncation_cutoff(x, TOL) for x in xs]
-    search = smooth._cutoff_candidates
-    for shift in (-1, 1):
+def _log_tail(m, x):
+    """log of the tail bound (m log m) e^{-m/x} x, in scalar math."""
+    return math.log(m) + math.log(math.log(m)) - m / x + math.log(x)
 
-        def shifted(x, log_tol, shift=shift):
-            lo, hi = search(x, log_tol)
-            return lo, hi + shift
 
-        monkeypatch.setattr(smooth, "_cutoff_candidates", shifted)
-        assert _truncation_cutoffs(xs, TOL).tolist() == exact
+@PROPERTY
+@given(
+    xs=st.lists(st.floats(min_value=0.01, max_value=1e10), min_size=1, max_size=20),
+    tol=st.floats(min_value=1e-15, max_value=0.5),
+)
+def test_cutoffs_are_the_smallest_whole_blocks(xs, tol):
+    # each cutoff is whole blocks that certify tol, and a block less does
+    # not; the rounding slack 1e-12 in log is far above the ~1e-14 of
+    # either log form and far below a block's step
+    for x, M in zip(xs, _truncation_cutoffs(xs, tol).tolist()):
+        B = int(_block_size(x))
+        assert M % B == 0
+        assert _log_tail(M, x) <= math.log(tol) + 1e-12
+        assert M - B < max(20.0, 10.0 * x) or _log_tail(M - B, x) > math.log(tol) - 1e-12
+        assert truncation_cutoff(x, tol) == M
+
+
+def test_refused_batches():
     # points and tolerances truncation_cutoff refuses are refused alike
+    xs = np.geomspace(0.5, 1e6, 50)
     with pytest.raises(RangeError, match="x must be positive"):
         _truncation_cutoffs(np.array([5.0, -1.0]), TOL)
     with pytest.raises(RangeError, match="tol must be positive"):
@@ -111,6 +126,10 @@ def test_nan_and_infinite_inputs_are_range_errors(table_small, x, tol):
         truncation_cutoff(x, tol)
     with pytest.raises(RangeError):
         delta_many(table_small, [10.0, x], tol=tol)
+    if not math.isfinite(x):
+        for check in (smooth_baseline, hybrid_grid, lambda t: chebyshev_psi(table_small, t)):
+            with pytest.raises(RangeError):
+                check(x)
 
 
 @pytest.mark.parametrize("x", [2e307, sys.float_info.max])
@@ -123,8 +142,9 @@ def test_huge_x_is_a_range_error(table_small, x):
 
 
 def test_cutoff_past_int64_is_a_range_error(table_small):
-    # truncation_cutoff(1e17) is 1.07e19, past what delta_many's cutoffs hold
-    assert truncation_cutoff(1e17, TOL) > np.iinfo(np.int64).max
+    # the cutoff at 1e17 would be 1.07e19, past what an int64 holds
+    with pytest.raises(RangeError, match="int64"):
+        truncation_cutoff(1e17, TOL)
     with pytest.raises(RangeError, match="int64"):
         delta_many(table_small, [1e17], tol=TOL)
     with pytest.raises(CapacityError):
@@ -152,6 +172,16 @@ def test_zero_gives_zero(table_small):
         assert field[0] == 0.0 and field[2] == 0.0
     assert b.cutoff[0] == 0 and b.cutoff[2] == 0
     assert b.delta[1] == delta(table_small, 50.0, tol=TOL).delta
+
+
+def test_tiny_u_underflows_to_zero(table_small):
+    # e^{1/u} overflows below u ~ 1/710: I(u) and Psi(u) are 0 there,
+    # with no overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        b = delta_many(table_small, [1e-3, 1.0 / 700.0], tol=TOL)
+    assert b.baseline[0] == b.psi[0] == b.delta[0] == 0.0
+    assert 0.0 < b.baseline[1] < 1e-300
 
 
 def test_empty_batch(table_small):
@@ -186,23 +216,25 @@ def test_streamed_table_same_bits(table_mid, us):
         assert bits(a) == bits(b)
 
 
-def _u_with_cutoff_past(n):
-    """A scale u whose cutoff at TOL lies just past entry n."""
+def _u_with_cutoff(M):
+    """The largest u whose cutoff at TOL is at most M, to bisection's last bit."""
     lo, hi = 1.0, 1e5
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if truncation_cutoff(mid, TOL) > n else (mid, hi)
-    return hi
+        lo, hi = (mid, hi) if truncation_cutoff(mid, TOL) <= M else (lo, mid)
+    return lo
 
 
-def test_partial_block_in_a_later_tile(table_mid):
-    # cutoffs just past a tile end: the full blocks end with one tile and
-    # the partial last block is the first row of the next
-    us = np.array([_u_with_cutoff_past(_TILE), _u_with_cutoff_past(2 * _TILE), 50.0])
+def test_whole_blocks_at_a_tile_end(table_mid):
+    # cutoffs that end exactly with a tile, and one block past one, whose
+    # last block is the first of the next tile
+    ends = [_TILE, 2 * _TILE, _TILE + _BLOCK, 2 * _TILE + _BLOCK]
+    us = np.array([_u_with_cutoff(M) for M in ends] + [50.0])
     streamed = delta_many(LambdaStream(table_mid.limit), us, tol=TOL)
-    for edge, M in zip((_TILE, 2 * _TILE), streamed.cutoff):
-        assert edge < M < edge + _BLOCK
-    assert bits(streamed.psi) == bits(delta_many(table_mid, us, tol=TOL).psi)
+    assert streamed.cutoff[:4].tolist() == ends
+    held = delta_many(table_mid, us, tol=TOL)
+    for a, b in zip(streamed, held):
+        assert bits(a) == bits(b)
     for u, M, psi in zip(us, streamed.cutoff, streamed.psi):
         ref = weighted_exp_sum(table_mid.values[1 : M + 1], u)
         assert abs(psi - ref) <= 1e-13 * ref

@@ -89,6 +89,18 @@ class TestSmoothFk:
         psi = delta(table_small, x, tol=1e-12).psi
         assert fk == pytest.approx(psi**k, rel=tol)
 
+    @pytest.mark.parametrize("x, tol, limit", [(100.0, 1e-3, 2_469), (12_000.0, 100.0, 278_432)])
+    def test_table_end_inside_a_block(self, table_mid, x, tol, limit):
+        # the engine sums whole blocks, 64 at x = 100 and 4096 at
+        # x = 12000: a limit 37 and 4000 entries into a block, past
+        # fk_cutoff (2,411 and 276,819), is read to that block's end
+        # through the zeros that pad the last tile; stopping at the block
+        # before would drop 2.1e-10 and 7.6e-10 of F_2
+        conv = convolve_psik(table_mid, 2, limit)
+        n = np.arange(1, limit + 1, dtype=float)
+        direct = float(np.dot(conv.values[1:], np.exp(-n / x)))
+        assert abs(smooth_Fk(conv, x, tol=tol) - direct) <= 1e-13 * direct
+
     def test_capacity_reports_required_limit(self, table_small):
         conv = convolve_psik(table_small, 2, 100)
         with pytest.raises(CapacityError) as exc:
