@@ -23,6 +23,7 @@ turan_bound is the batch of one.
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -36,7 +37,14 @@ from .errors import (
 )
 from .metrics import _golden_section
 from .sieve import LambdaBuffer, LambdaTable
-from .smooth import DELTA_LIMIT, _psi_many, delta_many, smooth_baseline, weighted_exp_sum
+from .smooth import (
+    _NO_ROWS,
+    DELTA_LIMIT,
+    _blocked_exp_sum,
+    _psi_many,
+    delta_many,
+    smooth_baseline,
+)
 from .specfun import gamma_complex, loggamma, zeta_em, zeta_logderiv
 from .zeros import ZeroSet
 
@@ -150,12 +158,15 @@ def _clamped_cutoff(u, eps, limit):
     return min(_loose_cutoff(u, eps), limit)
 
 
-def _delta_point(held, u, eps):
-    """Delta(u) to absolute accuracy ~eps, cheap tail rule (not the certified one).
+def _delta_point(held, u, eps, prior):
+    """(Delta(u), rows) to absolute accuracy ~eps by the cheap tail rule (not the certified one).
 
     The sum runs to _clamped_cutoff(u, eps, held.limit) and is read by
-    weighted_exp_sum from held, a sieve.LambdaBuffer, which is filled
-    that far first.  The clamp is silent: where the table is shorter than
+    smooth._blocked_exp_sum from held, a sieve.LambdaBuffer, which is
+    filled that far first.  rows are that sum's block row sums; prior,
+    those of an earlier call at the same u (_NO_ROWS for none), spares
+    its GEMV the rows it already holds, at the same bits at one BLAS
+    thread.  The clamp is silent: where the table is shorter than
     _loose_cutoff(u, eps), Delta is read only as far as the table
     reaches, not to eps.  U_window sizes the table for 1e-5 at the
     window's top, so U_integral's tail envelope probes, which ask for
@@ -164,10 +175,10 @@ def _delta_point(held, u, eps):
     their _psi_many pass.
     """
     if u < 0.004:
-        return 0.0
+        return 0.0, _NO_ROWS
     cutoff = _clamped_cutoff(u, eps, held.limit)
-    psi = weighted_exp_sum(held.upto(cutoff), u)
-    return psi - smooth_baseline(u)
+    psi, rows = _blocked_exp_sum(held.upto(cutoff), u, prior)
+    return psi - smooth_baseline(u), rows
 
 
 def mellin_H_quadrature(table: LambdaTable, s, upper=2000.0):
@@ -285,13 +296,22 @@ def U_integral(table, p: PintzParams, tol=0.1, panel_scale=1.0):
     window is covered by an empirical envelope bound from probe
     evaluations, reported inside `error` together with head/tail bounds.
 
+    The march runs twice over the same nodes when the first (pilot) pass
+    at node_eps 1e-8 shows that the tolerance needs a finer one.  Each
+    pilot node keeps its block row sums (smooth._blocked_exp_sum), and the
+    refined pass at that node computes only the rows past them; every
+    other step of a node's Delta is as without them, so at one BLAS
+    thread U has the same bits.  The pilot's rows are dropped as the
+    refined pass reads them, and the rest once it ends.
+
     The table is read only through `limit` and `tiles()`, as the Delta
     engine reads it, so a sieve.LambdaStream serves: the march's nodes
     read a sieve.LambdaBuffer, filled only as far as their largest
     cutoff; the probes inside its reach read it too, and the rest take one
     _psi_many pass at the same clamped cutoffs, rounded up to whole
-    blocks, over the buffer's tiles, so no tile is sieved twice.
-    CapacityError comes before any tile is sieved.
+    blocks, over the buffer's tiles, so no tile is sieved twice.  That
+    pass frees the held tiles once it has read them, before it sieves
+    the rest.  CapacityError comes before any tile is sieved.
     """
     width, limit = U_window(p, tol)
     b = math.exp(p.mu + width)
@@ -308,7 +328,9 @@ def U_integral(table, p: PintzParams, tol=0.1, panel_scale=1.0):
     # doubly-exponentially small and cheap, and it shrinks the head bound
     y_lo = max(math.log(0.004) - p.mu, -width - 8.0)
 
-    def run(node_eps):
+    def run(node_eps, prior, rows):
+        # prior: an earlier pass's block row sums, one entry per node in
+        # march order, each dropped once read; this pass's go to rows
         total = 0j
         weight_mass = 0.0
         y_stop = width
@@ -320,7 +342,9 @@ def U_integral(table, p: PintzParams, tol=0.1, panel_scale=1.0):
             panel = 0j
             for xx, ww in zip(xg, wg):
                 u = math.exp(p.mu + mid + rad * xx)
-                d = _delta_point(held, u, node_eps) - DELTA_LIMIT
+                d, r = _delta_point(held, u, node_eps, prior.popleft() if prior else _NO_ROWS)
+                rows.append(r)
+                d -= DELTA_LIMIT
                 gw = _g_prime_times_u(u, p)
                 panel += ww * rad * d * gw
                 weight_mass += ww * rad * abs(gw)
@@ -335,12 +359,16 @@ def U_integral(table, p: PintzParams, tol=0.1, panel_scale=1.0):
                 small_run = 0
         return total, weight_mass, y_stop
 
+    # the refined pass marches the pilot's nodes, so it computes only the
+    # block rows past the pilot's; its own rows are not kept (maxlen 0)
     node_eps = 1e-8
-    total, weight_mass, y_stop = run(node_eps)
+    pilot_rows = deque()
+    total, weight_mass, y_stop = run(node_eps, deque(), pilot_rows)
     refined = max(1e-13, tol * abs(total) / max(30.0 * weight_mass, 1.0))
     if refined < node_eps:
         node_eps = refined
-        total, weight_mass, y_stop = run(node_eps)
+        total, weight_mass, y_stop = run(node_eps, pilot_rows, deque(maxlen=0))
+    del pilot_rows
     # the constant's share over the full half line is exactly zero
     # (int c g' du = c [g] with g vanishing at both ends), so splitting it
     # off leaves one exact boundary term at the start of the march; the
@@ -357,7 +385,7 @@ def U_integral(table, p: PintzParams, tol=0.1, panel_scale=1.0):
         cutoffs = np.array([_clamped_cutoff(u, 1e-7, table.limit) for u in probes])
         far = cutoffs > held.reach
         d = np.empty(len(probes))
-        d[~far] = [_delta_point(held, u, 1e-7) for u in probes[~far]]
+        d[~far] = [_delta_point(held, u, 1e-7, _NO_ROWS)[0] for u in probes[~far]]
         psi = _psi_many(held.tiles(), probes[far], cutoffs[far])
         d[far] = psi - [smooth_baseline(u) for u in probes[far]]
         env = float(np.max(np.abs(d - DELTA_LIMIT)))

@@ -21,10 +21,11 @@ tiles() call, so a Delta grid (metrics, delta) never holds the whole
 table.  A LambdaBuffer copies the tiles of one tiles() pass into an
 array, only as far as it is asked: pintz's U_integral holds just the
 part its march reads, and its far probes read the buffer's own tiles(),
-the held tiles and then the rest of that pass.  build_lambda is a LambdaBuffer filled to N, kept
-as a LambdaTable for the readers that index Lambda directly (goldbach,
-chebyshev_psi).  MAX_LIMIT caps N, so a table holds at most 1.6 GB of
-values and prefix sums.
+the held tiles and then the rest of that pass; the held array is freed
+as soon as its tiles are read.  build_lambda is a LambdaBuffer filled
+to N, kept as a LambdaTable for the readers that index Lambda directly
+(goldbach, chebyshev_psi).  MAX_LIMIT caps N, so a table holds at most
+1.6 GB of values and prefix sums.
 """
 
 import math
@@ -97,7 +98,9 @@ class LambdaBuffer:
     large as untouched zero pages, which take memory only once a tile is
     written to them: memory follows reach, not limit.  U_integral's
     march reads a few percent of its table (10 of about 200 tiles at
-    the benchmark's pintz config).
+    the benchmark's pintz config).  tiles() hands the held array over
+    and spends the buffer, so the held tiles are freed once they have
+    been read, before the rest of the pass is sieved.
     """
 
     def __init__(self, table):
@@ -108,6 +111,7 @@ class LambdaBuffer:
 
     def upto(self, n):
         """values[1 : n + 1] for n <= limit, copying further tiles while reach < n."""
+        self._check_held()
         while self.reach < n:
             tile = next(self._tiles)
             hi = min(self.reach + _TILE, self.limit)
@@ -116,14 +120,27 @@ class LambdaBuffer:
         return self.values[1 : n + 1]
 
     def tiles(self):
-        """The table's tiles: views of those held, then the rest of this buffer's pass.
+        """The table's tiles: those held, then the rest of this buffer's pass.
 
-        The rest are read, not copied, so the pass is spent: upto cannot
-        reach past the held tiles afterwards.
+        The held array goes to the returned iterator, which drops it once
+        its tiles have been yielded, and the rest are read, not copied.
+        The buffer is spent: upto and tiles raise RuntimeError afterwards.
         """
-        rest, self._tiles = self._tiles, iter(())
-        yield from array_tiles(self.values[: self.reach + 1])
-        yield from rest
+        self._check_held()
+        held, rest = self.values[: self.reach + 1], self._tiles
+        self.values = self._tiles = None
+        return _handed_over(held, rest)
+
+    def _check_held(self):
+        if self.values is None:
+            raise RuntimeError("this LambdaBuffer has handed its tiles over")
+
+
+def _handed_over(held, rest):
+    """array_tiles(held), then rest; held is dropped once its tiles are yielded."""
+    yield from array_tiles(held)
+    del held
+    yield from rest
 
 
 def check_limit(N):

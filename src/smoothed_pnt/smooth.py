@@ -50,7 +50,10 @@ weighted_exp_sum, a one-point GEMV of the plain split e^{-qB/u} e^{-m/u},
 serves only pintz._delta_point: U_integral's march and the envelope
 probes inside its reach.  U cancels ~8 digits, so moving the march onto
 the engine shifts U by ~5e-7 relative, past the 1e-9 at which the
-benchmark's reference outputs pin it.  Goldbach's F_k, pintz's Mellin
+benchmark's reference outputs pin it.  Its one path is _blocked_exp_sum,
+which also returns the GEMV's block row sums and takes an earlier
+call's at the same u as a prior, so the march's refined pass reads only
+the blocks past its pilot pass's.  Goldbach's F_k, pintz's Mellin
 quadrature and its farther probes go through the engine.
 """
 
@@ -107,10 +110,17 @@ class DeltaBatch(NamedTuple):
 
 
 def smooth_baseline(x):
-    """I(x) = 1/(e^{1/x} - 1), cancellation-safe for large x via expm1."""
+    """I(x) = 1/(e^{1/x} - 1), cancellation-safe for large x via expm1.
+
+    0.0 below x ~ 1/709.78, where e^{1/x} overflows and I(x) is 0 in
+    binary64, as delta_many's baseline.
+    """
     if not (0.0 < x < math.inf):
         raise RangeError("x must be positive and finite")
-    return 1.0 / math.expm1(1.0 / x)
+    try:
+        return 1.0 / math.expm1(1.0 / x)
+    except OverflowError:
+        return 0.0
 
 
 def _log_tail(m, x):
@@ -207,22 +217,54 @@ def _direct_sum(coeffs, first, x):
 def weighted_exp_sum(coeffs, x):
     """sum_{n=1}^{M} coeffs[n-1] * e^{-n/x} for a contiguous coefficient array.
 
-    For long arrays the factorization e^{-(qB+m)/x} = e^{-qB/x} e^{-m/x}
-    replaces M exp() calls with ~2 sqrt(M) of them plus two BLAS dots;
-    each weight is then a product of two correctly rounded factors (a
-    couple of ulp), far below every tolerance used in this package.
+    _blocked_exp_sum with no prior rows.  For long arrays the
+    factorization e^{-(qB+m)/x} = e^{-qB/x} e^{-m/x} replaces M exp()
+    calls with ~2 sqrt(M) of them plus two BLAS dots; each weight is
+    then a product of two correctly rounded factors (a couple of ulp),
+    far below every tolerance used in this package.
+    """
+    return _blocked_exp_sum(coeffs, x, _NO_ROWS)[0]
+
+
+_NO_ROWS = np.empty(0)
+# OpenBLAS's GEMV kernels take the rows of a product in groups of this many
+_ROW_GROUP = 4
+
+
+def _blocked_exp_sum(coeffs, x, prior):
+    """(weighted_exp_sum(coeffs, x), rows): the sum and its block row sums.
+
+    With Q = M // _BLOCK whole blocks (none for M < 2 _BLOCK, a direct
+    sum), rows[q] = sum_m coeffs[q _BLOCK + m - 1] e^{-m/x}, m = 1.._BLOCK,
+    is one GEMV, and the sum is e^{-q _BLOCK/x} . rows plus a direct sum
+    over the last partial block.
+
+    prior is the rows of an earlier call at the same x on the same
+    leading coefficients (_NO_ROWS for none).  Its whole groups of
+    _ROW_GROUP rows are taken as they are, up to Q, and the GEMV computes
+    only the rows past them, a group fewer where that would leave a
+    single row.  At one BLAS thread, OpenBLAS gives each row of a GEMV
+    the bits it has in any GEMV of at least two rows that starts at a
+    multiple of _ROW_GROUP rows (a one-row product takes numpy's dot
+    path instead), so the sum is bitwise the one without prior.  With
+    more threads the split of the rows among threads moves with Q, and
+    the reused rows may differ from fresh ones in the last bit.
     """
     M = len(coeffs)
-    if M == 0:
-        return 0.0
     if M < 2 * _BLOCK:
-        return _direct_sum(coeffs, 1, x)
+        return _direct_sum(coeffs, 1, x), _NO_ROWS
     Q = M // _BLOCK
-    blocked = coeffs[: Q * _BLOCK].reshape(Q, _BLOCK) @ np.exp(-np.arange(1, _BLOCK + 1) / x)
-    total = float(np.exp(-(_BLOCK / x) * np.arange(Q, dtype=float)) @ blocked)
+    k = _ROW_GROUP * (min(len(prior), Q) // _ROW_GROUP)
+    if Q - k == 1:
+        k -= _ROW_GROUP
+    rows = prior[:k]
+    if k < Q:
+        fresh = coeffs[k * _BLOCK : Q * _BLOCK].reshape(Q - k, _BLOCK)
+        rows = np.concatenate([rows, fresh @ np.exp(-np.arange(1, _BLOCK + 1) / x)])
+    total = float(np.exp(-(_BLOCK / x) * np.arange(Q, dtype=float)) @ rows)
     if M > Q * _BLOCK:
         total += _direct_sum(coeffs[Q * _BLOCK :], Q * _BLOCK + 1, x)
-    return total
+    return total, rows
 
 
 # Chebyshev terms per block.  With r <= 1/2, the first term omitted from

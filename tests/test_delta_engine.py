@@ -17,7 +17,6 @@ from smoothed_pnt.metrics import metrics_row, metrics_rows
 from smoothed_pnt.sieve import _TILE, LambdaStream, build_lambda, chebyshev_psi
 from smoothed_pnt.smooth import (
     _BLOCK,
-    _block_size,
     _truncation_cutoffs,
     avg_metric,
     delta,
@@ -78,17 +77,42 @@ def test_matches_per_point_reference(table_mid, us):
         assert 0.0 <= b.tail_bound[i] <= TOL  # underflows to 0 for tiny u
 
 
-def test_batched_cutoffs_are_the_scalar_search():
-    # 20,000 seeded (x, tol) draws: 200 tolerances of 100 points each
-    rng = np.random.default_rng(20_000)
-    for tol in 10.0 ** rng.uniform(-15.0, -0.5, 200):
-        xs = 10.0 ** rng.uniform(-3.0, 7.0, 100)
-        assert _truncation_cutoffs(xs, tol).tolist() == [truncation_cutoff(x, tol) for x in xs]
-
-
 def _log_tail(m, x):
     """log of the tail bound (m log m) e^{-m/x} x, in scalar math."""
     return math.log(m) + math.log(math.log(m)) - m / x + math.log(x)
+
+
+def _is_smallest_whole_block(x, tol, M):
+    """M is whole blocks of x that certify tol, and a block less does not.
+
+    The rounding slack 1e-12 in log is far above the ~1e-14 of either
+    log form and far below a block's step.
+    """
+    B = _BLOCK if x >= _BLOCK else 64 if x >= 64 else 1
+    return (
+        M % B == 0
+        and _log_tail(M, x) <= math.log(tol) + 1e-12
+        and (M - B < max(20.0, 10.0 * x) or _log_tail(M - B, x) > math.log(tol) - 1e-12)
+    )
+
+
+def test_batched_cutoffs_are_the_scalar_search():
+    # 20,000 seeded (x, tol) draws: 200 tolerances of 100 points each.
+    # Each batch gives what the same points give shuffled and cut into
+    # sub-batches, the first of one point (truncation_cutoff's case), and
+    # each cutoff is the smallest whole-block one, checked in scalar math
+    rng = np.random.default_rng(20_000)
+    for tol in 10.0 ** rng.uniform(-15.0, -0.5, 200):
+        xs = 10.0 ** rng.uniform(-3.0, 7.0, 100)
+        cutoffs = _truncation_cutoffs(xs, tol)
+        order = rng.permutation(len(xs))
+        cuts = np.sort(rng.choice(np.arange(2, len(xs)), 2, replace=False))
+        again = np.empty_like(cutoffs)
+        for part in np.split(order, [1, *cuts]):
+            again[part] = _truncation_cutoffs(xs[part], tol)
+        assert again.tolist() == cutoffs.tolist()
+        for x, M in zip(xs.tolist(), cutoffs.tolist()):
+            assert _is_smallest_whole_block(x, tol, M), (x, tol, M)
 
 
 @PROPERTY
@@ -97,14 +121,8 @@ def _log_tail(m, x):
     tol=st.floats(min_value=1e-15, max_value=0.5),
 )
 def test_cutoffs_are_the_smallest_whole_blocks(xs, tol):
-    # each cutoff is whole blocks that certify tol, and a block less does
-    # not; the rounding slack 1e-12 in log is far above the ~1e-14 of
-    # either log form and far below a block's step
     for x, M in zip(xs, _truncation_cutoffs(xs, tol).tolist()):
-        B = int(_block_size(x))
-        assert M % B == 0
-        assert _log_tail(M, x) <= math.log(tol) + 1e-12
-        assert M - B < max(20.0, 10.0 * x) or _log_tail(M - B, x) > math.log(tol) - 1e-12
+        assert _is_smallest_whole_block(x, tol, M)
         assert truncation_cutoff(x, tol) == M
 
 

@@ -1,11 +1,19 @@
 import cmath
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import smoothed_pnt
 from smoothed_pnt import metrics, pintz, sieve
 from smoothed_pnt.errors import CapacityError, DomainError, NormalizationError
 from smoothed_pnt.pintz import (
@@ -22,6 +30,7 @@ from smoothed_pnt.pintz import (
     turan_bounds,
 )
 from smoothed_pnt.sieve import _TILE, LambdaBuffer, LambdaStream, build_lambda
+from smoothed_pnt.smooth import _BLOCK, _NO_ROWS
 from smoothed_pnt.specfun import gamma_complex, loggamma
 from smoothed_pnt.zeros import ZeroSet
 
@@ -147,6 +156,66 @@ class TestGaussianLine:
             gaussian_line_check(-1.0, 0.0)
 
 
+# Seeded (M1, M2) pairs on real Lambda: the rows of a sum over M1
+# coefficients as the prior of one over M2, each at one x.  Each case is
+# named when it occurs: one row left past the prior's whole groups,
+# M1 > M2, a direct sum (M < 2 _BLOCK) and whole blocks only.
+_ROW_REUSE_SCRIPT = textwrap.dedent(
+    """
+    import json
+    import numpy as np
+    from smoothed_pnt.sieve import build_lambda
+    from smoothed_pnt.smooth import _BLOCK, _NO_ROWS, _blocked_exp_sum, weighted_exp_sum
+
+    c = build_lambda(320 * _BLOCK).values[1:]
+    rng = np.random.default_rng(19)
+    pairs = [(8 * _BLOCK + 17, 9 * _BLOCK + 5), (13 * _BLOCK, 13 * _BLOCK + 99),
+             (40 * _BLOCK, 21 * _BLOCK), (3000, 7 * _BLOCK), (9 * _BLOCK, 8191)]
+    for _ in range(500):
+        q = rng.integers(0, 320, 2)
+        r = np.where(rng.random(2) < 0.2, 0, rng.integers(0, _BLOCK, 2))
+        pairs.append(tuple((q * _BLOCK + r).tolist()))
+    cases, bad = set(), []
+    for m1, m2 in pairs:
+        x = max(m2, 1) / rng.uniform(8.0, 30.0)
+        prior = _blocked_exp_sum(c[:m1], x, _NO_ROWS)[1]
+        total, rows = _blocked_exp_sum(c[:m2], x, prior)
+        if total.hex() != weighted_exp_sum(c[:m2], x).hex() or (
+            rows.tobytes() != _blocked_exp_sum(c[:m2], x, _NO_ROWS)[1].tobytes()
+        ):
+            bad.append((m1, m2))
+        q1, q2 = len(prior), m2 // _BLOCK
+        if q2 >= 2 and q2 - 4 * (min(q1, q2) // 4) == 1:
+            cases.add("one row left")
+        if m1 > m2 >= 2 * _BLOCK:
+            cases.add("M1 > M2")
+        if min(m1, m2) < 2 * _BLOCK:
+            cases.add("direct sum")
+        if m1 % _BLOCK == 0 and m2 % _BLOCK == 0 and min(m1, m2) >= 2 * _BLOCK:
+            cases.add("whole blocks")
+    print(json.dumps({"bad": bad, "cases": sorted(cases)}))
+    """
+)
+
+
+def test_blocked_rows_reuse_is_bitwise():
+    # One BLAS thread, as the benchmark runs: with two, OpenBLAS splits a
+    # GEMV's rows among threads by its length, and reused rows can differ
+    # from fresh ones in the last bit.
+    src = str(Path(smoothed_pnt.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _ROW_REUSE_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["bad"] == []
+    assert out["cases"] == ["M1 > M2", "direct sum", "one row left", "whole blocks"]
+
+
 class TestUIntegral:
     def test_panel_refinement(self, table_mid):
         p = PintzParams(mu=math.log(50.0), k=0.3, rho0=RHO1)
@@ -209,12 +278,64 @@ class TestUIntegral:
         U_integral(LambdaStream(limit), p, tol=0.1)
         assert sieved == list(range(1, limit + 1, _TILE))
 
+    def test_far_pass_frees_the_held_tiles(self, monkeypatch):
+        # the held array is gone before the far pass sieves a fresh tile
+        held, sieved = [], []
+        segment = sieve._segment
+
+        class Recording(LambdaBuffer):
+            def __init__(self, table):
+                super().__init__(table)
+                held.append((self, weakref.ref(self.values)))
+
+        def recording(lo, *args):
+            sieved.append((lo, held[0][1]() is None))
+            return segment(lo, *args)
+
+        monkeypatch.setattr(pintz, "LambdaBuffer", Recording)
+        monkeypatch.setattr(sieve, "_segment", recording)
+        p = PintzParams(mu=math.log(60.0), k=0.6, rho0=RHO1)
+        U_integral(LambdaStream(U_window(p, 0.1)[1]), p, tol=0.1)
+        reach = held[0][0].reach
+        assert [dead for lo, dead in sieved if lo <= reach] == [False, False]
+        fresh = [dead for lo, dead in sieved if lo > reach]
+        assert fresh and all(fresh)
+
+    @pytest.mark.parametrize(
+        "scale, k, tol",
+        [
+            (20.0, 0.5, 0.2),  # the golden config
+            (60.0, 0.6, 0.1),  # the march holds two tiles
+        ],
+    )
+    def test_row_reuse_keeps_the_bits(self, monkeypatch, scale, k, tol):
+        # the refined pass reuses the pilot's block rows, and U has the
+        # bits of the same march computing every row afresh
+        blocked = pintz._blocked_exp_sum
+        reused = []
+
+        def counting(coeffs, x, prior):
+            reused.append(len(prior) >= 4 and len(coeffs) >= 8 * _BLOCK)
+            return blocked(coeffs, x, prior)
+
+        p = PintzParams(mu=math.log(scale), k=k, rho0=RHO1)
+        table = LambdaStream(U_window(p, tol)[1])
+        monkeypatch.setattr(pintz, "_blocked_exp_sum", counting)
+        with_reuse = U_integral(table, p, tol=tol)
+        assert sum(reused) > 100
+        monkeypatch.setattr(pintz, "_blocked_exp_sum", lambda c, x, prior: blocked(c, x, _NO_ROWS))
+        assert _bits(U_integral(table, p, tol=tol)) == _bits(with_reuse)
+
     def test_buffer_tiles_hold_then_stream(self, table_mid):
         buffer = LambdaBuffer(LambdaStream(table_mid.limit))
         buffer.upto(300_000)
         tiles = list(buffer.tiles())
         assert [t.tobytes() for t in tiles] == [t.tobytes() for t in table_mid.tiles()]
-        assert buffer.upto(2 * _TILE).tobytes() == table_mid.values[1 : 2 * _TILE + 1].tobytes()
+        # the held array went with the tiles: the buffer is spent
+        with pytest.raises(RuntimeError):
+            buffer.upto(2 * _TILE)
+        with pytest.raises(RuntimeError):
+            buffer.tiles()
 
     def test_prefix_holds_the_table_bits(self, table_mid):
         buffer = LambdaBuffer(LambdaStream(table_mid.limit))

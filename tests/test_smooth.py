@@ -12,6 +12,7 @@ from smoothed_pnt.smooth import (
     DELTA_LIMIT,
     avg_metric,
     delta,
+    delta_many,
     hybrid_grid,
     smooth_baseline,
     sup_metric,
@@ -33,6 +34,12 @@ class TestBaseline:
     def test_laurent_expansion_large_x(self):
         x = 1e6
         assert abs(smooth_baseline(x) - (x - 0.5)) <= 1e-4
+
+    def test_zero_where_the_exponential_overflows(self, table_small):
+        # e^{1/x} overflows below x ~ 1/709.78, where I(x) is 0 in binary64,
+        # as in delta_many's baseline
+        assert smooth_baseline(1e-3) == delta_many(table_small, [1e-3]).baseline[0] == 0.0
+        assert smooth_baseline(1.0 / 709.0) > 0.0
 
     def test_domain(self):
         with pytest.raises(RangeError):
