@@ -9,13 +9,12 @@ diagnostic goes to standard error.  An --out whose directory is missing
 or not writable is refused before any table is sieved or zero found.
 
 Without --limit, each table is as long as the certificate that reads it
-needs: smooth.truncation_cutoff for metrics and delta, goldbach.fk_cutoff
-and contour_cutoff for goldbach, pintz.U_window for pintz.  A --limit
-given to metrics or delta must reach truncation_cutoff at the largest x,
-a whole number of the Delta engine's blocks (up to 4,095 entries past
-where the tail bound alone would stop).  metrics,
-delta and pintz stream their table (sieve.LambdaStream) instead of
-holding it; goldbach alone holds its table whole.
+needs: smooth.truncation_cutoff for metrics and delta and
+goldbach.fk_cutoff (one tail bound, one search), with contour_cutoff,
+for goldbach, pintz.U_window for pintz.  A --limit given to metrics or
+delta must reach truncation_cutoff at the largest x, a whole number of
+the Delta engine's blocks.  metrics, delta and pintz stream their table
+(sieve.LambdaStream); goldbach alone holds its table whole.
 
 Exit codes: 0 ok, 2 configuration error, 3 capacity (table too small),
 4 tolerance/accuracy failure.

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import AliasError, CapacityError, DomainError
 from .sieve import LambdaTable, array_tiles
-from .smooth import _psi_many, _smallest_cutoff
+from .smooth import _cutoffs, _log_tail, _psi_many
 
 __all__ = [
     "ConvolutionTable",
@@ -127,47 +127,53 @@ def psi2_centered(table: LambdaTable, N, method="auto"):
 
 
 def fk_tail_bound(k, limit, x):
-    """Bound on sum_{n > limit} n^{k-1} (log n)^k e^{-n/x} by integral comparison."""
-    if limit <= max(8, 4 * k * x):
-        return math.inf
-    log_term = (k - 1) * math.log(limit) + k * math.log(math.log(limit))
-    # geometric-style envelope: the summand shrinks by at least e^{-1/(2x)}
-    # per step once n > 4kx, so the tail is <= first term / (1 - ratio)
-    ratio = math.exp(-0.5 / x)
-    return math.exp(log_term - limit / x) / (1.0 - ratio)
+    """Bound on sum_{n > limit} n^{k-1} (log n)^k e^{-n/x}: e^{smooth._log_tail}."""
+    return float(np.exp(_log_tail(float(limit), x, k)))
 
 
 def fk_cutoff(k, x, tol):
-    """Smallest convolution limit L with fk_tail_bound(k, L, x) <= tol.
+    """Smallest convolution limit L > max(8, 4kx) with fk_tail_bound(k, L, x) <= tol.
 
-    The bound is finite only past max(8, 4kx), and there it decreases.
+    RangeError unless x is positive and finite and L fits an int64.
     """
+    return int(_certified_limits(k, [x], tol, 0)[0])
+
+
+def _certified_limits(k, xs, tol, least):
+    """fk_cutoff at each of xs by smooth._cutoffs, searched from least on: least if it certifies tol."""
     if not tol > 0.0:
         raise DomainError("tol must be positive")
-    lo = int(max(8, 4 * k * x)) + 1
-    return _smallest_cutoff(lambda m: fk_tail_bound(k, m, x) <= tol, lo)
+
+    def floor(x):
+        return np.maximum(np.floor(np.maximum(8.0, 4.0 * k * x)) + 1.0, least)
+
+    return _cutoffs(xs, math.log(tol), floor, k=k)
 
 
 def smooth_Fk(conv: ConvolutionTable, x, tol=1e-9):
     """F_k(x) = sum psi_k(n) e^{-n/x}, its truncation certified within tol.
 
-    The omitted tail n > conv.limit is bounded by fk_tail_bound.  Rounding
-    is not part of tol: it is relative, like that of the coefficients, a
-    few eps of F_k (at most 2.0e-15 for k <= 5 against direct sums).  The
-    sum runs through the Delta engine's kernel, which reads whole blocks:
+    CapacityError unless fk_cutoff certifies conv.limit.  Rounding is not
+    part of tol: it is relative, like that of the coefficients, a few eps
+    of F_k (at most 2.0e-15 for k <= 5 against direct sums).  The sum
+    runs through the Delta engine's kernel, which reads whole blocks:
     past conv.limit it reads the zeros that pad the last tile.
     """
-    bound = fk_tail_bound(conv.k, conv.limit, x)
-    if not bound <= tol:
-        need = fk_cutoff(conv.k, x, tol)
+    need = int(_certified_limits(conv.k, [x], tol, conv.limit)[0])
+    if need > conv.limit:
+        bound = fk_tail_bound(conv.k, conv.limit, x)
         raise CapacityError(f"tail bound {bound:.2e} > tol; need convolution limit >= {need}")
     return float(_psi_many(array_tiles(conv.values), np.array([float(x)]), np.array([conv.limit]))[0])
 
 
 def contour_cutoff(N, r=None):
     """Table limit contour_extract(table, N, r) reads: smallest C with r^C < 1e-18."""
+    if not (0.0 < N < math.inf):
+        raise DomainError("N must be positive and finite")
     if r is None:
         r = math.exp(-1.0 / N)
+    if not (0.0 < r < 1.0):
+        raise DomainError("radius must satisfy 0 < r < 1")
     return int(math.ceil(math.log(1e-18) / math.log(r)))
 
 
@@ -180,13 +186,11 @@ def contour_extract(table: LambdaTable, N, r=None, nodes=None, squared=True):
     must exceed the full Laurent span 2*(cutoff + N), otherwise the
     sampled coefficient aliases and AliasError is raised.
     """
+    if not (2 <= N < math.inf):
+        raise DomainError("N must be finite and >= 2")
     N = int(N)
-    if N < 2:
-        raise DomainError("N must be >= 2")
     if r is None:
         r = math.exp(-1.0 / N)
-    if not (0.0 < r < 1.0):
-        raise DomainError("radius must satisfy 0 < r < 1")
     cutoff = contour_cutoff(N, r)
     if cutoff > table.limit:
         raise CapacityError(

@@ -22,6 +22,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DomainError, ParseError, RangeError
+from .smooth import _distinct, delta_many, hybrid_grid, trapezoid_mean
 from .specfun import loggamma
 from .zeros import ZeroSet
 
@@ -184,8 +185,6 @@ def metrics_rows(table, zeros: ZeroSet, xs, grid=64, tol=1e-6):
     point once.  Psi, I and Delta at x come from the same call: each
     grid ends at x.
     """
-    from .smooth import _distinct, delta_many, hybrid_grid, trapezoid_mean
-
     grids = [hybrid_grid(x, points=grid, include_zero=True) for x in xs]
     us_all = np.concatenate([np.empty(0), *grids])
     points = _distinct(us_all)

@@ -33,11 +33,13 @@ from .errors import (
     CapacityError,
     DomainError,
     NormalizationError,
+    RangeError,
     ToleranceError,
 )
 from .metrics import _golden_section
 from .sieve import LambdaBuffer, LambdaTable
 from .smooth import (
+    _INT64_MAX,
     _NO_ROWS,
     DELTA_LIMIT,
     _blocked_exp_sum,
@@ -194,10 +196,10 @@ def mellin_H_quadrature(table: LambdaTable, s, upper=2000.0):
     ToleranceError when the estimate exceeds 1e-4.
     """
     s = complex(s)
-    if s.real < 2.0:
+    if not (s.real >= 2.0):
         raise DomainError("quadrature form requires Re s >= 2")
-    if upper < 1e3:
-        raise DomainError("upper must be at least 1e3")
+    if not (1e3 <= upper < math.inf):
+        raise DomainError("upper must be finite and at least 1e3")
     u_min = 0.02
     node_eps = 1e-10
     h = 0.5 / max(abs(s.imag), 1.0)
@@ -231,8 +233,8 @@ def gaussian_line_check(kk, w, height=None):
     exercises genuine oscillation.  Any vertical line gives the same
     integral; the shift is pure conditioning.
     """
-    if kk <= 0.0:
-        raise DomainError("kk must be positive")
+    if not (0.0 < kk < math.inf and math.isfinite(w)):
+        raise DomainError("kk must be positive, and kk and w finite")
     sigma = 2.0
     if kk * (sigma + w / (2.0 * kk)) ** 2 > 8.0:
         sigma = -w / (2.0 * kk) + 2.0 / math.sqrt(kk)
@@ -273,11 +275,18 @@ def U_window(p: PintzParams, tol):
 
     The window is [e^{mu-width}, e^{mu+width}] with width = 6 sqrt(k
     log(1/tol)); Delta at its top is read to 1e-5 under the loose tail.
+    RangeError when the top or the limit leaves the binary64 or int64 range.
     """
-    if tol <= 0.0 or tol >= 1.0:
+    if not (0.0 < tol < 1.0):
         raise DomainError("tol must lie in (0, 1)")
     width = 6.0 * math.sqrt(p.k * math.log(1.0 / tol))
-    return width, _loose_cutoff(math.exp(p.mu + width), 1e-5)
+    try:
+        limit = _loose_cutoff(math.exp(p.mu + width), 1e-5)
+    except OverflowError:
+        limit = math.inf
+    if limit > _INT64_MAX:
+        raise RangeError(f"mu + width = {p.mu + width:g}: the window's limit exceeds int64")
+    return width, limit
 
 
 def U_integral(table, p: PintzParams, tol=0.1, panel_scale=1.0):

@@ -13,9 +13,9 @@ certifies a one-sided bound: sup_metric never exceeds the true sup, and
 avg_metric reports its own trapezoid error estimate.
 
 One engine, delta_many, evaluates Delta at any set of points, each at
-its own certified cutoff, from one vectorized search (_truncation_cutoffs;
-truncation_cutoff is its one-point case).  Its kernel,
-_psi_many, splits this discrete Laplace transform into block moments
+its own certified cutoff.  _log_tail is the package's one tail bound and
+_cutoffs its one cutoff search, for Psi here and F_k in goldbach.  The
+engine's kernel, _psi_many, splits this discrete Laplace transform into block moments
 (Rokhlin 1988; Strain 1992).  Block q of size B holds n = qB + m,
 m = 1..B.  With x_m = (2m - B - 1)/(B - 1) in [-1, 1], r = (B - 1)/(2u),
 a_0 = I_0(r) and a_j = 2 (-1)^j I_j(r) (the modified Bessel generating
@@ -25,9 +25,8 @@ M[q, j] = sum_m c_{qB+m} T_j(x_m) do not depend on u: one pass over the
 table computes them, and a point costs _J multiply-adds per block, not
 B.  Points with u >= _BLOCK take B = _BLOCK, those with 64 <= u < _BLOCK
 take B = 64 (r <= 1/2 either way), and those with u < 64 a direct sum
-(_block_size).  The block is the unit of truncation: each cutoff is the
-smallest whole number of the point's blocks that certifies tol, since
-summing more terms only shrinks the tail.  The zero side uses the same
+(_block_size), and each cutoff is a whole number of the point's blocks
+(_truncation_cutoffs).  The zero side uses the same
 expansion at an imaginary r: specfun's head moments give the zero
 finder's Euler-Maclaurin heads, so _chebyshev_coeffs takes a complex r.
 
@@ -50,11 +49,9 @@ weighted_exp_sum, a one-point GEMV of the plain split e^{-qB/u} e^{-m/u},
 serves only pintz._delta_point: U_integral's march and the envelope
 probes inside its reach.  U cancels ~8 digits, so moving the march onto
 the engine shifts U by ~5e-7 relative, past the 1e-9 at which the
-benchmark's reference outputs pin it.  Its one path is _blocked_exp_sum,
-which also returns the GEMV's block row sums and takes an earlier
-call's at the same u as a prior, so the march's refined pass reads only
-the blocks past its pilot pass's.  Goldbach's F_k, pintz's Mellin
-quadrature and its farther probes go through the engine.
+benchmark's reference outputs pin it (its one path, _blocked_exp_sum,
+lets the march's refined pass reuse its pilot's rows).  Goldbach's F_k,
+pintz's Mellin quadrature and its farther probes go through the engine.
 """
 
 import functools
@@ -123,18 +120,22 @@ def smooth_baseline(x):
         return 0.0
 
 
-def _log_tail(m, x):
-    """log of (m log m) e^{-m/x} x, the tail bound for a cutoff m, elementwise."""
-    return np.log(m) + np.log(np.log(m)) - m / x + np.log(x)
+def _log_tail(m, x, k=1):
+    """log of a bound on sum_{n>m} n^{k-1} (log n)^k e^{-n/x}, elementwise.
+
+    +inf for m <= max(8, 4kx); past that each term shrinks by at least
+    e^{-1/(2x)}, so the tail is at most the term at m over 1 - e^{-1/(2x)}.
+    k = 1 bounds Psi's tail (Lambda(n) <= log n), k > 1 goldbach's F_k.
+    """
+    m = np.maximum(m, 8.0)  # the bound is inf up to 8 anyway
+    log = (k - 1) * np.log(m) + k * np.log(np.log(m)) - m / x - np.log(-np.expm1(-0.5 / x))
+    return np.where(m > np.maximum(8.0, 4.0 * k * x), log, np.inf)
 
 
 def truncation_cutoff(x, tol):
     """The Delta engine's certified cutoff at x: _truncation_cutoffs at a batch of one.
 
-    The smallest multiple M of the engine's block for x (4096 from
-    x = 4096, 64 from x = 64, else 1) with M >= max(20, 10x) and
-    (M log M) e^{-M/x} x <= tol.  RangeError unless x is positive and
-    finite and tol positive, and when M would pass the int64 range.
+    RangeError past int64, which x reaches at about 1.43e17 at tol 1e-9.
     """
     return int(_truncation_cutoffs([x], tol)[0])
 
@@ -148,64 +149,51 @@ def _block_size(u):
 
 
 def _truncation_cutoffs(xs, tol):
-    """Each x's smallest M >= max(20, 10x) in whole blocks with (M log M) e^{-M/x} x <= tol.
+    """_cutoffs at k = 1: each x's smallest M >= max(20, 10x) in whole blocks of _block_size(x).
 
-    The left side dominates the omitted tail sum_{n>M} (log n) e^{-n/x}
-    by an integral comparison, so stopping at M certifies the tail, and
-    M is a multiple of _block_size(x), so the engine reads whole blocks
-    and nothing else.  From 10x on the bound decreases, so one doubling,
-    then bisection, over counts of blocks serves all of xs at once.
-    RangeError unless every x is positive and finite and tol positive (a
-    NaN fails both checks), and for an x whose cutoff would pass the
-    int64 range (x from about 8.6e16 at tol 1e-9), checked before any
-    arithmetic.
+    RangeError unless tol is positive, and as _cutoffs raises it.
+    """
+    if not (tol > 0.0):
+        raise RangeError("tol must be positive")
+    xs = np.asarray(xs, dtype=float)
+    return _cutoffs(xs, math.log(tol), lambda x: np.maximum(20.0, 10.0 * x), _block_size(xs))
+
+
+def _cutoffs(xs, log_tol, floor, step=1, k=1):
+    """Each x's smallest multiple M of step with M >= floor(x) and _log_tail(M, x, k) <= log_tol.
+
+    Past its floor the bound decreases, so one doubling, then bisection,
+    over counts of step serves all of xs at once.  RangeError unless
+    every x is positive and finite, and for an x whose M would pass int64.
     """
     xs = np.asarray(xs, dtype=float)
     if not np.all((xs > 0.0) & (xs < math.inf)):
         raise RangeError("x must be positive and finite")
-    if not (tol > 0.0):
-        raise RangeError("tol must be positive")
 
     def too_large(x):
         return RangeError(f"x = {x:g} is too large: its cutoff exceeds int64")
 
-    if np.any(huge := xs > _INT64_MAX / 10.0):
+    with np.errstate(over="ignore"):
+        low = np.ceil(floor(xs) / step)
+    if np.any(huge := low >= 2.0**63 / step):  # step is a power of two
         raise too_large(xs[huge][0])
-    log_tol = math.log(tol)
-    B = _block_size(xs)
-    most = _INT64_MAX // B  # the most blocks an int64 cutoff holds
+    most = _INT64_MAX // step  # the most steps an int64 cutoff holds
 
-    def fits(k):
-        return _log_tail((k * B).astype(float), xs) <= log_tol
+    def fits(n):
+        return _log_tail(n * step, xs, k) <= log_tol
 
-    low = hi = np.ceil(np.maximum(20.0, 10.0 * xs) / B).astype(np.int64)
+    low = hi = low.astype(np.int64)
     while not (held := fits(hi)).all():
         if np.any(stuck := ~held & (hi == most)):
             raise too_large(xs[stuck][0])
-        hi = np.where(held, hi, np.minimum(2 * hi, most))
+        hi = np.where(held, hi, hi + np.minimum(hi, most - hi))
     # fits(hi) holds, and fits(low) fails unless low == hi
     while (live := low + 1 < hi).any():
-        mid = np.where(live, (low + hi) // 2, hi)
+        mid = np.where(live, low + (hi - low) // 2, hi)
         mid_fits = fits(mid)
         hi = np.where(mid_fits, mid, hi)
         low = np.where(mid_fits, low, mid)
-    return hi * B
-
-
-def _smallest_cutoff(fits, lo):
-    """Smallest M >= lo with fits(M), by doubling then bisection; fits fails, then holds."""
-    if fits(lo):
-        return lo
-    hi = lo
-    while not fits(hi):
-        hi *= 2
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if fits(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return hi * step
 
 
 def _direct_sum(coeffs, first, x):
@@ -217,11 +205,9 @@ def _direct_sum(coeffs, first, x):
 def weighted_exp_sum(coeffs, x):
     """sum_{n=1}^{M} coeffs[n-1] * e^{-n/x} for a contiguous coefficient array.
 
-    _blocked_exp_sum with no prior rows.  For long arrays the
-    factorization e^{-(qB+m)/x} = e^{-qB/x} e^{-m/x} replaces M exp()
-    calls with ~2 sqrt(M) of them plus two BLAS dots; each weight is
-    then a product of two correctly rounded factors (a couple of ulp),
-    far below every tolerance used in this package.
+    _blocked_exp_sum with no prior rows: e^{-(qB+m)/x} = e^{-qB/x} e^{-m/x}
+    takes B + M/B exp() calls and a GEMV, each weight a product of two
+    correctly rounded factors (a couple of ulp).
     """
     return _blocked_exp_sum(coeffs, x, _NO_ROWS)[0]
 
@@ -364,7 +350,7 @@ def delta_many(table, us, tol=1e-9):
     """Psi, I and Delta at every point of us, each truncated at its certified cutoff.
 
     The cutoffs are _truncation_cutoffs', whole blocks, and tail_bound
-    is the certificate at each.  u = 0 gives 0 in every field (the limit
+    is _log_tail's certificate at each.  u = 0 gives 0 in every field (the limit
     from the right).  Raises CapacityError, for the first such point in
     input order, when the table cannot reach the cutoff the tolerance
     demands.

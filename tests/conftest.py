@@ -12,7 +12,7 @@ def table_small():
 
 @pytest.fixture(scope="session")
 def table_mid():
-    # covers delta() up to x = 1e4 at tol 1e-9 (cutoff ~4.6e5)
+    # covers delta() up to x = 1.77e4 at tol 1e-9 (cutoff 331,776 at x = 1e4)
     return build_lambda(600_000)
 
 

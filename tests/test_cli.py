@@ -239,6 +239,21 @@ class TestExitCodes:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--mu-scale", "1e299"], ["--mu-scale", "1e307"], ["--k", "100", "--mu-scale", "1e280"]],
+    )
+    def test_pintz_window_past_int64(self, capsys, flags):
+        code, out, err = run(capsys, "pintz", *flags)
+        assert code == 2
+        assert out == "" and err.count("\n") == 1 and "int64" in err
+
+    def test_goldbach_past_the_sieve_is_a_capacity_error(self, capsys):
+        # the convolution limit at x = 1e16 is 1.0e18: inside int64, past MAX_LIMIT
+        code, out, err = run(capsys, "goldbach", "--x", "10:1e16:2")
+        assert code == 3
+        assert out == "" and err.startswith("capacity error") and err.count("\n") == 1
+
     def test_unreadable_zero_table(self, capsys, tmp_path):
         code, _, err = run(capsys, "delta", "--x", "10:100:3", "--zeros", str(tmp_path / "absent.txt"))
         assert code == 2

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smoothed_pnt import smooth
+from smoothed_pnt import metrics
 from smoothed_pnt.errors import CapacityError, RangeError
 from smoothed_pnt.metrics import metrics_row, metrics_rows
 from smoothed_pnt.sieve import _TILE, LambdaStream, build_lambda, chebyshev_psi
@@ -29,15 +29,15 @@ from smoothed_pnt.smooth import (
 )
 
 TOL = 1e-9
-# table_mid (limit 600,000) reaches u = 1.297e4 at tol 1e-9, whose
+# table_mid (limit 600,000) reaches u = 1.770e4 at tol 1e-9, whose
 # whole-block cutoff is 598,016.  The kernel sums points with u < 64
 # directly, takes blocks of 64 for u < _BLOCK and blocks of _BLOCK past
 # it, so two strategies straddle those two edges and one takes the edges
-# themselves; cutoffs past 524,288 (u above ~1.144e4) end in the
+# themselves; cutoffs past 524,288 (u above ~1.558e4) end in the
 # zero-padded third tile.
 points = st.one_of(
     st.floats(min_value=0.01, max_value=300.0),
-    st.floats(min_value=300.0, max_value=1.297e4),
+    st.floats(min_value=300.0, max_value=1.770e4),
     st.floats(min_value=60.0, max_value=68.0),
     st.floats(min_value=4000.0, max_value=4200.0),
     st.sampled_from([np.nextafter(64.0, 0.0), 64.0, np.nextafter(4096.0, 0.0), 4096.0]),
@@ -78,8 +78,8 @@ def test_matches_per_point_reference(table_mid, us):
 
 
 def _log_tail(m, x):
-    """log of the tail bound (m log m) e^{-m/x} x, in scalar math."""
-    return math.log(m) + math.log(math.log(m)) - m / x + math.log(x)
+    """log of the tail bound (log m) e^{-m/x} / (1 - e^{-1/(2x)}), in scalar math."""
+    return math.log(math.log(m)) - m / x - math.log(-math.expm1(-0.5 / x))
 
 
 def _is_smallest_whole_block(x, tol, M):
@@ -160,13 +160,35 @@ def test_huge_x_is_a_range_error(table_small, x):
 
 
 def test_cutoff_past_int64_is_a_range_error(table_small):
-    # the cutoff at 1e17 would be 1.07e19, past what an int64 holds
+    # the cutoff at 2e17 would be 1.3e19, past what an int64 holds; at
+    # 1e17 it is 6.43e18, inside
     with pytest.raises(RangeError, match="int64"):
-        truncation_cutoff(1e17, TOL)
+        truncation_cutoff(2e17, TOL)
     with pytest.raises(RangeError, match="int64"):
-        delta_many(table_small, [1e17], tol=TOL)
+        delta_many(table_small, [2e17], tol=TOL)
+    assert truncation_cutoff(1e17, TOL) == 6_432_869_587_460_333_568
     with pytest.raises(CapacityError):
-        delta_many(table_small, [1e16], tol=TOL)
+        delta_many(table_small, [1e17], tol=TOL)
+
+
+def test_tail_bound_dominates_the_true_tail():
+    # sum_{n>M} Lambda(n) e^{-n/u} at the cutoff M, summed as far as
+    # n = 746 u, past which every term underflows, is at most tail_bound
+    rng = np.random.default_rng(1905)
+    us = 10.0 ** rng.uniform(0.0, 5.0, 12)
+    tols = 10.0 ** rng.uniform(-12.0, -3.0, 12)
+    table = LambdaStream(int(746 * us.max()))
+    batches = [delta_many(table, [u], tol=tol) for u, tol in zip(us, tols)]
+    cutoffs = np.array([b.cutoff[0] for b in batches])
+    tails = np.zeros(len(us))
+    for t, tile in enumerate(table.tiles()):
+        at = np.flatnonzero(tile)
+        n = at + 1.0 + t * _TILE
+        for i, (u, M) in enumerate(zip(us, cutoffs)):
+            keep = slice(*np.searchsorted(n, [M, 746 * u], side="right"))
+            tails[i] += np.dot(tile[at[keep]], np.exp(-n[keep] / u))
+    bounds = np.array([b.tail_bound[0] for b in batches])
+    assert np.all(tails > 0.0) and np.all(tails <= bounds), tails / bounds
 
 
 def test_table_end_padding():
@@ -278,7 +300,7 @@ def test_metrics_rows_evaluate_each_distinct_point_once(table_mid, zeros_rh, mon
         sizes.append(len(us))
         return delta_many(table, us, tol=tol)
 
-    monkeypatch.setattr(smooth, "delta_many", counting)
+    monkeypatch.setattr(metrics, "delta_many", counting)
     metrics_rows(table_mid, zeros_rh, xs, grid=64, tol=1e-6)
     assert sizes == [len(np.unique(np.concatenate(grids)))]
     assert sizes[0] < sum(map(len, grids))
@@ -286,10 +308,10 @@ def test_metrics_rows_evaluate_each_distinct_point_once(table_mid, zeros_rh, mon
 
 def test_streamed_memory_is_one_tile_and_the_moments():
     # A metrics batch whose grids mostly need tile 0 alone, plus the grid
-    # of x = 1e5, which reads all 20 tiles.  Streamed, the engine holds
+    # of x = 1e5, which reads all 14 tiles.  Streamed, the engine holds
     # one tile, the sieve's working arrays for the next, and the moment
     # arrays, 16 doubles per block: under the bytes of three tiles, 6.3 MB
-    # (4.2-4.7 MB measured), where the whole table takes 8 N = 40 MB.
+    # (3.7-4.2 MB measured), where the whole table takes 8 N = 29 MB.
     # Holding the tiles, or weights a block long for each point, goes
     # over.
     xs = np.append(np.geomspace(10.0, 3e3, 24), 1e5)

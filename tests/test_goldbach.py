@@ -1,12 +1,16 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smoothed_pnt.errors import AliasError, CapacityError, DomainError
+from smoothed_pnt import cli
+from smoothed_pnt.errors import AliasError, CapacityError, DomainError, RangeError
 from smoothed_pnt.goldbach import (
+    _certified_limits,
     contour_cutoff,
     contour_extract,
     convolve_psik,
@@ -120,6 +124,13 @@ class TestSmoothFk:
         with pytest.raises(DomainError):
             fk_cutoff(2, 10.0, 0.0)
 
+    @pytest.mark.parametrize("x", [0.0, -5.0, math.inf, math.nan])
+    def test_x_must_be_positive_and_finite(self, table_small, x):
+        with pytest.raises(RangeError, match="positive and finite"):
+            fk_cutoff(2, x, 1e-6)
+        with pytest.raises(RangeError, match="positive and finite"):
+            smooth_Fk(convolve_psik(table_small, 2, 100), x, tol=1e-6)
+
     def test_tail_bound_conservative(self, table_small):
         # the bound must dominate the actual omitted tail
         x = 20.0
@@ -132,6 +143,62 @@ class TestSmoothFk:
             )
         )
         assert fk_tail_bound(2, 1200, x) >= abs(actual_tail)
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def _linear_tail_bound(k, limit, x):
+    """fk_tail_bound's envelope with its ratio in linear form, 1 - e^{-1/(2x)}."""
+    if limit <= max(8, 4 * k * x):
+        return math.inf
+    log_term = (k - 1) * math.log(limit) + k * math.log(math.log(limit))
+    return math.exp(log_term - limit / x) / (1.0 - math.exp(-0.5 / x))
+
+
+def _scalar_cutoff(k, x, tol):
+    """fk_cutoff by a scalar doubling-then-bisection search on _linear_tail_bound."""
+    def fits(m):
+        return _linear_tail_bound(k, m, x) <= tol
+
+    lo = hi = int(max(8, 4 * k * x)) + 1
+    if fits(lo):
+        return lo
+    while not fits(hi):
+        hi *= 2
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if fits(mid) else (mid, hi)
+    return hi
+
+
+def _goldbach_config_points():
+    """(k, x, tol) at every x of the golden, CLI-default and lower_bound seed 0-9 grids."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    grids = ["10:1e2:3", "10:1e3:7"] + [
+        step[4] for seed in range(10) for step in workloads.steps("lower_bound", seed)
+        if step[0] == "goldbach"
+    ]
+    assert len(grids) == 12
+    return [(2, x, 1e-6) for grid in grids for x in cli._parse_grid(grid).tolist()]
+
+
+def test_fk_cutoff_is_the_scalar_search():
+    # 20,000 seeded draws, 100 x in [1e-2, 1e6] for each of 25 tolerances
+    # at each k, go through fk_cutoff's batched search, and the first x of
+    # each batch through fk_cutoff itself.  Past x ~ 1.6e6 the linear
+    # form's 1 - e^{-1/(2x)} loses enough digits to move a cutoff by one.
+    rng = np.random.default_rng(20_023)
+    for k in range(1, 9):
+        for tol in 10.0 ** rng.uniform(-15.0, -1.0, 25):
+            xs = 10.0 ** rng.uniform(-2.0, 6.0, 100)
+            want = [_scalar_cutoff(k, x, tol) for x in xs.tolist()]
+            assert _certified_limits(k, xs, tol, 0).tolist() == want, (k, tol)
+            assert fk_cutoff(k, xs[0], tol) == want[0]
+    for k, x, tol in _goldbach_config_points():
+        assert fk_cutoff(k, x, tol) == _scalar_cutoff(k, x, tol)
 
 
 class TestContour:

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 import smoothed_pnt
 from smoothed_pnt import metrics, pintz, sieve
-from smoothed_pnt.errors import CapacityError, DomainError, NormalizationError
+from smoothed_pnt.errors import CapacityError, DomainError, NormalizationError, RangeError
+from smoothed_pnt.goldbach import contour_cutoff, contour_extract
 from smoothed_pnt.pintz import (
     _GAUSS_LEGENDRE,
     PintzParams,
@@ -115,7 +116,7 @@ class TestMellinQuadrature:
         assert abs(quad.value - mellin_H_closed(s)) <= 1e-3
 
     def test_short_table_raises(self, table_small):
-        # at tol 1e-10 the nodes above u ~ 250 need cutoffs past the table's 10,000
+        # at tol 1e-10 the nodes above u ~ 315 need cutoffs past the table's 10,000
         with pytest.raises(CapacityError):
             mellin_H_quadrature(table_small, 2.0)
 
@@ -124,6 +125,25 @@ class TestMellinQuadrature:
             mellin_H_quadrature(table_small, complex(1.5, 0.0))
         with pytest.raises(DomainError):
             mellin_H_quadrature(table_small, 2.0, upper=100.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda t: mellin_H_quadrature(t, 3.0, upper=math.nan),
+        lambda t: mellin_H_quadrature(t, 3.0, upper=math.inf),
+        lambda t: gaussian_line_check(math.nan, 0.0),
+        lambda t: gaussian_line_check(1.0, math.nan),
+        lambda t: gaussian_line_check(math.inf, 0.0),
+        lambda t: contour_cutoff(math.nan),
+        lambda t: contour_cutoff(0),
+        lambda t: contour_extract(t, math.nan),
+    ],
+)
+def test_non_finite_arguments_are_domain_errors(table_small, call):
+    # each is refused by its range check, before any conversion of it
+    with pytest.raises(DomainError):
+        call(table_small)
 
 
 class TestGaussianLine:
@@ -237,6 +257,14 @@ class TestUIntegral:
             U_integral(build_lambda(limit - 1), p, tol=0.2)
         with pytest.raises(DomainError):
             U_window(p, 1.0)
+        with pytest.raises(DomainError):
+            U_window(p, math.nan)
+
+    @pytest.mark.parametrize("scale, k", [(1e299, 1.0), (1e307, 1.0), (1e280, 100.0), (1e20, 1.0)])
+    def test_window_past_int64_is_a_range_error(self, scale, k):
+        # the top e^{mu+width}, or the limit under it, leaves binary64 or int64
+        with pytest.raises(RangeError, match="int64"):
+            U_window(PintzParams(mu=math.log(scale), k=k, rho0=RHO1), 0.1)
 
     @pytest.mark.parametrize(
         "scale, k, tol, tiles",
