@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import AliasError, CapacityError, DomainError
 from .sieve import LambdaTable, array_tiles
-from .smooth import _cutoffs, _log_tail, _psi_many
+from .smooth import _cutoffs, _log_tail, _positive_finite, _psi_many
 
 __all__ = [
     "ConvolutionTable",
@@ -127,8 +127,11 @@ def psi2_centered(table: LambdaTable, N, method="auto"):
 
 
 def fk_tail_bound(k, limit, x):
-    """Bound on sum_{n > limit} n^{k-1} (log n)^k e^{-n/x}: e^{smooth._log_tail}."""
-    return float(np.exp(_log_tail(float(limit), x, k)))
+    """Bound on sum_{n > limit} n^{k-1} (log n)^k e^{-n/x}: e^{smooth._log_tail}.
+
+    RangeError unless x is positive and finite, as for fk_cutoff.
+    """
+    return float(np.exp(_log_tail(float(limit), _positive_finite(x), k)))
 
 
 def fk_cutoff(k, x, tol):

@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import DomainError, ParseError, RangeError
 from .smooth import _distinct, delta_many, hybrid_grid, trapezoid_mean
-from .specfun import loggamma
 from .zeros import ZeroSet
 
 __all__ = [
@@ -228,7 +227,7 @@ def zero_sum_W_terms(x, zeros: ZeroSet):
     if x < 1.0:
         raise DomainError("x must be >= 1")
     b, g = zeros.betas, zeros.gammas
-    expo = loggamma(b + 1.0 + 1j * g).real + b * math.log(x) - np.log(g)
+    expo = zeros.loggamma_rho_plus_1.real + b * math.log(x) - np.log(g)
     return np.where(expo <= -745.0, 0.0, 2.0 * np.exp(expo))
 
 

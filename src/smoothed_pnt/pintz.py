@@ -192,12 +192,14 @@ def mellin_H_quadrature(table: LambdaTable, s, upper=2000.0):
     The error estimate compares against the rule on panels joined in
     pairs.  Delta at the nodes of both rules and at `upper` comes from
     one delta_many call at tol 1e-10, so a table too short for `upper`
-    raises CapacityError.  Requires Re s >= 2 and upper >= 1e3; raises
-    ToleranceError when the estimate exceeds 1e-4.
+    raises CapacityError.  Requires a finite s with Re s >= 2 and upper
+    >= 1e3; raises ToleranceError when the estimate exceeds 1e-4.
     """
     s = complex(s)
-    if not (s.real >= 2.0):
-        raise DomainError("quadrature form requires Re s >= 2")
+    if not (2.0 <= s.real < math.inf):
+        raise DomainError("quadrature form requires a finite Re s >= 2")
+    if not math.isfinite(s.imag):
+        raise DomainError("quadrature form requires a finite Im s")
     if not (1e3 <= upper < math.inf):
         raise DomainError("upper must be finite and at least 1e3")
     u_min = 0.02

@@ -28,7 +28,9 @@ take B = 64 (r <= 1/2 either way), and those with u < 64 a direct sum
 (_block_size), and each cutoff is a whole number of the point's blocks
 (_truncation_cutoffs).  The zero side uses the same
 expansion at an imaginary r: specfun's head moments give the zero
-finder's Euler-Maclaurin heads, so _chebyshev_coeffs takes a complex r.
+finder's Euler-Maclaurin heads, in its sign scan below t = 200 and at
+every bracket end and secant point of its refinement, so
+_chebyshev_coeffs takes a complex r.
 
 Each moment comes from one fixed-shape product per tile, and a point
 reads only the moments (tile 0's values for a direct sum), in shapes
@@ -159,6 +161,14 @@ def _truncation_cutoffs(xs, tol):
     return _cutoffs(xs, math.log(tol), lambda x: np.maximum(20.0, 10.0 * x), _block_size(xs))
 
 
+def _positive_finite(xs):
+    """xs as a float array; RangeError unless every x is positive and finite."""
+    xs = np.asarray(xs, dtype=float)
+    if not np.all((xs > 0.0) & (xs < math.inf)):
+        raise RangeError("x must be positive and finite")
+    return xs
+
+
 def _cutoffs(xs, log_tol, floor, step=1, k=1):
     """Each x's smallest multiple M of step with M >= floor(x) and _log_tail(M, x, k) <= log_tol.
 
@@ -166,9 +176,7 @@ def _cutoffs(xs, log_tol, floor, step=1, k=1):
     over counts of step serves all of xs at once.  RangeError unless
     every x is positive and finite, and for an x whose M would pass int64.
     """
-    xs = np.asarray(xs, dtype=float)
-    if not np.all((xs > 0.0) & (xs < math.inf)):
-        raise RangeError("x must be positive and finite")
+    xs = _positive_finite(xs)
 
     def too_large(x):
         return RangeError(f"x = {x:g} is too large: its cutoff exceeds int64")

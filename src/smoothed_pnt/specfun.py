@@ -15,8 +15,9 @@ whole arrays of heights.  Valid for Re s > -1, which covers every
 consumer in this package (the supported strip is -1 < Re s <= 3 plus
 the half plane Re s > 1 where the Dirichlet series converges anyway).
 
-The zero finder's refinement takes its heads from Chebyshev moments
-instead (_head_moments, _hardy_Z_moments): near a height t_a,
+The zero finder takes its heads from Chebyshev moments instead
+(_head_moments, _hardy_Z_moments), in its sign scan below t = 200 and at
+every bracket end and secant point of its refinement: near a height t_a,
 n^{-s} = n^{-s_a} e^{-iz} e^{-iz x_n} with x_n = 2 log n / log(N-1) - 1
 in [-1, 1], and e^{-izx} is the Delta engine's expansion e^{-rx} =
 sum_j a_j(r) T_j(x) (smooth._chebyshev_coeffs) at r = iz.  So one
@@ -242,8 +243,8 @@ def _em_core(s, n_terms, deriv=False, heads=None, head_err=0.0):
     set is that buffer plus a few arrays shaped like s, whatever the
     batch.  A caller that has the heads some other way passes them as
     `heads`, a list shaped like the values, with `head_err`, a bound on
-    their error that joins each returned bound: the zero finder's
-    refinement takes them from Chebyshev head moments (_hardy_Z_moments).
+    their error that joins each returned bound: the zero finder takes
+    them from Chebyshev head moments (_hardy_Z_moments).
     One loop over the Bernoulli terms carries each series with
     its remainder bound and keeps, per s, the term with the smallest bound;
     an s stops taking terms once all its bounds are below 1e-18
@@ -419,7 +420,7 @@ def _hardy_Z_array(ts, terms=None, heads=None, head_err=0.0):
     rotated = np.exp(1j * rs_theta(ts)) * val
     if np.any(np.abs(rotated.imag) > 1e-10 * np.maximum(1.0, np.abs(rotated.real))):
         raise AccuracyError("e^{i theta} zeta(1/2 + it) is off the real axis by more than 1e-10")
-    return rotated
+    return rotated, bound
 
 
 def hardy_Z(t, terms=None):
@@ -440,7 +441,7 @@ def hardy_Z(t, terms=None):
         return np.zeros(arr.shape)
     if arr.min() < 0.0 or arr.max() > 1e3:
         raise AccuracyError("hardy_Z supports 0 <= t <= 1e3")
-    rotated = _hardy_Z_array(arr, terms=terms)
+    rotated, _ = _hardy_Z_array(arr, terms=terms)
     out = rotated.real
     return float(out[0]) if np.isscalar(t) or np.ndim(t) == 0 else out
 
@@ -468,7 +469,8 @@ def _expansion_tail(z):
     _chebyshev_coeffs' series in k cut at K = _J terms; what it omits,
     2 sum_{k>=K} w^{2k+j} / (k! (k+j)!), summed over j < J, is at most
     2 w^{2K} / (K!^2 (1 - w) (1 - w^2/(K+1)^2)).  The bound is the sum
-    of the two; at the zero finder's |z| <= 0.18 it is below 2e-30.
+    of the two; at the refinement's |z| <= 0.18 it is below 2e-30, and
+    the zero finder's scan spaces its anchors by it (zeros._anchor_spacing).
     Rounding is not in it.
     """
     w = np.abs(z) / 2.0
@@ -503,10 +505,12 @@ def _hardy_Z_moments(cs, left, moments, n_terms):
 
     The Euler-Maclaurin core adds its Bernoulli terms to _moment_heads'
     heads, and its bound takes their truncation bound, so both of
-    hardy_Z's checks hold every value.  Returns the real Z.
+    hardy_Z's checks hold every value.  Returns the real Z and the core's
+    bound on its error, which |e^{i theta}| = 1 carries over from zeta.
     """
     head, err = _moment_heads(cs, left, moments, n_terms)
-    return _hardy_Z_array(cs, n_terms, heads=[head], head_err=err).real
+    rotated, bound = _hardy_Z_array(cs, n_terms, heads=[head], head_err=err)
+    return rotated.real, bound
 
 
 def _rs_Z(ts):

@@ -10,17 +10,19 @@ per line, either "gamma" (beta assumed 1/2) or "beta gamma" separated by
 whitespace, gamma strictly ascending, '#' starts a comment line.
 """
 
+import functools
 import importlib.resources
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EmptySetError, OrderError, ParseError
+from .errors import AccuracyError, DomainError, EmptySetError, OrderError, ParseError
 from .smooth import DELTA_LIMIT
 from .specfun import (
     _RS_MIN_T,
     _auto_terms,
+    _expansion_tail,
     _hardy_Z_moments,
     _head_moments,
     _rs_Z,
@@ -73,9 +75,26 @@ class ZeroSet:
     def __len__(self):
         return len(self.gammas)
 
+    # log Gamma over all zeros, once per set: every x of explicit_delta and
+    # of metrics' W reads the same array, so caching it moves no bit
+    @functools.cached_property
+    def loggamma_rho(self):
+        """log Gamma(rho) per zero, read-only."""
+        return _read_only(loggamma(self.betas + 1j * self.gammas))
+
+    @functools.cached_property
+    def loggamma_rho_plus_1(self):
+        """log Gamma(rho + 1) per zero, read-only."""
+        return _read_only(loggamma(self.betas + 1.0 + 1j * self.gammas))
+
     def require_nonempty(self):
         if len(self) == 0:
             raise EmptySetError("operation needs at least one zero")
+
+
+def _read_only(arr):
+    arr.flags.writeable = False
+    return arr
 
 
 def load_zeros(path):
@@ -134,28 +153,36 @@ def builtin_zeros():
         return load_zeros(path)
 
 
-def _refine_zeros(a, b, za, zb):
+def _refine_zeros(a, b, scan_a, scan_b):
     """Shrink every sign-change bracket [a, b] (a < b) of Z to adjacent doubles at once.
 
-    Vectorized regula falsi with the Illinois fix in its Anderson-Bjorck
-    form: one Z evaluation on the array of secant points per step.  When
-    the new point keeps the sign of b, the Z weight of the kept end a is
-    scaled by 1 - Z(c)/Z(b) (halved when that is not positive), so both
-    ends converge superlinearly.  Each result is the final bracket end
-    with the smaller |Z|, which is brentq's rule.
+    scan_a and scan_b are the sign scan's Z at the ends.  Vectorized
+    regula falsi with the Illinois fix in its Anderson-Bjorck form: one Z
+    evaluation on the array of secant points per step.  When the new
+    point keeps the sign of b, the Z weight of the kept end a is scaled
+    by 1 - Z(c)/Z(b) (halved when that is not positive), so both ends
+    converge superlinearly.  Each result is the final bracket end with
+    the smaller |Z|, which is brentq's rule.
 
-    Z comes from head moments: every bracket's Euler-Maclaurin head at
-    its left end a, expanded in the Chebyshev polynomials of log n, is
-    built once (specfun._head_moments, the head length the top bracket
-    needs), and a step then takes each secant point's head from its
-    bracket's row in _J multiply-adds (specfun._hardy_Z_moments), where
-    a direct head costs one power per term.
+    Every Z here comes from head moments: every bracket's Euler-Maclaurin
+    head at its left end a, expanded in the Chebyshev polynomials of
+    log n, is built once (specfun._head_moments, the head length the top
+    bracket needs), and each Z then takes its head from its bracket's row
+    in _J multiply-adds (specfun._hardy_Z_moments), where a direct head
+    costs one power per term.  That holds for the ends too, at z = 0 and
+    z = step L/2 <= 0.18: an end whose value there disagrees in sign with
+    the scan's raises AccuracyError, so no bracket that is not one is
+    refined.
     """
     if not len(a):
         return a
     n_terms = _auto_terms(b.max())
     left = a.copy()
     moments = _head_moments(left, n_terms)
+    za = _hardy_Z_moments(a, left, moments, n_terms)[0]
+    zb = _hardy_Z_moments(b, left, moments, n_terms)[0]
+    if np.any(np.sign(za) != np.sign(scan_a)) or np.any(np.sign(zb) != np.sign(scan_b)):
+        raise AccuracyError("a bracket end's Z from head moments disagrees in sign with the scan")
     wa = za.copy()  # weighted Z at a; za stays the true value
     for _ in range(100):  # ~10 steps reach adjacent doubles at T = 1e3
         lo, hi = np.minimum(a, b), np.maximum(a, b)
@@ -167,7 +194,7 @@ def _refine_zeros(a, b, za, zb):
         c = bl - zl * (bl - al) / (zl - wl)
         # rounding can put the secant point on an end or outside
         c = np.clip(c, np.nextafter(lo, hi), np.nextafter(hi, lo))
-        zc = _hardy_Z_moments(c, left[live], moments[live], n_terms)
+        zc = _hardy_Z_moments(c, left[live], moments[live], n_terms)[0]
         flip = np.sign(zc) != np.sign(zl)
         scale = 1.0 - zc / zl
         scale = np.where(scale > 0.0, scale, 0.5)
@@ -179,22 +206,43 @@ def _refine_zeros(a, b, za, zb):
     return np.where(np.abs(za) < np.abs(zb), a, b)
 
 
-# find_zeros evaluates Euler-Maclaurin Z in chunks of this many grid heights
-_CHUNK = 2000
+def _anchor_spacing(n_terms, step):
+    """Grid steps g between the anchor rows of _moment_scan's head moments.
 
-
-def _em_scan(ts, zs, mask):
-    """Euler-Maclaurin Z into zs at the grid heights where `mask` holds.
-
-    Each height takes the head of its chunk of the grid: the terms that
-    its chunk's top height needs.  A value depends on the head's length,
-    not on the other heights of a call: each height leaves the core's
-    Bernoulli loop once its own bounds are below 1e-18 max(1, |zeta|).
+    A height k steps above its anchor takes its head at z = k step L/2
+    (L = log(N - 1), N = n_terms), where the expansion's truncation
+    moves it by at most _expansion_tail(z) sum_{n<N} n^{-1/2}.  g is the
+    widest spacing whose farthest height, k = g - 1, keeps that within
+    1e-18, the size below which the Euler-Maclaurin core stops taking
+    Bernoulli terms.  Below t = 200 at step 0.05 (N = 269) g = 6: z <=
+    0.70 and a bound of 1.5e-19, where g = 7 would give 2.8e-18.
     """
-    for i in range(0, len(ts), _CHUNK):
-        idx = i + np.nonzero(mask[i : i + _CHUNK])[0]
-        if idx.size:
-            zs[idx] = hardy_Z(ts[idx], terms=_auto_terms(ts[i : i + _CHUNK].max()))
+    dz = step * 0.5 * math.log(n_terms - 1)
+    root_sum = float(np.sum(np.arange(1, n_terms, dtype=float) ** -0.5))
+    g = 1
+    while _expansion_tail(g * dz) * root_sum <= 1e-18:
+        g += 1
+    return g
+
+
+def _moment_scan(ts, step):
+    """Z at ascending grid heights ts, step apart, and the core's bounds on it, from head moments.
+
+    One head length N serves every height: the one the top height needs.
+    Every g-th height (g = _anchor_spacing(N, step)) anchors one row of
+    head moments (specfun._head_moments), and each height takes its head
+    from the row of the anchor at or below it: one head of powers per g
+    heights, where a direct head costs one per height.
+    """
+    n_terms = _auto_terms(ts[-1])
+    g = _anchor_spacing(n_terms, step)
+    anchors = ts[::g]
+    moments = _head_moments(anchors, n_terms)
+    zs, bounds = np.empty(len(ts)), np.empty(len(ts))
+    for k in range(g):  # the heights k steps above their anchors
+        n = len(ts[k::g])
+        zs[k::g], bounds[k::g] = _hardy_Z_moments(ts[k::g], anchors[:n], moments[:n], n_terms)
+    return zs, bounds
 
 
 def find_zeros(T, step=0.05):
@@ -207,31 +255,26 @@ def find_zeros(T, step=0.05):
     these heights consecutive zeros are separated by far more than the
     grid step, so no pair can hide in one cell.
 
-    The scan needs only the sign of Z at most heights.  From t = 200 up
-    that sign comes from Riemann-Siegel (at most 12 cosines a height),
-    wherever its Gabcke bound (~3e-3 to 1e-2) is below |Z|.  The other
-    heights go through Euler-Maclaurin, in chunks of 2,000 grid heights
-    with the head that each chunk's top height needs (up to 1,310
-    terms): every height below 200, every height Riemann-Siegel cannot
-    certify (41 of 16,001 at T = 1e3), and then both ends of every
-    sign-change bracket.  Refinement starts from the end values and
-    keeps the end with the smaller |Z|, so the ends carry exactly the
-    values of a whole-chunk Euler-Maclaurin scan; a head of another
-    length rounds differently and moves some zeros by an ulp.
+    The scan needs only the sign of Z.  Below t = 200 it comes from
+    Euler-Maclaurin with heads from sub-interval moments (_moment_scan):
+    one anchor row every g grid steps, g derived from the expansion's
+    truncation bound (g = 6 at step 0.05).  From t = 200 up it comes
+    from Riemann-Siegel (at most 12 cosines a height), wherever its
+    Gabcke bound (~3e-3 to 1e-2) is below |Z|; the heights it cannot
+    certify (41 of 16,001 at T = 1e3) go through hardy_Z, whose direct
+    heads are the only ones left.
 
-    Refinement takes its heads from Chebyshev moments (_refine_zeros):
-    the Delta engine's expansion of e^{-rx}, here at an imaginary r, so
-    one expansion serves both sides of the package.  Each bracket's
-    moments cost one head of powers, built once, and each secant step
-    then costs _J multiply-adds a bracket where a direct head costs
-    1,309 powers; find_zeros(1000) takes 0.25 s where direct heads took
-    0.44 s (medians of 10 fresh processes on a 2-vCPU Xeon, one BLAS
-    thread).  Zeros come out within 5.7e-13 of mpmath's.
+    Refinement (_refine_zeros) reads Z at both ends of every bracket and
+    at every secant point from one row of head moments per bracket: the
+    Delta engine's expansion of e^{-rx}, here at an imaginary r, so one
+    expansion serves both sides of the package.  Each bracket's moments
+    cost one head of powers, built once, and each Z then costs _J
+    multiply-adds where a direct head costs 1,309 powers.  Zeros come out
+    within 5.7e-13 of mpmath's.
 
-    The scan chunks and the moments sum their head powers a slice of
+    The moments and the direct heads sum their head powers a slice of
     heights at a time through one 1 MiB buffer, so the working set does
-    not grow with the batch: find_zeros(1000) peaks at 5.3 MB under
-    tracemalloc.
+    not grow with the batch.
     """
     if not (10.0 <= T <= 1e3):
         raise DomainError("find_zeros supports 10 <= T <= 1e3")
@@ -240,15 +283,12 @@ def find_zeros(T, step=0.05):
     ts = np.append(np.arange(1.0, T, step), T)
     zs = np.empty_like(ts)
     high = ts >= _RS_MIN_T
+    zs[~high] = _moment_scan(ts[~high], step)[0]
     z_rs, bound = _rs_Z(ts[high])
+    uncertified = np.abs(z_rs) <= bound
+    z_rs[uncertified] = hardy_Z(ts[high][uncertified])
     zs[high] = z_rs
-    em = ~high
-    em[high] = np.abs(z_rs) <= bound
-    _em_scan(ts, zs, em)
     cell = np.nonzero(np.sign(zs[:-1]) * np.sign(zs[1:]) < 0)[0]
-    ends = np.zeros_like(em)
-    ends[cell] = ends[cell + 1] = True
-    _em_scan(ts, zs, ends & ~em)
     roots = _refine_zeros(ts[cell], ts[cell + 1], zs[cell], zs[cell + 1])
     gam = np.sort(roots[roots <= T])
     return ZeroSet(
@@ -269,7 +309,7 @@ def riemann_vonmangoldt_count(T):
 def _zero_sum_terms(zeros: ZeroSet, log_x):
     """2 Re(Gamma(rho) x^rho) per stored zero, in log space to dodge under/overflow."""
     rho = zeros.betas + 1j * zeros.gammas
-    expo = loggamma(rho) + rho * log_x
+    expo = zeros.loggamma_rho + rho * log_x
     return np.where(expo.real < -745.0, 0.0, 2.0 * np.exp(expo.real) * np.cos(expo.imag))
 
 

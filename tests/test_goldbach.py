@@ -124,10 +124,12 @@ class TestSmoothFk:
         with pytest.raises(DomainError):
             fk_cutoff(2, 10.0, 0.0)
 
-    @pytest.mark.parametrize("x", [0.0, -5.0, math.inf, math.nan])
+    @pytest.mark.parametrize("x", [0.0, -1.0, -5.0, math.inf, math.nan])
     def test_x_must_be_positive_and_finite(self, table_small, x):
         with pytest.raises(RangeError, match="positive and finite"):
             fk_cutoff(2, x, 1e-6)
+        with pytest.raises(RangeError, match="positive and finite"):
+            fk_tail_bound(2, 1000, x)
         with pytest.raises(RangeError, match="positive and finite"):
             smooth_Fk(convolve_psik(table_small, 2, 100), x, tol=1e-6)
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import smoothed_pnt.zeros as zeros_mod
 from smoothed_pnt.errors import DomainError, ParseError, RangeError
 from smoothed_pnt.metrics import (
     EtaFunction,
@@ -17,7 +18,7 @@ from smoothed_pnt.metrics import (
     zero_sum_W,
     zero_sum_W_terms,
 )
-from smoothed_pnt.specfun import gamma_complex
+from smoothed_pnt.specfun import gamma_complex, loggamma
 from smoothed_pnt.zeros import ZeroSet
 
 GAMMA1 = 14.134725141734693
@@ -55,6 +56,21 @@ class TestW:
             expected = 2.0 * abs(gamma_complex(complex(b + 1.0, g))) * x**b / g
             assert t == pytest.approx(expected, rel=1e-10)
         assert zero_sum_W(x, zeros_rh) == float(np.sum(terms))
+
+    def test_loggamma_once_per_set_same_bits(self, zeros_rh, monkeypatch):
+        # every x reads the set's one log Gamma(rho + 1) array, which is the
+        # array loggamma gives, so each term keeps its bits
+        calls = []
+        monkeypatch.setattr(zeros_mod, "loggamma", lambda z: calls.append(len(z)) or loggamma(z))
+        zs = ZeroSet(betas=zeros_rh.betas, gammas=zeros_rh.gammas, height=zeros_rh.height)
+        b, g = zs.betas, zs.gammas
+        for x in (1.0, 777.0, 1e6):
+            expo = loggamma(b + 1.0 + 1j * g).real + b * math.log(x) - np.log(g)
+            want = np.where(expo <= -745.0, 0.0, 2.0 * np.exp(expo))
+            assert zero_sum_W_terms(x, zs).tobytes() == want.tobytes()
+            zero_sum_W(x, zs)
+        assert calls == [len(zs)]
+        assert not zs.loggamma_rho_plus_1.flags.writeable
 
     @pytest.mark.parametrize("fn", [zero_sum_W, zero_sum_W_terms])
     def test_domain(self, fn, zeros_rh):

@@ -132,6 +132,10 @@ class TestMellinQuadrature:
     [
         lambda t: mellin_H_quadrature(t, 3.0, upper=math.nan),
         lambda t: mellin_H_quadrature(t, 3.0, upper=math.inf),
+        lambda t: mellin_H_quadrature(t, complex(3.0, math.nan)),
+        lambda t: mellin_H_quadrature(t, complex(3.0, math.inf)),
+        lambda t: mellin_H_quadrature(t, complex(3.0, -math.inf)),
+        lambda t: mellin_H_quadrature(t, complex(math.inf, 0.0)),
         lambda t: gaussian_line_check(math.nan, 0.0),
         lambda t: gaussian_line_check(1.0, math.nan),
         lambda t: gaussian_line_check(math.inf, 0.0),

@@ -369,11 +369,11 @@ class TestHardyZ:
 
     def test_realness_on_grid(self):
         ts = np.linspace(0.0, 1000.0, 1000)
-        rotated = _hardy_Z_array(ts)
+        rotated, _ = _hardy_Z_array(ts)
         assert np.max(np.abs(rotated.imag)) <= 1e-8
 
     def test_realness_at_20(self):
-        rotated = _hardy_Z_array(np.array([20.0]))
+        rotated, _ = _hardy_Z_array(np.array([20.0]))
         assert abs(rotated.imag[0]) <= 1e-8
 
     def test_against_mpmath(self):
@@ -471,13 +471,13 @@ class TestHeadMoments:
         # where |Z| is smallest, do not depend on the other brackets
         gammas, left = _golden_brackets()
         moments = _head_moments(left, N_1000)
-        whole = _hardy_Z_moments(gammas, left, moments, N_1000)
+        whole, _ = _hardy_Z_moments(gammas, left, moments, N_1000)
         rng = np.random.default_rng(16)
         for size in (1, 2, 17, 300):
             idx = np.sort(rng.choice(len(gammas), size=size, replace=False))
             rows = _head_moments(left[idx], N_1000)
             assert rows.tobytes() == moments[idx].tobytes()
-            got = _hardy_Z_moments(gammas[idx], left[idx], rows, N_1000)
+            got, _ = _hardy_Z_moments(gammas[idx], left[idx], rows, N_1000)
             assert got.tobytes() == whole[idx].tobytes()
 
     def test_both_hardy_Z_checks_hold_every_value(self, monkeypatch):

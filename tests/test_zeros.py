@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from pathlib import Path
@@ -8,9 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smoothed_pnt.zeros as zeros_mod
-from smoothed_pnt.errors import DomainError, EmptySetError, OrderError, ParseError
+from smoothed_pnt.errors import AccuracyError, DomainError, EmptySetError, OrderError, ParseError
 from smoothed_pnt.smooth import DELTA_LIMIT, delta
-from smoothed_pnt.specfun import _auto_terms, gamma_complex, hardy_Z, loggamma, zeta_logderiv
+from smoothed_pnt.specfun import (
+    _auto_terms,
+    _expansion_tail,
+    _hardy_Z_array,
+    gamma_complex,
+    hardy_Z,
+    loggamma,
+    zeta_logderiv,
+)
 from smoothed_pnt.zeros import (
     ZeroSet,
     _zero_sum_terms,
@@ -179,14 +188,103 @@ class TestFindZeros:
         assert len(find_zeros(T)) == mpmath.nzeros(T)
 
     def test_euler_maclaurin_only_scan_matches_golden(self, monkeypatch):
-        # Riemann-Siegel certifies no sign: every height goes through
-        # Euler-Maclaurin, and the zeros are still the pinned bytes
+        # Riemann-Siegel certifies no sign: every height from 200 up goes
+        # through hardy_Z's direct heads, and the zeros are still the
+        # pinned bytes
         def certify_nothing(ts):
             return np.zeros(len(ts)), np.full(len(ts), np.inf)
 
         monkeypatch.setattr(zeros_mod, "_rs_Z", certify_nothing)
         want = np.array(GOLDEN_1000.read_text(encoding="utf-8").split(), dtype=float)
         assert find_zeros(1000.0).gammas.tobytes() == want.tobytes()
+
+    @staticmethod
+    def _agrees_with_direct_heads(cs, z, bound, n_terms):
+        # the signs of hardy_Z(cs, terms=n_terms), and its values within the
+        # two bounds plus the phase rounding that neither bound carries: each
+        # side's term n^{-1/2 - ic} turns by up to 2 eps c log n (the moment
+        # side through its anchor's phase), so 4 eps c sum_n n^{-1/2} log n
+        direct, direct_bound = _hardy_Z_array(cs, terms=n_terms)
+        assert np.array_equal(np.sign(z), np.sign(direct.real))
+        log_n = np.log(np.arange(1, n_terms, dtype=float))
+        phases = 4.0 * np.finfo(float).eps * cs * np.sum(np.exp(-0.5 * log_n) * log_n)
+        assert np.all(np.abs(z - direct.real) <= bound + direct_bound + phases)
+
+    @pytest.mark.parametrize("T", [50.0, 199.95, 250.0, 1000.0])
+    def test_moment_scan_agrees_with_direct_heads(self, T):
+        ts = np.append(np.arange(1.0, T, 0.05), T)
+        low = ts[ts < 200.0]
+        z, bound = zeros_mod._moment_scan(low, 0.05)
+        self._agrees_with_direct_heads(low, z, bound, _auto_terms(low[-1]))
+
+    @pytest.mark.parametrize("T", [50.0, 199.95, 250.0, 1000.0])
+    def test_bracket_end_values_agree_with_direct_heads(self, monkeypatch, T):
+        # the refinement's first two moment calls read every bracket's ends
+        # (z = 0 and z = step L/2), before any secant point moves an end
+        ends, calls = [], []
+        refine, moment_Z = zeros_mod._refine_zeros, zeros_mod._hardy_Z_moments
+
+        def spy_refine(a, b, scan_a, scan_b):
+            ends.extend([a, b])
+            return refine(a, b, scan_a, scan_b)
+
+        def spy_moment_Z(cs, left, moments, n_terms):
+            z, bound = moment_Z(cs, left, moments, n_terms)
+            if any(cs is e for e in ends):  # copies: refinement moves both in place
+                calls.append((cs.copy(), z.copy(), bound, n_terms))
+            return z, bound
+
+        monkeypatch.setattr(zeros_mod, "_refine_zeros", spy_refine)
+        monkeypatch.setattr(zeros_mod, "_hardy_Z_moments", spy_moment_Z)
+        zeros_mod.find_zeros(T)
+        assert len(calls) == 2
+        for cs, z, bound, n_terms in calls:
+            self._agrees_with_direct_heads(cs, z, bound, n_terms)
+
+    @pytest.mark.parametrize("n_terms,step", [(269, 0.05), (141, 0.05), (269, 0.01), (25, 0.003)])
+    def test_anchor_spacing_is_the_widest_within_1e_18(self, n_terms, step):
+        g = zeros_mod._anchor_spacing(n_terms, step)
+        dz = step * 0.5 * math.log(n_terms - 1)
+        root_sum = np.sum(np.arange(1, n_terms, dtype=float) ** -0.5)
+        assert _expansion_tail((g - 1) * dz) * root_sum <= 1e-18 < _expansion_tail(g * dz) * root_sum
+        if (n_terms, step) == (269, 0.05):  # below t = 200 on find_zeros' grid
+            assert g == 6
+
+    def test_end_sign_disagreement_raises(self, monkeypatch):
+        # a bracket end whose moment value has the other sign than the scan
+        # says is no bracket: refining it would be refining noise
+        ends = []
+        refine, moment_Z = zeros_mod._refine_zeros, zeros_mod._hardy_Z_moments
+
+        def spy_refine(a, b, scan_a, scan_b):
+            ends.append(b)
+            return refine(a, b, scan_a, scan_b)
+
+        def flip_one_right_end(cs, left, moments, n_terms):
+            z, bound = moment_Z(cs, left, moments, n_terms)
+            if ends and cs is ends[0]:
+                z = z.copy()
+                z[3] = -z[3]
+            return z, bound
+
+        monkeypatch.setattr(zeros_mod, "_refine_zeros", spy_refine)
+        monkeypatch.setattr(zeros_mod, "_hardy_Z_moments", flip_one_right_end)
+        with pytest.raises(AccuracyError, match="sign"):
+            find_zeros(50.0)
+
+    def test_direct_heads_only_where_riemann_siegel_cannot_certify(self, monkeypatch):
+        # below t = 200 and at the bracket ends Z comes from head moments:
+        # hardy_Z (direct heads) sees only the 41 heights >= 200 whose
+        # Riemann-Siegel bound does not exceed |Z|
+        points = []
+
+        def counting_hardy_Z(t, terms=None):
+            points.append(np.size(t))
+            return hardy_Z(t, terms=terms)
+
+        monkeypatch.setattr(zeros_mod, "hardy_Z", counting_hardy_Z)
+        assert len(find_zeros(1000.0)) == 649
+        assert sum(points) == 41
 
     def test_no_brackets(self):
         # no sign change below the first zero: nothing to refine
@@ -221,8 +319,8 @@ class TestFindZeros:
         assert peak <= 8 * 2**20
 
     def test_em_value_does_not_depend_on_the_batch(self):
-        # the scan evaluates subsets of a chunk at the chunk's head length;
-        # each value must equal the one from the whole chunk, bit for bit
+        # the scan passes hardy_Z the heights Riemann-Siegel leaves, a
+        # subset of the grid; each value must not depend on the subset
         self._same_bits_in_every_batch(np.arange(900.0, 1000.0, 0.05))
 
     def test_em_value_at_zeros_does_not_depend_on_the_batch(self):
@@ -258,6 +356,22 @@ class TestExplicitDelta:
             expo = loggamma(complex(b, g)) + complex(b, g) * log_x
             expected = 2.0 * math.exp(expo.real) * math.cos(expo.imag)
             assert abs(t - expected) <= 1e-12 * abs(expected)
+
+    def test_loggamma_once_per_set_same_bits(self, zeros_rh, monkeypatch):
+        # every x reads the set's one log Gamma(rho) array, which is the
+        # array loggamma gives, so each term keeps its bits
+        calls = []
+        monkeypatch.setattr(zeros_mod, "loggamma", lambda z: calls.append(len(z)) or loggamma(z))
+        zs = ZeroSet(betas=zeros_rh.betas, gammas=zeros_rh.gammas, height=zeros_rh.height)
+        rho = zs.betas + 1j * zs.gammas
+        for x in (1.0, 50.0, 1e3, 1e6):
+            expo = loggamma(rho) + rho * math.log(x)
+            want = np.where(expo.real < -745.0, 0.0, 2.0 * np.exp(expo.real) * np.cos(expo.imag))
+            assert _zero_sum_terms(zs, math.log(x)).tobytes() == want.tobytes()
+            explicit_delta(x, zs)
+        assert calls == [len(zs)]
+        assert not zs.loggamma_rho.flags.writeable
+        assert [f.name for f in dataclasses.fields(zs)] == ["betas", "gammas", "assume_rh", "height"]
 
     def test_constant_modes_differ_by_half(self, zeros_rh):
         d = explicit_delta(100.0, zeros_rh, constant_mode="derived")
