@@ -1,36 +1,44 @@
 """Sieved von Mangoldt values Lambda(n) and the Chebyshev step function.
 
-There is one sieve, lambda_tiles: a segmented sieve of Eratosthenes
-(Bays and Hudson, 1977) that yields the table as flat float64 tiles of
-_TILE = 262,144 entries.  Tile t holds Lambda(n) for
-1 + t _TILE <= n <= (t+1) _TILE, zero past N.  A segment starts at an
-odd n, so its sieve array holds only the odd n, _TILE/2 entries; n = 2
-is added to tile 0's primes.  The odd multiples of the wheel primes 3,
-5, 7, 11 and 13 repeat with period 15,015 in that odd-index space, so a
-segment starts as copies of one pre-sieved period (tile 0 then restores
-the wheel primes and clears n = 1).  The other base primes up to
-sqrt(N) strike their odd multiples from p^2 on: those below
-_SCATTER_FROM by one strided write each, the rest, which have few
-multiples in a segment, by one fancy-index write per octave of primes.
-The segment's primes get np.log, and the prime powers p^k (k >= 2) come
-from one ascending list.  A tile costs about 2.3 MB whatever N is.
+There is one sieve: a segmented sieve of Eratosthenes (Bays and
+Hudson, 1977) that yields the table in tiles of _TILE = 262,144
+entries.  Tile t holds Lambda(n) for 1 + t _TILE <= n <= (t+1) _TILE,
+zero past N.  A segment starts at an odd n, so its sieve array holds
+only the odd n, _TILE/2 entries; n = 2 is added to tile 0's primes.
+The odd multiples of the wheel primes 3, 5, 7, 11 and 13 repeat with
+period 15,015 in that odd-index space, so a segment starts as copies
+of one pre-sieved period (tile 0 then restores the wheel primes and
+clears n = 1).  The other base primes up to sqrt(N) strike their odd
+multiples from p^2 on: those below _SCATTER_FROM by one strided write
+each, the rest, which have few multiples in a segment, by one
+fancy-index write per octave of primes.  The segment's primes get
+np.log, and the prime powers p^k (k >= 2) come from one ascending list.
 
-Every table gives its readers these tiles, bit for bit, through
-tiles().  A LambdaStream holds only the limit and sieves afresh on each
-tiles() call, so a Delta grid (metrics, delta) never holds the whole
-table.  A LambdaBuffer copies the tiles of one tiles() pass into an
-array, only as far as it is asked: pintz's U_integral holds just the
-part its march reads, and its far probes read the buffer's own tiles(),
-the held tiles and then the rest of that pass; the held array is freed
-as soon as its tiles are read.  build_lambda is a LambdaBuffer filled
-to N, kept as a LambdaTable for the readers that index Lambda directly
-(goldbach, chebyshev_psi).  MAX_LIMIT caps N, so a table holds at most
-1.6 GB of values and prefix sums.
+Tile 0 is a flat float64 array.  Every later tile is an OddTile: its
+odd n as one dense half tile, and apart its one power of two, if any,
+so the sieve writes, and the Delta engine multiplies, only the half
+that can be nonzero; sieving one peaks at 1.6 MB, a flat tile at 2.5
+(tracemalloc, N = 3.2e7).  lambda_tiles yields them interleaved
+(flat_tile): flat tiles, bit for bit.
+
+Every table gives its readers its tiles through tiles(), with the same
+Lambda bits: a LambdaStream as sieved, an array-backed table flat.  A
+LambdaStream holds only the limit and sieves afresh on each tiles()
+call, so a Delta grid (metrics, delta) never holds the whole table.  A
+LambdaBuffer copies the tiles of one tiles() pass into an array, only
+as far as it is asked: pintz's U_integral holds just the part its march
+reads, and its far probes read the buffer's own tiles(), the held tiles
+and then the rest of that pass; the held array is freed as soon as its
+tiles are read.  build_lambda is a LambdaBuffer filled to N, kept as a
+LambdaTable for the readers that index Lambda directly (goldbach,
+chebyshev_psi).  MAX_LIMIT caps N, so a table holds at most 1.6 GB of
+values and prefix sums.
 """
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +48,8 @@ __all__ = [
     "LambdaTable",
     "LambdaStream",
     "LambdaBuffer",
+    "OddTile",
+    "flat_tile",
     "build_lambda",
     "lambda_tiles",
     "array_tiles",
@@ -88,7 +98,7 @@ class LambdaStream:
         object.__setattr__(self, "limit", check_limit(self.limit))
 
     def tiles(self):
-        return lambda_tiles(self.limit)
+        return _segments(self.limit)
 
 
 class LambdaBuffer:
@@ -114,8 +124,13 @@ class LambdaBuffer:
         self._check_held()
         while self.reach < n:
             tile = next(self._tiles)
-            hi = min(self.reach + _TILE, self.limit)
-            self.values[self.reach + 1 : hi + 1] = tile[: hi - self.reach]
+            lo, hi = self.reach + 1, min(self.reach + _TILE, self.limit)
+            if isinstance(tile, OddTile):
+                self.values[lo : hi + 1 : 2] = tile.odd[: (hi - lo) // 2 + 1]
+                for at, value in tile.evens:
+                    self.values[lo + at] = value
+            else:
+                self.values[lo : hi + 1] = tile[: hi + 1 - lo]
             self.reach = hi
         return self.values[1 : n + 1]
 
@@ -143,6 +158,28 @@ def _handed_over(held, rest):
     yield from rest
 
 
+class OddTile(NamedTuple):
+    """Tile t > 0, n = lo + i with lo = 1 + t _TILE: odd[i // 2] at even i, evens (i, Lambda) else.
+
+    Past tile 0 the only even n with Lambda(n) != 0 are powers of two,
+    multiples of _TILE, so evens holds at most one, at i = _TILE - 1.
+    """
+
+    odd: np.ndarray
+    evens: tuple
+
+
+def flat_tile(tile):
+    """A tile from any table's tiles() as a flat array: an OddTile interleaved."""
+    if not isinstance(tile, OddTile):
+        return tile
+    flat = np.zeros(_TILE)
+    flat[0::2] = tile.odd
+    for at, value in tile.evens:
+        flat[at] = value
+    return flat
+
+
 def check_limit(N):
     """N as an int, or CapacityError when it lies outside [1, MAX_LIMIT]."""
     N = int(N)
@@ -163,7 +200,7 @@ def lambda_tiles(N):
 
     N is range-checked here, before the first tile is asked for.
     """
-    return _segments(check_limit(N))
+    return map(flat_tile, _segments(check_limit(N)))
 
 
 def _primes_upto(m):
@@ -240,13 +277,20 @@ def _odd_starts(primes, lo):
 
 
 def _segment(lo, hi, wheel, strided, scattered, powers, logs):
-    """The tile holding Lambda(lo .. hi - 1), zero past hi - 1."""
+    """The tile holding Lambda(lo .. hi - 1), zero past hi - 1: flat for tile 0, else an OddTile."""
     primes = _segment_primes(lo, hi, wheel, strided, scattered)
-    tile = np.zeros(_TILE)
-    tile[primes - lo] = np.log(primes)
     a, b = np.searchsorted(powers, [lo, hi])
-    tile[powers[a:b] - lo] = logs[a:b]
-    return tile
+    at, log_pk = powers[a:b] - lo, logs[a:b]
+    if lo == 1:
+        tile = np.zeros(_TILE)
+        tile[primes - lo] = np.log(primes)
+        tile[at] = log_pk
+        return tile
+    odd = at % 2 == 0  # lo is odd
+    half = np.zeros(_TILE // 2)
+    half[(primes - lo) // 2] = np.log(primes)
+    half[at[odd] // 2] = log_pk[odd]
+    return OddTile(half, tuple(zip(at[~odd].tolist(), log_pk[~odd].tolist())))
 
 
 def _segment_primes(lo, hi, wheel, strided, scattered):

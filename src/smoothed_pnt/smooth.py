@@ -32,20 +32,22 @@ finder's Euler-Maclaurin heads, in its sign scan below t = 200 and at
 every bracket end and secant point of its refinement, so
 _chebyshev_coeffs takes a complex r.
 
-Each moment comes from one fixed-shape product per tile, and a point
-reads only the moments (tile 0's values for a direct sum), in shapes
-set by its own cutoff.  So a point's Delta is bitwise the same whatever
-else is in its batch, by construction, and S(x) >= |Delta(x)|, a max
-over a grid that contains x, holds exactly.  delta, the S/D grids and
-the CLI all go through the engine.
+Each moment comes from one fixed-shape product per tile, half as wide
+for a sieve.OddTile (_tile_moments), and a point reads only the
+moments (tile 0's values for a direct sum), in shapes set by its own
+cutoff.  So a point's Delta is bitwise the same whatever else is in its
+batch, by construction, and S(x) >= |Delta(x)|, a max over a grid that
+contains x, holds exactly.  A streamed table and a held one sum in
+another order past tile 0, and agree there within 2 eps u.  delta, the
+S/D grids and the CLI all go through the engine.
 
 The engine reads a table through two attributes only, `limit` and
-`tiles()`: flat tiles of sieve._TILE entries, in order, and it stops
-after the tile that holds the largest cutoff.  A LambdaTable
-slices its array; a LambdaStream, which metrics, delta and pintz use,
-sieves each tile as it is read, so the whole table is never held.  A
-pass holds one tile and the moment arrays, _J doubles per block (1.5 MB
-for a table of 4.8e7 entries).
+`tiles()`: tiles of sieve._TILE entries, in order, and it stops after
+the tile that holds the largest cutoff.  A LambdaTable slices its
+array; a LambdaStream, which metrics, delta and pintz use, sieves each
+tile as it is read, so the whole table is never held.  A pass holds one
+tile (a 1 MB half tile past tile 0) and the moment arrays, _J doubles
+per block (1 MB for a table of 3.2e7 entries).
 
 weighted_exp_sum, a one-point GEMV of the plain split e^{-qB/u} e^{-m/u},
 serves only pintz._delta_point: U_integral's march and the envelope
@@ -64,7 +66,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError, RangeError
-from .sieve import _TILE
+from .sieve import _TILE, OddTile
 
 __all__ = [
     "DELTA_LIMIT",
@@ -310,14 +312,30 @@ def _chebyshev_coeffs(r):
     return series * np.cumprod(powers, axis=1)
 
 
+def _tile_moments(tile, B, out):
+    """out[q, j] = sum_m c_{qB+m} T_j(x_m) over one tile's blocks of size B.
+
+    An OddTile's half tile holds the odd m, so it multiplies the basis's
+    odd-m rows (a strided view BLAS reads in place), and its power of
+    two adds its one row.
+    """
+    basis = _chebyshev_basis(B)
+    if isinstance(tile, OddTile):
+        np.matmul(tile.odd.reshape(-1, B // 2), basis[0::2], out=out)
+        for at, value in tile.evens:
+            out[at // B] += value * basis[at % B]
+    else:
+        np.matmul(tile.reshape(-1, B), basis, out=out)
+
+
 def _psi_many(tiles, us, cutoffs):
     """sum_{n <= N_i} c_n e^{-n/us[i]} for every i, all us > 0: N_i is cutoffs[i] in whole blocks.
 
-    tiles yields the coefficients c_1, c_2, ... as flat tiles of _TILE
-    entries, zero past the table's end; it is read in order and only as
-    far as some point needs.  Each cutoff is rounded up to a whole block
-    of _block_size(u): _truncation_cutoffs' already are, and a table's
-    end (goldbach's conv.limit, pintz's clamped probes) is rounded into
+    tiles yields the coefficients c_1, c_2, ... in tiles of _TILE
+    entries, tile 0 flat, zero past the table's end; it is read in order
+    and only as far as some point needs.  Each cutoff is rounded up to a
+    whole block of _block_size(u): _truncation_cutoffs' already are, and
+    a table's end (goldbach's conv.limit, pintz's clamped probes) is rounded into
     the zeros past it, inside its last tile, as _TILE is a multiple of
     every block.  While a tile passes, the moments of each block size
     still needed are taken from it; each point then sums its blocks from
@@ -344,7 +362,7 @@ def _psi_many(tiles, us, cutoffs):
         for B, M in moments.items():
             rows = slice(t * (T // B), (t + 1) * (T // B))
             if rows.start < len(M):
-                np.matmul(tile.reshape(-1, B), _chebyshev_basis(B), out=M[rows])
+                _tile_moments(tile, B, M[rows])
         del tile  # so the next tile can be sieved in its place
     for B, M in moments.items():
         at = np.flatnonzero(size == B)

@@ -312,7 +312,7 @@ class TestExitCodes:
         def sieved(*args):
             raise AssertionError("the table was sieved")
 
-        monkeypatch.setattr(sieve, "lambda_tiles", sieved)
+        monkeypatch.setattr(sieve, "_segments", sieved)
         path = tmp_path / "missing" / "m.csv"
         code, out, err = run(capsys, "metrics", "--x", "10:1e6:25", "--out", str(path))
         assert code == 2

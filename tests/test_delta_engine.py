@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from smoothed_pnt import metrics
 from smoothed_pnt.errors import CapacityError, RangeError
 from smoothed_pnt.metrics import metrics_row, metrics_rows
-from smoothed_pnt.sieve import _TILE, LambdaStream, build_lambda, chebyshev_psi
+from smoothed_pnt.sieve import _TILE, LambdaStream, build_lambda, chebyshev_psi, lambda_tiles
 from smoothed_pnt.smooth import (
     _BLOCK,
     _truncation_cutoffs,
@@ -50,18 +50,30 @@ def bits(a):
     return np.asarray(a, dtype=float).tobytes()
 
 
+def assert_batch_invariance(table, us, others, seed):
+    us = np.array(us)
+    base = delta_many(table, us, tol=TOL).delta
+    perm = np.random.default_rng(seed).permutation(len(us))
+    shuffled = delta_many(table, us[perm], tol=TOL).delta
+    assert bits(shuffled) == bits(base[perm])
+    merged = delta_many(table, np.concatenate([others, us, others]), tol=TOL).delta
+    assert bits(merged[len(others) : len(others) + len(us)]) == bits(base)
+    for u, d in zip(us[:5], base[:5]):
+        assert bits(delta(table, u, tol=TOL).delta) == bits(d)
+
+
 @PROPERTY
 @given(us=batches, others=batches, seed=st.integers(0, 2**32 - 1))
 def test_batch_invariance(table_mid, us, others, seed):
-    us = np.array(us)
-    base = delta_many(table_mid, us, tol=TOL).delta
-    perm = np.random.default_rng(seed).permutation(len(us))
-    shuffled = delta_many(table_mid, us[perm], tol=TOL).delta
-    assert bits(shuffled) == bits(base[perm])
-    merged = delta_many(table_mid, np.concatenate([others, us, others]), tol=TOL).delta
-    assert bits(merged[len(others) : len(others) + len(us)]) == bits(base)
-    for u, d in zip(us[:5], base[:5]):
-        assert bits(delta(table_mid, u, tol=TOL).delta) == bits(d)
+    assert_batch_invariance(table_mid, us, others, seed)
+
+
+@PROPERTY
+@given(us=batches, others=batches, seed=st.integers(0, 2**32 - 1))
+def test_batch_invariance_streamed(table_mid, us, others, seed):
+    # past tile 0 a LambdaStream's tiles are OddTiles, whose moments come
+    # from the half-width product
+    assert_batch_invariance(LambdaStream(table_mid.limit), us, others, seed)
 
 
 @PROPERTY
@@ -181,7 +193,7 @@ def test_tail_bound_dominates_the_true_tail():
     batches = [delta_many(table, [u], tol=tol) for u, tol in zip(us, tols)]
     cutoffs = np.array([b.cutoff[0] for b in batches])
     tails = np.zeros(len(us))
-    for t, tile in enumerate(table.tiles()):
+    for t, tile in enumerate(lambda_tiles(table.limit)):
         at = np.flatnonzero(tile)
         n = at + 1.0 + t * _TILE
         for i, (u, M) in enumerate(zip(us, cutoffs)):
@@ -254,6 +266,52 @@ def test_streamed_table_same_bits(table_mid, us):
     held = delta_many(table_mid, us, tol=TOL)
     for a, b in zip(streamed, held):
         assert bits(a) == bits(b)
+
+
+def test_odd_tiles_within_two_eps_u_of_flat_tiles():
+    # a LambdaStream's moments past tile 0 come from OddTiles, a held
+    # table's from flat tiles: the same sums in another order.  Points
+    # whose cutoff stays in tile 0 read only its moments (or a direct
+    # sum) and keep every bit; the rest are within 2 eps u.  Seeded u
+    # straddle 64 and _BLOCK, with cutoffs at and one block past tile
+    # edges, on a 14-tile table
+    rng = np.random.default_rng(262_144)
+    straddle = [e * (1.0 + rng.uniform(-0.05, 0.05, 6)) for e in (64.0, _BLOCK)]
+    edges = [_u_with_cutoff(M) for t in (1, 2, 7) for M in (t * _TILE, t * _TILE + _BLOCK)]
+    ladder = np.geomspace(10.0, 1e5, 400) * rng.uniform(0.99, 1.0, 400)
+    us = np.concatenate(straddle + [edges, ladder, [1e5]])
+    N = truncation_cutoff(1e5, TOL)
+    streamed = delta_many(LambdaStream(N), us, tol=TOL)
+    held = delta_many(build_lambda(N), us, tol=TOL)
+    assert bits(streamed.cutoff) == bits(held.cutoff)
+    tile_0 = streamed.cutoff <= _TILE
+    assert tile_0.sum() > 10 and (~tile_0).sum() > 10
+    assert bits(streamed.psi[tile_0]) == bits(held.psi[tile_0])
+    err = np.abs(streamed.psi - held.psi)
+    eps = np.finfo(float).eps
+    assert np.all(err <= 2.0 * eps * us), err / (eps * us)
+
+
+def test_no_full_width_product_past_tile_0(monkeypatch):
+    # every tile past tile 0 of a LambdaStream takes its moments from a
+    # half-width product, for both block sizes; tile 0 from a full one
+    shapes = []
+    matmul = np.matmul
+
+    def recording(a, b, *args, **kwargs):
+        shapes.append(a.shape)
+        return matmul(a, b, *args, **kwargs)
+
+    N = truncation_cutoff(1e5, TOL)
+    tiles = -(-N // _TILE)
+    us = np.array([100.0, 1e5])  # blocks of 64 in tile 0, of _BLOCK in every tile
+    with monkeypatch.context() as m:
+        m.setattr(np, "matmul", recording)
+        delta_many(LambdaStream(N), us, tol=TOL)
+    T = _TILE
+    assert sorted(shapes) == sorted(
+        [(T // 64, 64), (T // _BLOCK, _BLOCK)] + [(T // _BLOCK, _BLOCK // 2)] * (tiles - 1)
+    )
 
 
 def _u_with_cutoff(M):
@@ -347,7 +405,7 @@ def test_within_four_eps_u_of_long_double_sums():
     table = LambdaStream(truncation_cutoff(2e5, TOL))
     b = delta_many(table, us, tol=TOL)
     ref = np.zeros(len(us), dtype=np.longdouble)
-    for t, tile in enumerate(table.tiles()):
+    for t, tile in enumerate(lambda_tiles(table.limit)):
         at = np.flatnonzero(tile)
         n = (at + 1 + t * _TILE).astype(np.longdouble)
         c = tile[at].astype(np.longdouble)

@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 from smoothed_pnt import sieve
 from smoothed_pnt.errors import CapacityError, RangeError
 from smoothed_pnt.sieve import _TILE as TILE
-from smoothed_pnt.sieve import MAX_LIMIT, LambdaStream, build_lambda, chebyshev_psi, lambda_tiles
+from smoothed_pnt.sieve import (
+    MAX_LIMIT,
+    LambdaStream,
+    OddTile,
+    build_lambda,
+    chebyshev_psi,
+    flat_tile,
+    lambda_tiles,
+)
 from smoothed_pnt.smooth import _BLOCK, _SMALL_BLOCK
 
 
@@ -64,13 +72,13 @@ def lambda_whole_array(N):
 @pytest.mark.parametrize("N", [1, 2] + [k * TILE + d for k in (1, 2, 3, 4) for d in (-1, 0, 1)])
 def test_tiles_match_whole_array_sieve(N):
     # every tile source yields flat TILE-long float64 tiles holding
-    # Lambda(1..N), zero past N
+    # Lambda(1..N), zero past N (a LambdaStream's OddTiles interleaved)
     oracle = lambda_whole_array(N)
     table = build_lambda(N)
     assert table.values.tobytes() == oracle.tobytes()
     sources = {
         "lambda_tiles": lambda_tiles(N),
-        "LambdaStream": LambdaStream(N).tiles(),
+        "LambdaStream": map(flat_tile, LambdaStream(N).tiles()),
         "LambdaTable": table.tiles(),
     }
     for name, tiles in sources.items():
@@ -80,6 +88,34 @@ def test_tiles_match_whole_array_sieve(N):
         flat = np.concatenate(tiles)
         assert flat[:N].tobytes() == oracle[1:].tobytes(), name
         assert not flat[N:].any(), name
+
+
+# 2^22 + 1: the powers of two 2^19 .. 2^22 each end a tile
+@pytest.mark.parametrize("N", [k * TILE + d for k in (1, 2, 3, 4) for d in (-1, 0, 1)] + [2**22 + 1])
+def test_odd_tiles_are_the_whole_array_sieve(N):
+    # tile 0 is flat; past it a LambdaStream yields OddTiles whose half
+    # tile holds the odd n and whose evens the one power of two, if any,
+    # each with the oracle's bits, and whose interleave is lambda_tiles'
+    oracle = lambda_whole_array(N)
+    padded = np.zeros(-(-N // TILE) * TILE + 1)
+    padded[: N + 1] = oracle
+    tiles = list(LambdaStream(N).tiles())
+    assert isinstance(tiles[0], np.ndarray)
+    assert tiles[0].tobytes() == padded[1 : TILE + 1].tobytes()
+    for t, tile in enumerate(tiles[1:], start=1):
+        lo = 1 + t * TILE
+        assert isinstance(tile, OddTile)
+        assert tile.odd.shape == (TILE // 2,) and tile.odd.dtype == np.float64
+        assert tile.odd.tobytes() == padded[lo : lo + TILE : 2].tobytes()
+        assert len(tile.evens) <= 1
+        even = np.flatnonzero(padded[lo + 1 : lo + TILE : 2]) * 2 + 1
+        assert [at for at, _ in tile.evens] == even.tolist()
+        for at, value in tile.evens:
+            n = lo + at
+            assert n & (n - 1) == 0 and n <= N  # a power of two
+            assert np.float64(value).tobytes() == padded[n].tobytes()
+        assert flat_tile(tile).tobytes() == padded[lo : lo + TILE].tobytes()
+    assert [flat_tile(t).tobytes() for t in tiles] == [t.tobytes() for t in lambda_tiles(N)]
 
 
 def assert_tiles_are_the_oracle(N):
