@@ -9,7 +9,8 @@ Four independent pieces, each checked against a second route:
 2. The Gaussian line integral (1/2pi i) int exp(k s^2 + w s) ds =
    exp(-w^2/4k) / (2 sqrt(pi k)).
 3. The smoothing integral U(mu) from the table side (quadrature) and
-   from the zero side (pole term + zero sum over explicit conjugates).
+   from the zero side (the zero sum over explicit conjugates; H(s) is
+   regular at s = 1, so there is no pole term).
 4. The Turan power-sum lower bound max |sum e^{alpha_j t}| >=
    (b/(8e(a+b)))^n, with the commonly misprinted denominator corrected.
 """

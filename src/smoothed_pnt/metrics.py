@@ -222,20 +222,19 @@ def zero_sum_W(x, zeros: ZeroSet):
 
 
 def zero_sum_W_terms(x, zeros: ZeroSet):
-    """Per-zero contributions to W(x), for dominance diagnostics."""
+    """Per-zero terms 2 |rho Gamma(rho)| x^beta / gamma of W(x), for dominance diagnostics."""
     zeros.require_nonempty()
-    if x < 1.0:
-        raise DomainError("x must be >= 1")
-    b, g = zeros.betas, zeros.gammas
-    expo = zeros.loggamma_rho_plus_1.real + b * math.log(x) - np.log(g)
-    return np.where(expo <= -745.0, 0.0, 2.0 * np.exp(expo))
+    if not (1.0 <= x < math.inf):
+        raise DomainError("x must be finite and >= 1")
+    log_x = math.log(x)
+    return 2.0 * np.abs(zeros.gamma_terms(np.log, lambda rho: rho.real * log_x - np.log(rho.imag)))
 
 
 def omega_zero(x, zeros: ZeroSet):
     """omega(x) = min over stored zeros of ((1 - beta) log x + log gamma)."""
     zeros.require_nonempty()
-    if x <= 1.0:
-        raise DomainError("x must be > 1")
+    if not (1.0 < x < math.inf):
+        raise DomainError("x must be finite and > 1")
     vals = (1.0 - zeros.betas) * math.log(x) + np.log(zeros.gammas)
     return float(np.min(vals))
 
@@ -350,8 +349,8 @@ def varpi(x, eta: EtaFunction, grid_points=1024):
 
 def omega_from_value(x, v):
     """log(x / v): the log-ratio transform behind omega_S, omega_D, omega_W."""
-    if x <= 0.0:
-        raise RangeError("x must be positive")
-    if v <= 0.0:
-        raise DomainError("value must be positive to take log(x/v)")
+    if not (0.0 < x < math.inf):
+        raise RangeError("x must be positive and finite")
+    if not (0.0 < v < math.inf):
+        raise DomainError("value must be positive and finite to take log(x/v)")
     return math.log(x) - math.log(v)

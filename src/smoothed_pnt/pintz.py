@@ -4,12 +4,12 @@ representations, and a numerical verifier for the Turan power-sum bound.
 
 The two U representations form the main cross-check.  U_integral works
 purely from the sieved table (the u-side), U_residue purely from a zero
-set (the s-side); neither sees the other's data, which is the point.
-U_residue omits the shifted-contour remainder and instead attaches the
-crude envelope e^{-mu + 9k/4} as reported uncertainty; at the parameter
-scales used here the actual remainder is orders of magnitude smaller
-(the Gamma factor on the shifted line decays like e^{-pi Im /2}), so the
-attached bound is honest but very loose.
+set (the s-side: ZeroSet.gamma_terms over the zeros and their conjugates,
+and no term at s = 1, where H is regular); neither sees the other's data.
+U_residue omits the shifted-contour remainder and attaches the crude
+envelope e^{-mu + 9k/4} as reported uncertainty; at the parameter scales
+used here the actual remainder is orders of magnitude smaller (the Gamma
+factor on the shifted line decays like e^{-pi Im /2}): honest but loose.
 
 The Turan bound verified here is  max_{a<=t<=a+b} |sum_j e^{alpha_j t}|
 >= (b / (8e(a+b)))^n.  The denominator of this bound is frequently
@@ -47,7 +47,7 @@ from .smooth import (
     delta_many,
     smooth_baseline,
 )
-from .specfun import gamma_complex, loggamma, zeta_em, zeta_logderiv
+from .specfun import gamma_complex, zeta_em, zeta_logderiv
 from .zeros import ZeroSet
 
 __all__ = [
@@ -419,23 +419,19 @@ def U_integral(table, p: PintzParams, tol=0.1, panel_scale=1.0):
 
 
 def U_residue(zeros: ZeroSet, p: PintzParams):
-    """The smoothing integral from the s-side: pole term plus zero sum.
+    """The smoothing integral from the s-side: the sum over the zeros.
 
-    exp(k(1-rho0)^2 + mu(1-rho0)) + sum over zeros rho (conjugates
-    entered explicitly: the summand is not conjugate-symmetric because
-    rho0 sits in the upper half plane) of Gamma(rho) rho exp(k(rho-rho0)^2
-    + mu(rho-rho0)).  The shifted-contour remainder is not computed; the
-    envelope e^{-mu + 9k/4} ships as `error`.
+    Gamma(rho) rho exp(k(rho-rho0)^2 + mu(rho-rho0)) over every zero rho
+    and its conjugate (entered explicitly: rho0 in the upper half plane
+    breaks the symmetry).  H(s) has no pole at s = 1, where zeta'/zeta's
+    residue -1 cancels zeta's +1 and H(1) = 2 gamma_E.  The shifted-contour
+    remainder is not computed; the envelope e^{-mu + 9k/4} ships as `error`.
     """
     zeros.require_nonempty()
-    pole_exp = p.k * (1.0 - p.rho0) ** 2 + p.mu * (1.0 - p.rho0)
-    total = np.exp(pole_exp) if pole_exp.real > -745.0 else 0j
-    upper = zeros.betas + 1j * zeros.gammas
-    rho = np.column_stack([upper, np.conj(upper)]).ravel()  # each zero, then its conjugate
-    expo = loggamma(rho) + np.log(rho) + p.k * (rho - p.rho0) ** 2 + p.mu * (rho - p.rho0)
-    total += np.sum(np.exp(expo[expo.real > -745.0]))
+    k_term, mu_term = (lambda rho: p.k * (rho - p.rho0) ** 2), (lambda rho: p.mu * (rho - p.rho0))
+    terms = zeros.gamma_terms(np.log, k_term, mu_term, conjugates=True)
     remainder = math.exp(min(709.0, -p.mu + 2.25 * p.k))
-    return QuadResult(value=complex(total), error=float(remainder))
+    return QuadResult(value=complex(np.sum(terms)), error=float(remainder))
 
 
 def _turan_grid(alphas, a, b):

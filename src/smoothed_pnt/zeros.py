@@ -1,9 +1,11 @@
 """Nontrivial zeta zeros: location, persistence, and the explicit formula.
 
-Only zeros with gamma > 0 are stored.  Every sum over zeros in this
-package doubles the real part of each term to account for the conjugate
-zero at -gamma; that convention is global and worth stating once: a
-"zero sum" below always means  sum_{gamma>0} 2 Re(term(rho)).
+Only zeros with gamma > 0 are stored.  Every zero term in the package,
+Gamma(rho) exp(L(rho)), comes from one kernel, ZeroSet.gamma_terms, on
+the set's one log Gamma(rho) array.  A conjugate-symmetric sum takes
+2 Re of each stored zero's term (the explicit formula) or twice its
+modulus (W); U_residue's summand is not symmetric, so it asks the
+kernel for each conjugate zero explicitly.
 
 Zero-table file format (also what the CLI emits): UTF-8 text, one zero
 per line, either "gamma" (beta assumed 1/2) or "beta gamma" separated by
@@ -75,26 +77,31 @@ class ZeroSet:
     def __len__(self):
         return len(self.gammas)
 
-    # log Gamma over all zeros, once per set: every x of explicit_delta and
-    # of metrics' W reads the same array, so caching it moves no bit
+    # log Gamma over all zeros, once per set: every call of gamma_terms
+    # reads the same array, so caching it moves no bit
     @functools.cached_property
     def loggamma_rho(self):
         """log Gamma(rho) per zero, read-only."""
-        return _read_only(loggamma(self.betas + 1j * self.gammas))
+        lg = loggamma(self.betas + 1j * self.gammas)
+        lg.flags.writeable = False
+        return lg
 
-    @functools.cached_property
-    def loggamma_rho_plus_1(self):
-        """log Gamma(rho + 1) per zero, read-only."""
-        return _read_only(loggamma(self.betas + 1.0 + 1j * self.gammas))
+    def gamma_terms(self, *logs, conjugates=False):
+        """Gamma(rho) exp(L_1(rho) + L_2(rho) + ...) per zero rho, 0 where it underflows.
+
+        Each L maps the array of zeros to logs, added to log Gamma(rho) left
+        to right.  `conjugates` puts each zero's conjugate right after it.
+        """
+        rho, expo = self.betas + 1j * self.gammas, self.loggamma_rho
+        if conjugates:
+            rho, expo = (np.column_stack([v, np.conj(v)]).ravel() for v in (rho, expo))
+        for log in logs:
+            expo = expo + log(rho)
+        return np.where(expo.real <= -745.0, 0.0, np.exp(expo))
 
     def require_nonempty(self):
         if len(self) == 0:
             raise EmptySetError("operation needs at least one zero")
-
-
-def _read_only(arr):
-    arr.flags.writeable = False
-    return arr
 
 
 def load_zeros(path):
@@ -301,16 +308,14 @@ def find_zeros(T, step=0.05):
 
 def riemann_vonmangoldt_count(T):
     """Main term of the zero count up to height T: (T/2pi) log(T/2pi e) + 7/8."""
-    if T <= 0:
-        raise DomainError("T must be positive")
+    if not (0 < T < math.inf):
+        raise DomainError("T must be positive and finite")
     return T / (2 * math.pi) * math.log(T / (2 * math.pi * math.e)) + 7.0 / 8.0
 
 
 def _zero_sum_terms(zeros: ZeroSet, log_x):
-    """2 Re(Gamma(rho) x^rho) per stored zero, in log space to dodge under/overflow."""
-    rho = zeros.betas + 1j * zeros.gammas
-    expo = zeros.loggamma_rho + rho * log_x
-    return np.where(expo.real < -745.0, 0.0, 2.0 * np.exp(expo.real) * np.cos(expo.imag))
+    """2 Re(Gamma(rho) x^rho) per stored zero."""
+    return 2.0 * zeros.gamma_terms(lambda rho: rho * log_x).real
 
 
 def explicit_delta(x, zeros: ZeroSet, constant_mode="derived"):
@@ -335,8 +340,8 @@ def explicit_delta(x, zeros: ZeroSet, constant_mode="derived"):
     pole s = -2 (Gamma pole and trivial zero).  I has no x^-2 term.
     """
     zeros.require_nonempty()
-    if x < 1.0:
-        raise DomainError("x must be >= 1")
+    if not (1.0 <= x < math.inf):
+        raise DomainError("x must be finite and >= 1")
     if constant_mode == "derived":
         const = DELTA_LIMIT
     elif constant_mode == "paper":

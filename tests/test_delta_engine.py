@@ -259,37 +259,50 @@ def test_metrics_row_shares_one_evaluation(table_mid, zeros_rh, x):
     assert row.S >= abs(row.delta)
 
 
+def assert_stream_near_held(us, streamed, held):
+    """A LambdaStream's batch against a held table's, to what the engine promises.
+
+    The stream's moments past tile 0 come from OddTiles, a held table's
+    from flat tiles: the same sums in another order.  Cutoffs, baselines
+    and tail bounds keep every bit.  So do Psi and Delta at points whose
+    cutoff stays in tile 0, which read only its moments (or a direct
+    sum); the rest are within 2 eps u, and 1-2 ulps apart at some.
+    """
+    for field in ("cutoff", "baseline", "tail_bound"):
+        assert bits(getattr(streamed, field)) == bits(getattr(held, field))
+    tile_0 = streamed.cutoff <= _TILE
+    assert bits(streamed.psi[tile_0]) == bits(held.psi[tile_0])
+    assert bits(streamed.delta[tile_0]) == bits(held.delta[tile_0])
+    err = np.abs(streamed.psi - held.psi)
+    eps = np.finfo(float).eps
+    us = np.asarray(us)
+    assert np.all(err <= 2.0 * eps * us), err / (eps * us)
+
+
 @PROPERTY
 @given(us=batches)
 def test_streamed_table_same_bits(table_mid, us):
     streamed = delta_many(LambdaStream(table_mid.limit), us, tol=TOL)
-    held = delta_many(table_mid, us, tol=TOL)
-    for a, b in zip(streamed, held):
-        assert bits(a) == bits(b)
+    assert_stream_near_held(us, streamed, delta_many(table_mid, us, tol=TOL))
 
 
 def test_odd_tiles_within_two_eps_u_of_flat_tiles():
-    # a LambdaStream's moments past tile 0 come from OddTiles, a held
-    # table's from flat tiles: the same sums in another order.  Points
-    # whose cutoff stays in tile 0 read only its moments (or a direct
-    # sum) and keep every bit; the rest are within 2 eps u.  Seeded u
-    # straddle 64 and _BLOCK, with cutoffs at and one block past tile
-    # edges, on a 14-tile table
+    # seeded u straddle 64 and _BLOCK, with cutoffs at and one block past
+    # tile edges (test_whole_blocks_at_a_tile_end's among them), on a
+    # 14-tile table, and the points test_streamed_table_same_bits draws
     rng = np.random.default_rng(262_144)
     straddle = [e * (1.0 + rng.uniform(-0.05, 0.05, 6)) for e in (64.0, _BLOCK)]
     edges = [_u_with_cutoff(M) for t in (1, 2, 7) for M in (t * _TILE, t * _TILE + _BLOCK)]
     ladder = np.geomspace(10.0, 1e5, 400) * rng.uniform(0.99, 1.0, 400)
-    us = np.concatenate(straddle + [edges, ladder, [1e5]])
+    ranges = ((0.01, 300.0), (300.0, 1.770e4), (60.0, 68.0), (4000.0, 4200.0))
+    drawn = [rng.uniform(lo, hi, 20) for lo, hi in ranges]
+    special = [np.nextafter(64.0, 0.0), 64.0, np.nextafter(4096.0, 0.0), 4096.0, 50.0]
+    us = np.concatenate(straddle + drawn + [edges, ladder, special, [1e5]])
     N = truncation_cutoff(1e5, TOL)
     streamed = delta_many(LambdaStream(N), us, tol=TOL)
-    held = delta_many(build_lambda(N), us, tol=TOL)
-    assert bits(streamed.cutoff) == bits(held.cutoff)
     tile_0 = streamed.cutoff <= _TILE
     assert tile_0.sum() > 10 and (~tile_0).sum() > 10
-    assert bits(streamed.psi[tile_0]) == bits(held.psi[tile_0])
-    err = np.abs(streamed.psi - held.psi)
-    eps = np.finfo(float).eps
-    assert np.all(err <= 2.0 * eps * us), err / (eps * us)
+    assert_stream_near_held(us, streamed, delta_many(build_lambda(N), us, tol=TOL))
 
 
 def test_no_full_width_product_past_tile_0(monkeypatch):
@@ -330,9 +343,7 @@ def test_whole_blocks_at_a_tile_end(table_mid):
     us = np.array([_u_with_cutoff(M) for M in ends] + [50.0])
     streamed = delta_many(LambdaStream(table_mid.limit), us, tol=TOL)
     assert streamed.cutoff[:4].tolist() == ends
-    held = delta_many(table_mid, us, tol=TOL)
-    for a, b in zip(streamed, held):
-        assert bits(a) == bits(b)
+    assert_stream_near_held(us, streamed, delta_many(table_mid, us, tol=TOL))
     for u, M, psi in zip(us, streamed.cutoff, streamed.psi):
         ref = weighted_exp_sum(table_mid.values[1 : M + 1], u)
         assert abs(psi - ref) <= 1e-13 * ref

@@ -58,19 +58,19 @@ class TestW:
         assert zero_sum_W(x, zeros_rh) == float(np.sum(terms))
 
     def test_loggamma_once_per_set_same_bits(self, zeros_rh, monkeypatch):
-        # every x reads the set's one log Gamma(rho + 1) array, which is the
+        # every x reads the set's one log Gamma(rho) array, which is the
         # array loggamma gives, so each term keeps its bits
         calls = []
         monkeypatch.setattr(zeros_mod, "loggamma", lambda z: calls.append(len(z)) or loggamma(z))
         zs = ZeroSet(betas=zeros_rh.betas, gammas=zeros_rh.gammas, height=zeros_rh.height)
-        b, g = zs.betas, zs.gammas
+        rho = zs.betas + 1j * zs.gammas
         for x in (1.0, 777.0, 1e6):
-            expo = loggamma(b + 1.0 + 1j * g).real + b * math.log(x) - np.log(g)
-            want = np.where(expo <= -745.0, 0.0, 2.0 * np.exp(expo))
+            expo = loggamma(rho) + np.log(rho) + (rho.real * math.log(x) - np.log(rho.imag))
+            want = 2.0 * np.abs(np.where(expo.real <= -745.0, 0.0, np.exp(expo)))
             assert zero_sum_W_terms(x, zs).tobytes() == want.tobytes()
             zero_sum_W(x, zs)
         assert calls == [len(zs)]
-        assert not zs.loggamma_rho_plus_1.flags.writeable
+        assert not zs.loggamma_rho.flags.writeable
 
     @pytest.mark.parametrize("fn", [zero_sum_W, zero_sum_W_terms])
     def test_domain(self, fn, zeros_rh):

@@ -9,7 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smoothed_pnt.zeros as zeros_mod
-from smoothed_pnt.errors import AccuracyError, DomainError, EmptySetError, OrderError, ParseError
+from smoothed_pnt.errors import (
+    AccuracyError,
+    DomainError,
+    EmptySetError,
+    OrderError,
+    ParseError,
+    RangeError,
+)
+from smoothed_pnt.metrics import omega_from_value, omega_zero, zero_sum_W, zero_sum_W_terms
+from smoothed_pnt.pintz import PintzParams, U_residue
 from smoothed_pnt.smooth import DELTA_LIMIT, delta
 from smoothed_pnt.specfun import (
     _auto_terms,
@@ -340,6 +349,79 @@ class TestFindZeros:
             assert hardy_Z(ts[idx], terms=n_terms).tobytes() == whole[idx].tobytes()
 
 
+class TestGammaTerms:
+    @staticmethod
+    def _want(rho, logs):
+        # the kernel's formula with log Gamma taken afresh over rho
+        expo = loggamma(rho)
+        for log in logs:
+            expo = expo + log(rho)
+        return np.where(expo.real <= -745.0, 0.0, np.exp(expo))
+
+    def test_loggamma_once_per_set_same_bits(self, zeros_rh, monkeypatch):
+        # every call reads the set's one log Gamma(rho) array, which is the
+        # array loggamma gives, so each term keeps its bits; U_residue is a
+        # call of the kernel over the conjugate pairs
+        calls = []
+        monkeypatch.setattr(zeros_mod, "loggamma", lambda z: calls.append(len(z)) or loggamma(z))
+        zs = ZeroSet(betas=zeros_rh.betas, gammas=zeros_rh.gammas, height=zeros_rh.height)
+        rho = zs.betas + 1j * zs.gammas
+        pairs = np.column_stack([rho, np.conj(rho)]).ravel()
+        p = PintzParams(mu=math.log(200.0), k=1.0, rho0=complex(0.5, GAMMA1))
+        shift = (np.log, lambda r: p.k * (r - p.rho0) ** 2, lambda r: p.mu * (r - p.rho0))
+        want = self._want(pairs, shift)
+        assert zs.gamma_terms(*shift, conjugates=True).tobytes() == want.tobytes()
+        assert U_residue(zs, p).value == complex(np.sum(want))
+        for x in (1.0, 50.0, 777.0, 1e3, 1e6):
+            power = (lambda r, log_x=math.log(x): r * log_x,)
+            assert zs.gamma_terms(*power).tobytes() == self._want(rho, power).tobytes()
+        assert calls == [len(zs)]
+        assert not zs.loggamma_rho.flags.writeable
+        with pytest.raises(ValueError):
+            zs.loggamma_rho[0] = 0.0
+        assert [f.name for f in dataclasses.fields(zs)] == ["betas", "gammas", "assume_rh", "height"]
+
+    def test_one_entry_per_zero(self, zeros_rh):
+        # 0 where binary64 underflows, in the zero's own place
+        assert zeros_rh.gamma_terms().shape == (len(zeros_rh),)
+        assert zeros_rh.gamma_terms(conjugates=True).shape == (2 * len(zeros_rh),)
+        tiny = zeros_rh.gamma_terms(lambda r: np.where(r.imag > 20.0, -800.0, -700.0))
+        assert np.count_nonzero(tiny) == 1 and tiny[0] != 0.0
+
+    def test_conjugate_pairs_sum_to_twice_the_real_part(self, zeros_rh):
+        eps = np.finfo(float).eps
+        for x in (1.0, 50.0, 1e6):
+            log_x = math.log(x)
+            for logs in ((lambda r: r * log_x,), (np.log, lambda r: r * log_x)):
+                terms = zeros_rh.gamma_terms(*logs)
+                pairs = zeros_rh.gamma_terms(*logs, conjugates=True)
+                assert pairs[0::2].tobytes() == terms.tobytes()
+                total = pairs[0::2] + pairs[1::2]
+                assert np.all(np.abs(total - 2.0 * terms.real) <= 4.0 * eps * np.abs(terms))
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(explicit_delta, DomainError, id="explicit_delta"),
+        pytest.param(zero_sum_W, DomainError, id="zero_sum_W"),
+        pytest.param(zero_sum_W_terms, DomainError, id="zero_sum_W_terms"),
+        pytest.param(omega_zero, DomainError, id="omega_zero"),
+        pytest.param(lambda x, zs: omega_from_value(x, 1.0), RangeError, id="omega_from_value"),
+        pytest.param(lambda v, zs: omega_from_value(10.0, v), DomainError, id="omega_from_value_v"),
+        pytest.param(
+            lambda x, zs: riemann_vonmangoldt_count(x), DomainError, id="riemann_vonmangoldt_count"
+        ),
+    ],
+)
+def test_non_finite_x_is_refused(zeros_rh, call, error, x):
+    # the zero side refuses NaN and inf with its out-of-range error (and
+    # omega_from_value a non-finite value v)
+    with pytest.raises(error, match="finite"):
+        call(x, zeros_rh)
+
+
 class TestExplicitDelta:
     def test_at_one_all_powers_unity(self, zeros_rh):
         val = explicit_delta(1.0, zeros_rh)
@@ -366,12 +448,11 @@ class TestExplicitDelta:
         rho = zs.betas + 1j * zs.gammas
         for x in (1.0, 50.0, 1e3, 1e6):
             expo = loggamma(rho) + rho * math.log(x)
-            want = np.where(expo.real < -745.0, 0.0, 2.0 * np.exp(expo.real) * np.cos(expo.imag))
+            want = 2.0 * np.where(expo.real <= -745.0, 0.0, np.exp(expo)).real
             assert _zero_sum_terms(zs, math.log(x)).tobytes() == want.tobytes()
             explicit_delta(x, zs)
         assert calls == [len(zs)]
         assert not zs.loggamma_rho.flags.writeable
-        assert [f.name for f in dataclasses.fields(zs)] == ["betas", "gammas", "assume_rh", "height"]
 
     def test_constant_modes_differ_by_half(self, zeros_rh):
         d = explicit_delta(100.0, zeros_rh, constant_mode="derived")
