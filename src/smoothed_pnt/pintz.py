@@ -43,6 +43,7 @@ from .smooth import (
     _NO_ROWS,
     DELTA_LIMIT,
     _blocked_exp_sum,
+    _log_tail,
     _psi_many,
     delta_many,
     smooth_baseline,
@@ -155,30 +156,23 @@ def _loose_cutoff(u, eps):
     return int(m) + 1
 
 
-def _clamped_cutoff(u, eps, limit):
-    """_loose_cutoff(u, eps), clamped to the table's limit without notice."""
-    return min(_loose_cutoff(u, eps), limit)
-
-
 def _delta_point(held, u, eps, prior):
     """(Delta(u), rows) to absolute accuracy ~eps by the cheap tail rule (not the certified one).
 
-    The sum runs to _clamped_cutoff(u, eps, held.limit) and is read by
+    The sum runs to min(_loose_cutoff(u, eps), held.limit) and is read by
     smooth._blocked_exp_sum from held, a sieve.LambdaBuffer, which is
     filled that far first.  rows are that sum's block row sums; prior,
     those of an earlier call at the same u (_NO_ROWS for none), spares
     its GEMV the rows it already holds, at the same bits at one BLAS
-    thread.  The clamp is silent: where the table is shorter than
-    _loose_cutoff(u, eps), Delta is read only as far as the table
-    reaches, not to eps.  U_window sizes the table for 1e-5 at the
-    window's top, so U_integral's tail envelope probes, which ask for
-    1e-7, read a shorter table than they ask for near that top; the
-    probes past held.reach take the same clamp in U_integral before
-    their _psi_many pass.
+    thread.  Where the table is shorter than _loose_cutoff(u, eps),
+    Delta is read only as far as it reaches, not to eps.  U_integral
+    adds the tail past the table's end for its envelope probes, which
+    ask for 1e-7 from a table sized for 1e-5 at the window's top; its
+    march nodes take the clamp uncounted.
     """
     if u < 0.004:
         return 0.0, _NO_ROWS
-    cutoff = _clamped_cutoff(u, eps, held.limit)
+    cutoff = min(_loose_cutoff(u, eps), held.limit)
     psi, rows = _blocked_exp_sum(held.upto(cutoff), u, prior)
     return psi - smooth_baseline(u), rows
 
@@ -272,6 +266,17 @@ def _g_prime_times_u(u, p: PintzParams):
     return _g_weight(u, p) * (-p.rho0 + (p.mu - np.log(u)) / (2.0 * p.k))
 
 
+# the share of the envelope term's weight past U_integral's top probe
+_PROBE_WEIGHT = 1e-3
+
+
+def _weight_top(ys, wts):
+    """The first ys[i] past which the trapezoid weight of wts is at most _PROBE_WEIGHT of it all."""
+    panels = 0.5 * np.diff(ys) * (wts[1:] + wts[:-1])
+    past = np.append(np.cumsum(panels[::-1])[::-1], 0.0)  # the weight past each ys[i]
+    return float(ys[np.argmax(past <= _PROBE_WEIGHT * past[0])])
+
+
 def U_window(p: PintzParams, tol):
     """U_integral's window half-width in log u, and the table limit its nodes reach.
 
@@ -307,6 +312,14 @@ def U_integral(table, p: PintzParams, tol=0.1, panel_scale=1.0):
     window is covered by an empirical envelope bound from probe
     evaluations, reported inside `error` together with head/tail bounds.
 
+    The envelope is the largest |Delta - c| (plus the tail past the
+    table's end where a probe's cutoff is clamped) at six probes,
+    geometric from the march's stop to the first point of the tail
+    bound's grid past which |g'(u) u| carries at most _PROBE_WEIGHT of
+    its weight, or to the window's top.  Past the top probe |Delta - c|
+    is assumed not to exceed the envelope; that stretch carries at most
+    0.1% of the term, so ten times the envelope there adds at most 1%.
+
     The march runs twice over the same nodes when the first (pilot) pass
     at node_eps 1e-8 shows that the tolerance needs a finer one.  Each
     pilot node keeps its block row sums (smooth._blocked_exp_sum), and the
@@ -322,7 +335,8 @@ def U_integral(table, p: PintzParams, tol=0.1, panel_scale=1.0):
     _psi_many pass at the same clamped cutoffs, rounded up to whole
     blocks, over the buffer's tiles, so no tile is sieved twice.  That
     pass frees the held tiles once it has read them, before it sieves
-    the rest.  CapacityError comes before any tile is sieved.
+    on to the tile of the top probe's cutoff.  CapacityError comes
+    before any tile is sieved.
     """
     width, limit = U_window(p, tol)
     b = math.exp(p.mu + width)
@@ -388,23 +402,25 @@ def U_integral(table, p: PintzParams, tol=0.1, panel_scale=1.0):
     # tail envelope for the skipped [y_stop, width] from probe evaluations
     tail_bound = 0.0
     if y_stop < width - 1e-9:
-        u_stop = math.exp(p.mu + y_stop)
-        probes = np.geomspace(u_stop, b, 6)
+        # the envelope term's weight over the skipped stretch and past b
+        ys = np.linspace(y_stop, width + 6.0, 240)
+        wts = np.abs(_g_prime_times_u(np.exp(p.mu + ys), p))
+        y_top = _weight_top(ys, wts)
+        probes = np.geomspace(math.exp(p.mu + y_stop), min(b, math.exp(p.mu + y_top)), 6)
         # probes the march's buffer reaches read it as the march does;
-        # the rest share one pass over its held tiles and then the rest of
-        # its stream, at the same clamped cutoffs
-        cutoffs = np.array([_clamped_cutoff(u, 1e-7, table.limit) for u in probes])
+        # the rest share one pass over its held tiles and then its stream,
+        # at the same clamped cutoffs
+        loose = np.array([_loose_cutoff(u, 1e-7) for u in probes])
+        cutoffs = np.minimum(loose, table.limit)
         far = cutoffs > held.reach
         d = np.empty(len(probes))
         d[~far] = [_delta_point(held, u, 1e-7, _NO_ROWS)[0] for u in probes[~far]]
         psi = _psi_many(held.tiles(), probes[far], cutoffs[far])
         d[far] = psi - [smooth_baseline(u) for u in probes[far]]
-        env = float(np.max(np.abs(d - DELTA_LIMIT)))
-        # cover the skipped stretch plus the beyond-window residue of the
-        # Gaussian weight (the envelope is taken non-increasing past b)
-        ys = np.linspace(y_stop, width + 6.0, 240)
-        us = np.exp(p.mu + ys)
-        wts = np.abs(_g_prime_times_u(us, p))
+        # a clamped probe misses the sum past the table's end: add its bound
+        missing = np.where(loose > table.limit, np.exp(_log_tail(table.limit, probes)), 0.0)
+        env = float(np.max(np.abs(d - DELTA_LIMIT) + missing))
+        # past the top probe, |Delta - c| is taken to stay within env
         tail_bound = 3.0 * env * float(np.trapezoid(wts, ys))
     u_head = math.exp(p.mu + y_lo)
     head_bound = 3.0 * math.exp(-1.0 / u_head) * abs(_g_prime_times_u(u_head, p))

@@ -28,11 +28,11 @@ call, so a Delta grid (metrics, delta) never holds the whole table.  A
 LambdaBuffer copies the tiles of one tiles() pass into an array, only
 as far as it is asked: pintz's U_integral holds just the part its march
 reads, and its far probes read the buffer's own tiles(), the held tiles
-and then the rest of that pass; the held array is freed as soon as its
-tiles are read.  build_lambda is a LambdaBuffer filled to N, kept as a
-LambdaTable for the readers that index Lambda directly (goldbach,
-chebyshev_psi).  MAX_LIMIT caps N, so a table holds at most 1.6 GB of
-values and prefix sums.
+and then the rest of that pass as far as they need; the held array is
+freed as soon as its tiles are read.  build_lambda is a LambdaBuffer
+filled to N, kept as a LambdaTable for the readers that index Lambda
+directly (goldbach, chebyshev_psi).  MAX_LIMIT caps N, so a table holds
+at most 1.6 GB of values and prefix sums.
 """
 
 import math

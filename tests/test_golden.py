@@ -1,5 +1,5 @@
 """Pinned CLI outputs: one small config of each of the six commands, plus
-`zeros --T 1000`, seven files in all.
+`zeros --T 1000` and `pintz_far`, eight files in all.
 
 The files in tests/golden/ were recorded from the per-point Delta
 evaluator (one GEMV per point) that the batched engine replaced, so a
@@ -15,7 +15,10 @@ t = 200, where the zero finder's Riemann-Siegel sign scan starts;
 scan must give the same bytes.  Both zero files were re-recorded when
 refinement took its heads from Chebyshev head moments, which round
 differently from direct heads: 370 of the 649 zeros moved, by at most
-9 ulps, each still within 5.7e-13 of mpmath's.
+9 ulps, each still within 5.7e-13 of mpmath's.  The `pintz` config's
+envelope probes all sit in the one tile its march holds; `pintz_far`
+(mu-scale 60) holds two and streams three more for its far probes, so
+it pins U_integral's far pass.
 
 Re-record only as a deliberate re-baseline, and say so in CHANGES.md.
 Name the commands whose files are to move; the others are left as they
@@ -24,7 +27,7 @@ baseline in the last digits):
 
     PYTHONPATH=src python tests/test_golden.py pintz turan
 
-With no names, all seven files are rewritten.
+With no names, all eight files are rewritten.
 """
 
 import contextlib
@@ -46,6 +49,7 @@ CASES = {
     "zeros": ["zeros", "--T", "100"],
     "zeros_1000": ["zeros", "--T", "1000"],
     "pintz": ["pintz", "--mu-scale", "20", "--k", "0.5", "--tol", "0.2", "--zeros", "builtin"],
+    "pintz_far": ["pintz", "--mu-scale", "60", "--k", "0.6", "--tol", "0.1", "--zeros", "builtin"],
     "turan": ["turan", "--seed", "0", "--instances", "50"],
     "goldbach": ["goldbach", "--k", "2", "--x", "10:1e2:3"],
 }

@@ -31,7 +31,7 @@ from smoothed_pnt.pintz import (
     turan_bounds,
 )
 from smoothed_pnt.sieve import _TILE, LambdaBuffer, LambdaStream, build_lambda, flat_tile
-from smoothed_pnt.smooth import _BLOCK, _NO_ROWS
+from smoothed_pnt.smooth import _BLOCK, _NO_ROWS, _log_tail
 from smoothed_pnt.specfun import gamma_complex, loggamma
 from smoothed_pnt.zeros import ZeroSet
 
@@ -242,6 +242,26 @@ def test_blocked_rows_reuse_is_bitwise():
     assert out["cases"] == ["M1 > M2", "direct sum", "one row left", "whole blocks"]
 
 
+def _probe_pass(monkeypatch, table, p, tol):
+    """Run U_integral; the tail bound's grid, the probe top and the far pass's probes."""
+    seen = {}
+    weight_top, psi_many = pintz._weight_top, pintz._psi_many
+
+    def top(ys, wts):
+        seen["ys"], seen["wts"] = ys, wts
+        seen["y_top"] = weight_top(ys, wts)
+        return seen["y_top"]
+
+    def far(tiles, us, cutoffs):
+        seen["us"], seen["cutoffs"] = us, cutoffs
+        return psi_many(tiles, us, cutoffs)
+
+    monkeypatch.setattr(pintz, "_weight_top", top)
+    monkeypatch.setattr(pintz, "_psi_many", far)
+    U_integral(table, p, tol=tol)
+    return seen
+
+
 class TestUIntegral:
     def test_panel_refinement(self, table_mid):
         p = PintzParams(mu=math.log(50.0), k=0.3, rho0=RHO1)
@@ -298,7 +318,8 @@ class TestUIntegral:
 
     def test_far_probes_read_the_held_tiles(self, monkeypatch):
         # the march holds two tiles; the far probes read those, then sieve
-        # the rest of the table once
+        # the tiles up to the one that holds their largest cutoff, once
+        # each and in order: 5 of the table's 7
         sieved = []
         segment = sieve._segment
 
@@ -309,8 +330,64 @@ class TestUIntegral:
         monkeypatch.setattr(sieve, "_segment", recording)
         p = PintzParams(mu=math.log(60.0), k=0.6, rho0=RHO1)
         limit = U_window(p, 0.1)[1]
-        U_integral(LambdaStream(limit), p, tol=0.1)
-        assert sieved == list(range(1, limit + 1, _TILE))
+        seen = _probe_pass(monkeypatch, LambdaStream(limit), p, 0.1)
+        top_tile = (int(seen["cutoffs"].max()) - 1) // _TILE
+        assert sieved == list(range(1, top_tile * _TILE + 2, _TILE))
+        assert len(sieved) < -(-limit // _TILE)
+
+    @pytest.mark.parametrize(
+        "scale, k, tol",
+        [
+            (60.0, 0.6, 0.1),  # the pintz_far golden
+            (198.657, 1.0, 0.1),  # the benchmark's lower_bound seed 0
+        ],
+    )
+    def test_probes_end_where_the_weight_does(self, monkeypatch, scale, k, tol):
+        # the top probe sits at the first point of the tail bound's grid
+        # past which the trapezoid weight is at most 1e-3 of the whole,
+        # and the table reaches its cutoff at 1e-7: no probe is clamped
+        p = PintzParams(mu=math.log(scale), k=k, rho0=RHO1)
+        width, limit = U_window(p, tol)
+        seen = _probe_pass(monkeypatch, LambdaStream(limit), p, tol)
+        ys, wts = seen["ys"], seen["wts"]
+        i = int(np.flatnonzero(ys == seen["y_top"])[0])
+        whole = np.trapezoid(wts, ys)
+        assert np.trapezoid(wts[i:], ys[i:]) <= 1e-3 * whole
+        assert np.trapezoid(wts[i - 1 :], ys[i - 1 :]) > 1e-3 * whole
+        assert seen["y_top"] < width
+        top = float(seen["us"].max())
+        assert top == math.exp(p.mu + seen["y_top"])
+        assert pintz._loose_cutoff(top, 1e-7) <= limit
+
+    @pytest.mark.parametrize(
+        "scale, k, clamped",
+        [
+            (54.598, 0.1, True),  # the table ends short of all six probes' cutoffs
+            (60.0, 0.6, False),  # no probe is clamped: the bits stay
+        ],
+    )
+    def test_clamped_probes_carry_their_tail(self, monkeypatch, scale, k, clamped):
+        # where the probes are clamped, the envelope, held by the first
+        # probe, grows by that probe's certified tail past the table's end
+        p = PintzParams(mu=math.log(scale), k=k, rho0=RHO1)
+        table = build_lambda(U_window(p, 0.1)[1])
+        seen = {}
+        weight_top = pintz._weight_top
+
+        def top(ys, wts):
+            seen["weight"] = np.trapezoid(wts, ys)
+            seen["u_stop"] = math.exp(p.mu + ys[0])
+            return weight_top(ys, wts)
+
+        monkeypatch.setattr(pintz, "_weight_top", top)
+        counted = U_integral(table, p, tol=0.1)
+        monkeypatch.setattr(pintz, "_log_tail", lambda m, x: np.full(np.shape(x), -np.inf))
+        silent = U_integral(table, p, tol=0.1)
+        assert counted.value == silent.value
+        tail = math.exp(_log_tail(table.limit, seen["u_stop"])) if clamped else 0.0
+        pref = 1.0 / (2.0 * math.sqrt(math.pi * p.k))
+        grown = counted.error - silent.error
+        assert grown == pytest.approx(3.0 * pref * tail * seen["weight"], rel=1e-4, abs=0.0)
 
     def test_far_pass_frees_the_held_tiles(self, monkeypatch):
         # the held array is gone before the far pass sieves a fresh tile
