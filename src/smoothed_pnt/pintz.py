@@ -11,6 +11,10 @@ envelope e^{-mu + 9k/4} as reported uncertainty; at the parameter scales
 used here the actual remainder is orders of magnitude smaller (the Gamma
 factor on the shifted line decays like e^{-pi Im /2}): honest but loose.
 
+H(s) and the Gaussian line take the trapezoid rule on a uniform lattice
+(geometric convergence: Trefethen and Weideman, SIAM Review 56 (2014));
+U_integral keeps its 12-point Gauss-Legendre march: U's bits are pinned.
+
 The Turan bound verified here is  max_{a<=t<=a+b} |sum_j e^{alpha_j t}|
 >= (b / (8e(a+b)))^n.  The denominator of this bound is frequently
 misprinted as 8e(a + b/b), which is dimensionally incoherent; the form
@@ -84,51 +88,25 @@ class PintzParams:
         object.__setattr__(self, "rho0", r)
 
 
-# Gauss-Legendre nodes and weights on [-1, 1] for the two orders used,
+# The 12-point Gauss-Legendre rule on [-1, 1], U_integral's panel rule,
 # as literals (QUADPACK keeps its rules the same way).  The last bit of
 # each weight matters: U_integral's cancellation turns a 1e-15 change in
-# the weights into ~5e-8 relative in U, so the tables are pinned here
+# the weights into ~5e-8 relative in U, so the rule is pinned here
 # rather than recomputed (numpy's leggauss differs by up to 1.8e-15).
-_GAUSS_LEGENDRE = {
-    10: (
-        np.array([
-            -0.9739065285171717, -0.8650633666889844, -0.6794095682990244,
-            -0.4333953941292472, -0.14887433898163116, 0.14887433898163116,
-            0.4333953941292472, 0.6794095682990244, 0.8650633666889844,
-            0.9739065285171717,
-        ]),
-        np.array([
-            0.06667134430868714, 0.14945134915058053, 0.21908636251598224,
-            0.26926671930999674, 0.2955242247147533, 0.2955242247147533,
-            0.26926671930999674, 0.21908636251598224, 0.14945134915058053,
-            0.06667134430868714,
-        ]),
-    ),
-    12: (
-        np.array([
-            -0.9815606342467192, -0.9041172563704749, -0.7699026741943047,
-            -0.5873179542866175, -0.36783149899818013, -0.12523340851146897,
-            0.12523340851146897, 0.36783149899818013, 0.5873179542866175,
-            0.7699026741943047, 0.9041172563704749, 0.9815606342467192,
-        ]),
-        np.array([
-            0.04717533638651319, 0.10693932599531782, 0.16007832854334608,
-            0.20316742672306573, 0.2334925365383547, 0.2491470458134026,
-            0.2491470458134026, 0.2334925365383547, 0.20316742672306573,
-            0.16007832854334608, 0.10693932599531782, 0.04717533638651319,
-        ]),
-    ),
-}
-
-
-def _gl_nodes(edges, m):
-    """Nodes and weights of the m-point Gauss-Legendre rule on each panel between edges."""
-    xg, wg = _GAUSS_LEGENDRE[m]
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    rads = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mids[:, None] + rads[:, None] * xg[None, :]).ravel()
-    weights = (rads[:, None] * wg[None, :]).ravel()
-    return nodes, weights
+_GAUSS_LEGENDRE_12 = (
+    np.array([
+        -0.9815606342467192, -0.9041172563704749, -0.7699026741943047,
+        -0.5873179542866175, -0.36783149899818013, -0.12523340851146897,
+        0.12523340851146897, 0.36783149899818013, 0.5873179542866175,
+        0.7699026741943047, 0.9041172563704749, 0.9815606342467192,
+    ]),
+    np.array([
+        0.04717533638651319, 0.10693932599531782, 0.16007832854334608,
+        0.20316742672306573, 0.2334925365383547, 0.2491470458134026,
+        0.2491470458134026, 0.2334925365383547, 0.20316742672306573,
+        0.16007832854334608, 0.10693932599531782, 0.04717533638651319,
+    ]),
+)
 
 
 class QuadResult(NamedTuple):
@@ -157,7 +135,7 @@ def _loose_cutoff(u, eps):
 
 
 def _delta_point(held, u, eps, prior):
-    """(Delta(u), rows) to absolute accuracy ~eps by the cheap tail rule (not the certified one).
+    """(Delta(u), rows, missing) to ~eps by the cheap tail rule (not the certified one).
 
     The sum runs to min(_loose_cutoff(u, eps), held.limit) and is read by
     smooth._blocked_exp_sum from held, a sieve.LambdaBuffer, which is
@@ -165,29 +143,36 @@ def _delta_point(held, u, eps, prior):
     those of an earlier call at the same u (_NO_ROWS for none), spares
     its GEMV the rows it already holds, at the same bits at one BLAS
     thread.  Where the table is shorter than _loose_cutoff(u, eps),
-    Delta is read only as far as it reaches, not to eps.  U_integral
-    adds the tail past the table's end for its envelope probes, which
-    ask for 1e-7 from a table sized for 1e-5 at the window's top; its
-    march nodes take the clamp uncounted.
+    Delta is read only as far as it reaches, and missing is the
+    certified bound on the sum past the table's end (_log_tail); else
+    it is 0.0.  U_integral counts it in its error at the march nodes.
     """
     if u < 0.004:
-        return 0.0, _NO_ROWS
-    cutoff = min(_loose_cutoff(u, eps), held.limit)
+        return 0.0, _NO_ROWS, 0.0
+    cutoff = _loose_cutoff(u, eps)
+    missing = 0.0
+    if cutoff > held.limit:
+        cutoff = held.limit
+        missing = float(np.exp(_log_tail(cutoff, u)))
     psi, rows = _blocked_exp_sum(held.upto(cutoff), u, prior)
-    return psi - smooth_baseline(u), rows
+    return psi - smooth_baseline(u), rows, missing
 
 
 def mellin_H_quadrature(table: LambdaTable, s, upper=2000.0):
     """H(s) from its integral form: -s * integral of Delta(u) u^{-s-1} du.
 
-    Composite Gauss-Legendre in log u on [0.02, upper]; the omitted head
-    is doubly-exponentially small and the tail beyond `upper` is bounded
-    with the trivial |Delta| envelope and folded into the reported error.
-    The error estimate compares against the rule on panels joined in
-    pairs.  Delta at the nodes of both rules and at `upper` comes from
-    one delta_many call at tol 1e-10, so a table too short for `upper`
-    raises CapacityError.  Requires a finite s with Re s >= 2 and upper
-    >= 1e3; raises ToleranceError when the estimate exceeds 1e-4.
+    In v = log u, H(s) = -s (int (Delta - c e^{-1/u}) u^{-s} dv + c Gamma(s)),
+    c = DELTA_LIMIT: c e^{-1/u} has Mellin transform c Gamma(s), and the
+    integrand left vanishes at both ends.  It is analytic for |Im v| < pi/2,
+    where u^{-s} grows like e^{|Im s Im v|}, so the lattice v_j = jh over
+    [0.02, upper] takes h = 0.5/max(|Im s|, 5).  The error estimate sums
+    |T_h - T_2h| (T_2h on every other node), the nodes' certified tails, a
+    closed-form bound below the first node, and past the last one an
+    empirical envelope of |Delta - c| from Delta at `upper` plus |c|/upper
+    for c (1 - e^{-1/u}).  Delta at the nodes and at `upper` comes from one
+    delta_many call at tol 1e-10 (CapacityError for a table too short for
+    the lattice's top).  Requires a finite s with Re s >= 2 and upper >=
+    1e3; raises ToleranceError when the estimate exceeds 1e-4.
     """
     s = complex(s)
     if not (2.0 <= s.real < math.inf):
@@ -197,25 +182,25 @@ def mellin_H_quadrature(table: LambdaTable, s, upper=2000.0):
     if not (1e3 <= upper < math.inf):
         raise DomainError("upper must be finite and at least 1e3")
     u_min = 0.02
-    node_eps = 1e-10
-    h = 0.5 / max(abs(s.imag), 1.0)
-    v_lo, v_hi = math.log(u_min), math.log(upper)
-    n_panels = int(math.ceil((v_hi - v_lo) / h))
-    edges = np.linspace(v_lo, v_hi, n_panels + 1)
-    v_fine, w_fine = _gl_nodes(edges, 10)
-    v_coarse, w_coarse = _gl_nodes(np.append(edges[:-1:2], edges[-1]), 10)
-    vs = np.concatenate([v_fine, v_coarse])
-    d = delta_many(table, np.append(np.exp(vs), upper), tol=node_eps).delta
-    terms = d[:-1] * np.exp(-s * vs)
-    fine = -s * np.dot(w_fine, terms[: len(v_fine)])
-    coarse = -s * np.dot(w_coarse, terms[len(v_fine) :])
-    d_upper = abs(d[-1])
-    tail = max(2.0, 1.5 * d_upper) * abs(s) * upper ** (-s.real) / s.real
-    head = 3.0 * math.exp(-1.0 / u_min) * abs(s) * u_min ** (-s.real)
-    est = abs(fine - coarse) + tail + head + node_eps * abs(s) * 60.0
+    h = 0.5 / max(abs(s.imag), 5.0)
+    j = np.arange(math.floor(math.log(u_min) / h), math.ceil(math.log(upper) / h) + 1)
+    v = j * h
+    u = np.exp(v)
+    batch = delta_many(table, np.append(u, upper), tol=1e-10)
+    terms = (batch.delta[:-1] - DELTA_LIMIT * np.exp(-1.0 / u)) * np.exp(-s * v)
+    fine = h * np.sum(terms)
+    coarse = 2.0 * h * np.sum(terms[j % 2 == 0])
+    sigma, size = s.real, abs(s)
+    nodes = size * h * float(np.dot(batch.tail_bound[:-1], u**-sigma))
+    # covers 2.34 |s| Gamma(sigma, 1/u_min) for sigma <= 50, and raises past it
+    head = 3.0 * math.exp(-1.0 / u_min) * size * u_min ** (-sigma)
+    env = max(2.0, 1.5 * abs(batch.delta[-1] - DELTA_LIMIT))  # empirical
+    tail = (env + abs(DELTA_LIMIT) / upper) * size * upper ** (-sigma) / sigma
+    est = size * abs(fine - coarse) + nodes + head + tail
     if est > 1e-4:
         raise ToleranceError(f"H quadrature error estimate {est:.2e} > 1e-4")
-    return QuadResult(value=complex(fine), error=float(est))
+    value = -s * (fine + DELTA_LIMIT * gamma_complex(s))
+    return QuadResult(value=complex(value), error=float(est))
 
 
 def gaussian_line_check(kk, w, height=None):
@@ -238,11 +223,9 @@ def gaussian_line_check(kk, w, height=None):
     if height is None:
         height = 10.0 / math.sqrt(kk) + (abs(w) / kk if sigma == 2.0 else 0.0) + 2.0
     h = 0.5 / max(omega, math.sqrt(kk), 1.0)
-    n_panels = int(math.ceil(2.0 * height / h))
-    t, weights = _gl_nodes(np.linspace(-height, height, n_panels + 1), 12)
-    s = sigma + 1j * t
-    vals = np.exp(kk * s * s + w * s)
-    quad = complex(np.sum(weights * vals) / (2.0 * math.pi))
+    n = math.ceil(height / h)
+    s = sigma + 1j * (h * np.arange(-n, n + 1))
+    quad = complex(h * np.sum(np.exp(kk * s * s + w * s)) / (2.0 * math.pi))
     arg = -w * w / (4.0 * kk)
     closed = complex(math.exp(arg) / (2.0 * math.sqrt(math.pi * kk)) if arg > -745 else 0.0)
     scale = max(abs(closed), 1e-300)
@@ -348,7 +331,7 @@ def U_integral(table, p: PintzParams, tol=0.1, panel_scale=1.0):
     held = LambdaBuffer(table)
     gamma0 = abs(p.rho0.imag)
     h = min(0.7 / max(gamma0, 1.0), 0.25 * math.sqrt(p.k)) * panel_scale
-    xg, wg = _GAUSS_LEGENDRE[12]
+    xg, wg = _GAUSS_LEGENDRE_12
     # march a little below the nominal window: the integrand there is
     # doubly-exponentially small and cheap, and it shrinks the head bound
     y_lo = max(math.log(0.004) - p.mu, -width - 8.0)
@@ -358,6 +341,7 @@ def U_integral(table, p: PintzParams, tol=0.1, panel_scale=1.0):
         # march order, each dropped once read; this pass's go to rows
         total = 0j
         weight_mass = 0.0
+        clamped = 0.0  # the weighted tails the table's end cuts off
         y_stop = width
         small_run = 0
         y = y_lo
@@ -367,12 +351,17 @@ def U_integral(table, p: PintzParams, tol=0.1, panel_scale=1.0):
             panel = 0j
             for xx, ww in zip(xg, wg):
                 u = math.exp(p.mu + mid + rad * xx)
-                d, r = _delta_point(held, u, node_eps, prior.popleft() if prior else _NO_ROWS)
+                d, r, missing = _delta_point(
+                    held, u, node_eps, prior.popleft() if prior else _NO_ROWS
+                )
                 rows.append(r)
                 d -= DELTA_LIMIT
                 gw = _g_prime_times_u(u, p)
                 panel += ww * rad * d * gw
-                weight_mass += ww * rad * abs(gw)
+                mass = ww * rad * abs(gw)
+                weight_mass += mass
+                if missing:
+                    clamped += mass * missing
             total += panel
             y = yb
             if y > 0.0 and abs(panel) < tol * max(abs(total), 1e-300) / 50.0:
@@ -382,17 +371,17 @@ def U_integral(table, p: PintzParams, tol=0.1, panel_scale=1.0):
                     break
             else:
                 small_run = 0
-        return total, weight_mass, y_stop
+        return total, weight_mass, clamped, y_stop
 
     # the refined pass marches the pilot's nodes, so it computes only the
     # block rows past the pilot's; its own rows are not kept (maxlen 0)
     node_eps = 1e-8
     pilot_rows = deque()
-    total, weight_mass, y_stop = run(node_eps, deque(), pilot_rows)
+    total, weight_mass, clamped, y_stop = run(node_eps, deque(), pilot_rows)
     refined = max(1e-13, tol * abs(total) / max(30.0 * weight_mass, 1.0))
     if refined < node_eps:
         node_eps = refined
-        total, weight_mass, y_stop = run(node_eps, pilot_rows, deque(maxlen=0))
+        total, weight_mass, clamped, y_stop = run(node_eps, pilot_rows, deque(maxlen=0))
     del pilot_rows
     # the constant's share over the full half line is exactly zero
     # (int c g' du = c [g] with g vanishing at both ends), so splitting it
@@ -424,7 +413,7 @@ def U_integral(table, p: PintzParams, tol=0.1, panel_scale=1.0):
         tail_bound = 3.0 * env * float(np.trapezoid(wts, ys))
     u_head = math.exp(p.mu + y_lo)
     head_bound = 3.0 * math.exp(-1.0 / u_head) * abs(_g_prime_times_u(u_head, p))
-    err = pref * (node_eps * weight_mass + tail_bound + head_bound)
+    err = pref * (node_eps * weight_mass + tail_bound + head_bound + clamped)
     err += tol * abs(pref * (total + const_term)) * 0.1  # quadrature share
     value = pref * (total + const_term)
     if err > tol * max(abs(value), 1e-300) + 1e-12:

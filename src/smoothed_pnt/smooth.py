@@ -472,7 +472,7 @@ def sup_metric(table, x, grid=2048, tol=1e-9):
 
 class AvgMetric(NamedTuple):
     value: float
-    quad_error: float
+    quad_error: float  # an estimate, not a bound (see avg_metric)
 
 
 def avg_metric(table, x, panels=2048, tol=1e-9):
@@ -480,7 +480,8 @@ def avg_metric(table, x, panels=2048, tol=1e-9):
 
     Uses the same hybrid grid (plus u = 0, where the integrand vanishes)
     and reports a Richardson error estimate from comparing against the
-    every-other-point trapezoid.
+    every-other-point trapezoid.  It is not a bound: the true error
+    exceeded it at every seeded x tested, by up to 1.7 times at 64 panels.
     """
     us = hybrid_grid(x, points=panels, include_zero=True)
     vals = np.abs(delta_many(table, us, tol=tol).delta)
@@ -488,7 +489,7 @@ def avg_metric(table, x, panels=2048, tol=1e-9):
 
 
 def trapezoid_mean(us, vals, x):
-    """avg_metric's value and error estimate from |Delta| on its grid us."""
+    """avg_metric's value and error estimate (not a bound) from |Delta| on its grid us."""
     full = float(np.trapezoid(vals, us) / x)
     keep = np.zeros(len(us), dtype=bool)
     keep[::2] = True

@@ -85,8 +85,8 @@ _LANCZOS_C = (
 
 
 # Bernoulli numbers B_0 .. B_64 (B_1 = -1/2), each the correctly rounded
-# float of its exact rational value, as literals, as the Gauss-Legendre
-# rules in pintz are kept (tests/test_specfun.py rebuilds them from the
+# float of its exact rational value, as literals, as pintz keeps its
+# Gauss-Legendre rule (tests/test_specfun.py rebuilds them from the
 # exact recurrence).  B_62 and B_64 only enter error bounds.
 _BERNOULLI = np.array([
     1.0, -0.5, 0.16666666666666666, 0.0,

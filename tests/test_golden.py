@@ -18,7 +18,10 @@ differently from direct heads: 370 of the 649 zeros moved, by at most
 9 ulps, each still within 5.7e-13 of mpmath's.  The `pintz` config's
 envelope probes all sit in the one tile its march holds; `pintz_far`
 (mu-scale 60) holds two and streams three more for its far probes, so
-it pins U_integral's far pass.
+it pins U_integral's far pass.  `pintz` was re-recorded when
+U_integral's error began to count the tails its march nodes miss where
+the table ends short of their cutoffs: only U_integral_err moved, in
+its eighth digit.
 
 Re-record only as a deliberate re-baseline, and say so in CHANGES.md.
 Name the commands whose files are to move; the others are left as they

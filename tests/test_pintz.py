@@ -18,7 +18,7 @@ from smoothed_pnt import metrics, pintz, sieve
 from smoothed_pnt.errors import CapacityError, DomainError, NormalizationError, RangeError
 from smoothed_pnt.goldbach import contour_cutoff, contour_extract
 from smoothed_pnt.pintz import (
-    _GAUSS_LEGENDRE,
+    _GAUSS_LEGENDRE_12,
     PintzParams,
     _turan_grid,
     U_integral,
@@ -31,7 +31,7 @@ from smoothed_pnt.pintz import (
     turan_bounds,
 )
 from smoothed_pnt.sieve import _TILE, LambdaBuffer, LambdaStream, build_lambda, flat_tile
-from smoothed_pnt.smooth import _BLOCK, _NO_ROWS, _log_tail
+from smoothed_pnt.smooth import _BLOCK, _NO_ROWS, _log_tail, delta_many
 from smoothed_pnt.specfun import gamma_complex, loggamma
 from smoothed_pnt.zeros import ZeroSet
 
@@ -45,9 +45,10 @@ def _bits(result):
 
 
 class TestGaussLegendreTables:
-    @pytest.mark.parametrize("m", [10, 12])
+    # U_integral's panel rule, the one Gauss-Legendre rule left
+    @pytest.mark.parametrize("m", [12])
     def test_rule(self, m):
-        xg, wg = _GAUSS_LEGENDRE[m]
+        xg, wg = _GAUSS_LEGENDRE_12
         assert len(xg) == len(wg) == m
         assert np.all(np.diff(xg) > 0.0) and np.all(wg > 0.0)
         assert abs(wg.sum() - 2.0) <= 1e-15
@@ -56,9 +57,9 @@ class TestGaussLegendreTables:
             exact = 2.0 / (j + 1) if j % 2 == 0 else 0.0
             assert abs(np.dot(wg, xg**j) - exact) <= 1e-14
 
-    @pytest.mark.parametrize("m", [10, 12])
+    @pytest.mark.parametrize("m", [12])
     def test_agrees_with_leggauss(self, m):
-        xg, wg = _GAUSS_LEGENDRE[m]
+        xg, wg = _GAUSS_LEGENDRE_12
         xl, wl = np.polynomial.legendre.leggauss(m)
         assert np.max(np.abs(xg - xl)) <= 1e-14
         assert np.max(np.abs(wg - wl)) <= 1e-14
@@ -116,6 +117,33 @@ class TestMellinQuadrature:
         s = complex(2.0, 5.0)
         quad = mellin_H_quadrature(table_mid, s)
         assert abs(quad.value - mellin_H_closed(s)) <= 1e-3
+
+    # |H - closed| at upper = 2000 was 3.8e-11 to 7.4e-11 at Re s = 2 and
+    # 7.2e-12 to 2.0e-11 elsewhere; the error is at least 1.4e-9
+    @pytest.mark.parametrize(
+        "s",
+        [2.0, complex(2.0, 1.0), complex(2.0, 5.0), complex(3.0, 10.0),
+         complex(2.0, 50.0), complex(4.0, 50.0), complex(2.5, 100.0)],
+    )
+    def test_error_covers_the_closed_form(self, table_mid, s):
+        quad = mellin_H_quadrature(table_mid, s)
+        assert abs(quad.value - mellin_H_closed(s)) <= quad.error
+        assert abs(quad.value - mellin_H_closed(s)) <= 1e-10
+
+    def test_step_shrinks_with_im_s(self, table_mid, monkeypatch):
+        # h = 0.5/max(|Im s|, 5) on [0.02, 2000]: 118 nodes up to |Im s| = 5,
+        # then about twice as many for each doubling of |Im s|
+        counts = []
+
+        def counting(table, us, tol):
+            counts.append(len(us) - 1)  # the last point is `upper`
+            return delta_many(table, us, tol=tol)
+
+        monkeypatch.setattr(pintz, "delta_many", counting)
+        for s in (2.0, complex(2.0, 5.0), complex(2.0, 10.0), complex(2.0, 20.0)):
+            mellin_H_quadrature(table_mid, s)
+        assert counts[0] == counts[1] == 118
+        assert counts[2] == 233 and counts[3] == 463
 
     def test_short_table_raises(self, table_small):
         # at tol 1e-10 the nodes above u ~ 315 need cutoffs past the table's 10,000
@@ -380,6 +408,9 @@ class TestUIntegral:
             return weight_top(ys, wts)
 
         monkeypatch.setattr(pintz, "_weight_top", top)
+        point = pintz._delta_point
+        # the march nodes' clamped tails (counted apart) left out of both runs
+        monkeypatch.setattr(pintz, "_delta_point", lambda *args: point(*args)[:2] + (0.0,))
         counted = U_integral(table, p, tol=0.1)
         monkeypatch.setattr(pintz, "_log_tail", lambda m, x: np.full(np.shape(x), -np.inf))
         silent = U_integral(table, p, tol=0.1)
@@ -388,6 +419,42 @@ class TestUIntegral:
         pref = 1.0 / (2.0 * math.sqrt(math.pi * p.k))
         grown = counted.error - silent.error
         assert grown == pytest.approx(3.0 * pref * tail * seen["weight"], rel=1e-4, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "scale, k, tol, clamped",
+        [
+            (20.0, 0.5, 0.2, True),  # the golden config: 28 refined-pass nodes
+            (54.598, 0.1, 0.1, True),
+            (60.0, 0.6, 0.1, False),  # no node is clamped: the bits stay
+        ],
+    )
+    def test_clamped_march_nodes_carry_their_tail(self, monkeypatch, scale, k, tol, clamped):
+        # a march node whose cutoff passes the table's end adds its
+        # certified missing tail, weighted as the node is, to the error
+        p = PintzParams(mu=math.log(scale), k=k, rho0=RHO1)
+        table = build_lambda(U_window(p, tol)[1])
+        point = pintz._delta_point
+        tails = []
+
+        def recording(held, u, eps, prior):
+            d, rows, missing = point(held, u, eps, prior)
+            if eps < 1e-7:  # a march node, not an envelope probe
+                short = pintz._loose_cutoff(u, eps) > table.limit
+                tail = math.exp(_log_tail(table.limit, u)) if short else 0.0
+                assert missing == pytest.approx(tail, rel=1e-14, abs=0.0)
+                tails.append(missing)
+            return d, rows, missing
+
+        monkeypatch.setattr(pintz, "_delta_point", recording)
+        counted = U_integral(table, p, tol=tol)
+        monkeypatch.setattr(pintz, "_delta_point", lambda *args: point(*args)[:2] + (0.0,))
+        silent = U_integral(table, p, tol=tol)
+        assert counted.value == silent.value
+        assert (max(tails) > 0.0) == clamped
+        if clamped:
+            assert counted.error > silent.error
+        else:
+            assert _bits(counted) == _bits(silent)
 
     def test_far_pass_frees_the_held_tiles(self, monkeypatch):
         # the held array is gone before the far pass sieves a fresh tile

@@ -146,6 +146,18 @@ class TestGrids:
             d = avg_metric(table_mid, x, panels=64, tol=1e-6)
             assert d.value <= s + d.quad_error + 1e-12
 
+    def test_quad_error_is_an_estimate(self, table_mid):
+        # against an 8192-panel reference, the 64-panel D's true error
+        # exceeded quad_error at all 12 seeded x in [2, 1e4], by 1.03 to
+        # 1.66 times: an estimate, not a bound
+        rng = np.random.default_rng(14)
+        ratios = []
+        for x in np.exp(rng.uniform(math.log(2.0), math.log(1e4), 12)):
+            d = avg_metric(table_mid, x, panels=64)
+            ref = avg_metric(table_mid, x, panels=8192)
+            ratios.append(abs(d.value - ref.value) / d.quad_error)
+        assert 1.0 < max(ratios) <= 2.0
+
     def test_grid_parameter_floor(self):
         with pytest.raises(RangeError):
             hybrid_grid(100.0, points=8)
