@@ -37,7 +37,7 @@ print("F_k(x) = Psi(x)^k with matched truncation:")
 x = 50.0
 psi = delta(table, x, tol=1e-12).psi
 for k in (1, 2, 3, 4):
-    conv = convolve_psik(table, k, 4000, method="direct")
+    conv = convolve_psik(table, k, 4000)
     fk = smooth_Fk(conv, x, tol=1e-6 * psi**k)
     print(f"  k={k}: F_k({x:g}) = {fk:.6e}   Psi^k = {psi**k:.6e}   rel {abs(fk/psi**k - 1):.1e}")
 print()

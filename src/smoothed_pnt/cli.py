@@ -201,17 +201,13 @@ def _cmd_goldbach(args):
     # matched truncation: the identity F_k = Psi^k holds per cutoff
     psi_conv = goldbach.convolve_psik(table, 1, conv_limit)
     header = ["x", "F_k", "psi_pow_k", "ratio_to_xk", "err_ratio"]
-    rows = []
-    for x in xs:
-        fk = goldbach.smooth_Fk(conv, x, tol=args.tol)
-        psi = goldbach.smooth_Fk(psi_conv, x, tol=args.tol)
-        rows.append({
-            "x": float(x),
-            "F_k": fk,
-            "psi_pow_k": psi**k,
-            "ratio_to_xk": fk / float(x) ** k,
-            "err_ratio": abs(fk - float(x) ** k) / float(x) ** (k - k / 2.0),
-        })
+    fks = goldbach.smooth_Fk(conv, xs, tol=args.tol).tolist()
+    psis = goldbach.smooth_Fk(psi_conv, xs, tol=args.tol).tolist()
+    rows = [
+        {"x": x, "F_k": fk, "psi_pow_k": psi**k, "ratio_to_xk": fk / x**k,
+         "err_ratio": abs(fk - x**k) / x ** (k - k / 2.0)}
+        for x, fk, psi in zip(xs.tolist(), fks, psis)
+    ]
     if k == 2:
         val, imag = goldbach.contour_extract(table, n_check)
         direct = float(np.sum(goldbach.psi2_centered(table, n_check)[: n_check + 1]))

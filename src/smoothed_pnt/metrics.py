@@ -317,7 +317,7 @@ def _grid_golden_min(f, grid):
     return Minimum(float(vals[i]), float(grid[i]))
 
 
-def omega_eta(x, eta: EtaFunction, grid_points=1024):
+def omega_eta(x, eta: EtaFunction):
     """omega_eta(x) = inf over t >= 1 of (eta(t) log x + log t).
 
     Searches t in [1, x^2]: beyond that log t alone already exceeds the
@@ -330,11 +330,11 @@ def omega_eta(x, eta: EtaFunction, grid_points=1024):
     def f(t):
         return float(eta(t)) * log_x + math.log(t)
 
-    grid = np.exp(np.linspace(0.0, 2.0 * log_x, grid_points))
+    grid = np.exp(np.linspace(0.0, 2.0 * log_x, 1024))
     return _grid_golden_min(f, grid)
 
 
-def varpi(x, eta: EtaFunction, grid_points=1024):
+def varpi(x, eta: EtaFunction):
     """varpi(x) = min over u >= 0 of (eta(u) log x + u), searched on [0, log x + 10]."""
     if x <= 1.0:
         raise DomainError("x must be > 1")
@@ -343,7 +343,7 @@ def varpi(x, eta: EtaFunction, grid_points=1024):
     def f(u):
         return float(eta(u)) * log_x + u
 
-    grid = np.linspace(0.0, log_x + 10.0, grid_points)
+    grid = np.linspace(0.0, log_x + 10.0, 1024)
     return _grid_golden_min(f, grid)
 
 

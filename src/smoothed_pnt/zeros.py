@@ -252,15 +252,18 @@ def _moment_scan(ts, step):
     return zs, bounds
 
 
-def find_zeros(T, step=0.05):
+_STEP = 0.05  # find_zeros' grid step in t
+
+
+def find_zeros(T):
     """All critical-line zeros with gamma <= T via sign changes of Z.
 
-    Z is sampled on a grid of the given step (contract: 0 < step <= 0.05)
-    and all sign changes are refined together by regula falsi until each
-    bracket holds no double inside, so a zero is as accurate as the
-    computed Z allows (~1e-13 here).  Supported for 10 <= T <= 1e3; at
-    these heights consecutive zeros are separated by far more than the
-    grid step, so no pair can hide in one cell.
+    Z is sampled on a grid of step _STEP = 0.05, and all sign changes are
+    refined together by regula falsi until each bracket holds no double
+    inside, so a zero is as accurate as the computed Z allows (~1e-13
+    here).  Supported for 10 <= T <= 1e3; at these heights consecutive
+    zeros are separated by far more than the grid step, so no pair can
+    hide in one cell.
 
     The scan needs only the sign of Z.  Below t = 200 it comes from
     Euler-Maclaurin with heads from sub-interval moments (_moment_scan):
@@ -285,12 +288,10 @@ def find_zeros(T, step=0.05):
     """
     if not (10.0 <= T <= 1e3):
         raise DomainError("find_zeros supports 10 <= T <= 1e3")
-    if not (0.0 < step <= 0.05):
-        raise DomainError("grid step must satisfy 0 < step <= 0.05")
-    ts = np.append(np.arange(1.0, T, step), T)
+    ts = np.append(np.arange(1.0, T, _STEP), T)
     zs = np.empty_like(ts)
     high = ts >= _RS_MIN_T
-    zs[~high] = _moment_scan(ts[~high], step)[0]
+    zs[~high] = _moment_scan(ts[~high], _STEP)[0]
     z_rs, bound = _rs_Z(ts[high])
     uncertified = np.abs(z_rs) <= bound
     z_rs[uncertified] = hardy_Z(ts[high][uncertified])

@@ -131,7 +131,7 @@ def test_c05_fk_power_identity():
     table = build_lambda(8_000)
     worst = 0.0
     N = 4000  # >= 40x for both scales; also gives the tail bound headroom
-    convs = {k: convolve_psik(table, k, N, method="direct") for k in (2, 3, 4)}
+    convs = {k: convolve_psik(table, k, N) for k in (2, 3, 4)}
     for x in (50.0, 100.0):
         psi = delta(table, x, tol=1e-12).psi
         for k in (2, 3, 4):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import smoothed_pnt
-from smoothed_pnt import cli, sieve
+from smoothed_pnt import cli, goldbach, sieve
 from smoothed_pnt.errors import ToleranceError
 from smoothed_pnt.zeros import load_zeros
 
@@ -127,6 +127,20 @@ class TestGoldbachCommand:
     def test_takes_no_zero_table(self, capsys):
         code, _, _ = run(capsys, "goldbach", "--zeros", "builtin")
         assert code == 2
+
+    def test_one_smooth_fk_call_per_table(self, capsys, monkeypatch):
+        # F_k and Psi each sum the whole grid in one call
+        grids = []
+        smooth_Fk = goldbach.smooth_Fk
+
+        def recording(conv, x, tol):
+            grids.append((conv.k, np.shape(x)))
+            return smooth_Fk(conv, x, tol=tol)
+
+        monkeypatch.setattr(goldbach, "smooth_Fk", recording)
+        code, _, _ = run(capsys, "goldbach", "--k", "3", "--x", "10:1e3:7")
+        assert code == 0
+        assert grids == [(3, (7,)), (1, (7,))]
 
 
 class TestZerosCommand:

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from smoothed_pnt import cli
 from smoothed_pnt.errors import AliasError, CapacityError, DomainError, RangeError
 from smoothed_pnt.goldbach import (
+    ConvolutionTable,
+    _banded_fft,
     _certified_limits,
     contour_cutoff,
     contour_extract,
@@ -19,6 +21,7 @@ from smoothed_pnt.goldbach import (
     psi2_centered,
     smooth_Fk,
 )
+from smoothed_pnt.sieve import build_lambda
 from smoothed_pnt.smooth import delta, truncation_cutoff
 
 LOG2 = math.log(2)
@@ -50,10 +53,31 @@ class TestConvolution:
             assert conv.values[n] == pytest.approx(brute, rel=1e-12, abs=1e-15)
 
     def test_direct_and_fft_agree(self, table_small):
-        d = convolve_psik(table_small, 2, 5000, method="direct").values
-        f = convolve_psik(table_small, 2, 5000, method="fft").values
+        d = convolve_psik(table_small, 2, 5000).values  # exact sums below DIRECT_LIMIT
+        f = _banded_fft(table_small.values[:5001], 2)
         nz = d > 0
         assert np.max(np.abs(f[nz] / d[nz] - 1.0)) <= 1e-9
+
+    def test_banded_fft_accuracy_by_parity(self):
+        # each band rounds on the scale of its largest coefficient, which
+        # is of the dense parity: even n for k = 2 (psi_2 at odd n needs a
+        # power of two), odd n for k = 3.  Worst relative errors against
+        # exact sums at the lower_bound benchmark's convolution limit:
+        # 4.5e-12 and 1.6e-15 (k = 2, odd and even n), 2.3e-15 and 2.2e-13
+        # (k = 3, odd and even n)
+        N = 37_002
+        table = build_lambda(N)
+        seq = table.values[: N + 1]
+        exact = {2: np.convolve(seq, seq)[: N + 1]}
+        exact[3] = np.convolve(exact[2], seq)[: N + 1]
+        odd = np.arange(N + 1) % 2 == 1
+        for k, odd_most, even_most in ((2, 1e-11, 4e-15), (3, 5e-15, 5e-13)):
+            vals = convolve_psik(table, k, N).values
+            nz = exact[k] > 0
+            rel = np.zeros(N + 1)
+            rel[nz] = np.abs(vals[nz] / exact[k][nz] - 1.0)
+            assert rel[odd].max() <= odd_most, k
+            assert rel[~odd].max() <= even_most, k
 
     def test_k_range_and_capacity(self, table_small):
         with pytest.raises(DomainError):
@@ -68,14 +92,16 @@ class TestCentered:
         assert c[2] == pytest.approx(1.0, rel=1e-14)  # (Lambda(1)-1)^2
         assert c[3] == pytest.approx(2 * (1 - LOG2), rel=1e-14)
 
-    def test_binomial_expansion_identity(self, table_small):
-        # psi2_0(n) = psi2(n) - 2 sum_{m<n} Lambda(m) + (n-1)
+    def test_enumeration_oracle(self, table_small):
+        # O(N^2) brute force over ordered pairs of the centered sequence;
+        # the expansion through psi_2 is within 5.5e-16 n of it at N = 100
         N = 100
         c = psi2_centered(table_small, N)
-        psi2 = convolve_psik(table_small, 2, N).values
+        lam = table_small.values
+        assert c[0] == c[1] == 0.0
         for n in range(2, N + 1):
-            expected = psi2[n] - 2.0 * table_small.prefix[n - 1] + (n - 1)
-            assert c[n] == pytest.approx(expected, rel=1e-11, abs=1e-10)
+            brute = sum((lam[m] - 1.0) * (lam[n - m] - 1.0) for m in range(1, n))
+            assert abs(c[n] - brute) <= 4e-15 * n
 
 
 class TestSmoothFk:
@@ -104,6 +130,23 @@ class TestSmoothFk:
         n = np.arange(1, limit + 1, dtype=float)
         direct = float(np.dot(conv.values[1:], np.exp(-n / x)))
         assert abs(smooth_Fk(conv, x, tol=tol) - direct) <= 1e-13 * direct
+
+    def test_grid_is_bitwise_each_point_alone(self, table_mid):
+        # one cutoff search and one kernel pass serve the whole grid (x = 10
+        # is a direct sum, the rest read block moments of the banded FFT's
+        # coefficients); a scalar x gives a float
+        conv = convolve_psik(table_mid, 2, 40_000)
+        xs = np.geomspace(10.0, 1e3, 7)
+        fk = smooth_Fk(conv, xs, tol=1e-6)
+        alone = [smooth_Fk(conv, x, tol=1e-6) for x in xs.tolist()]
+        assert all(type(f) is float for f in alone)
+        assert fk.tolist() == alone
+
+    def test_grid_capacity_names_the_first_x(self, table_small):
+        conv = convolve_psik(table_small, 2, 3000)
+        with pytest.raises(CapacityError, match="at x = 400;") as exc:
+            smooth_Fk(conv, [10.0, 400.0, 900.0], tol=1e-9)
+        assert f">= {fk_cutoff(2, 400.0, 1e-9)}" in str(exc.value)
 
     def test_capacity_reports_required_limit(self, table_small):
         conv = convolve_psik(table_small, 2, 100)
@@ -257,7 +300,7 @@ class TestContour:
 def test_fk_equals_psi_power(table_mid, k, x):
     tol = 1e-15 * x**k
     L = fk_cutoff(k, x, tol)
-    fk = smooth_Fk(convolve_psik(table_mid, k, L, method="fft"), x, tol=tol)
+    fk = smooth_Fk(ConvolutionTable(k, L, _banded_fft(table_mid.values[: L + 1], k)), x, tol=tol)
     psi = smooth_Fk(convolve_psik(table_mid, 1, L), x, tol=tol)
     # Psi_L^k adds to F_k only k-tuples past L, which the tail bound covers
     assert abs(fk - psi**k) <= tol + 32 * k * np.finfo(float).eps * psi**k
