@@ -8,16 +8,15 @@ NaN or infinity.  Data goes to --out or standard output; everything
 diagnostic goes to standard error.  An --out whose directory is missing
 or not writable is refused before any table is sieved or zero found.
 
-Without --limit, each table is as long as the certificate that reads it
-needs: smooth.truncation_cutoff for metrics and delta and
-goldbach.fk_cutoff (one tail bound, one search), with contour_cutoff,
-for goldbach, pintz.U_window for pintz.  A --limit given to metrics or
-delta must reach truncation_cutoff at the largest x, a whole number of
-the Delta engine's blocks.  metrics, delta and pintz stream their table
-(sieve.LambdaStream); goldbach alone holds its table whole.
+Each table is exactly as long as the certificate that reads it needs:
+smooth.truncation_cutoff for metrics and delta and goldbach.fk_cutoff
+(one tail bound, one search), with contour_cutoff, for goldbach,
+pintz.U_window for pintz.  No flag sets a table's size.  metrics, delta
+and pintz stream their table (sieve.LambdaStream); goldbach alone holds
+its table whole.
 
-Exit codes: 0 ok, 2 configuration error, 3 capacity (table too small),
-4 tolerance/accuracy failure.
+Exit codes: 0 ok, 2 configuration error, 3 capacity (a certified table
+past the sieve's supported range), 4 tolerance/accuracy failure.
 
 The default zero table is the builtin one; the SMOOTHED_PNT_ZEROS
 environment variable overrides it and --zeros overrides both.
@@ -41,7 +40,7 @@ from .errors import (
     NumericsError,
     ToleranceError,
 )
-from .sieve import LambdaStream, build_lambda, check_limit
+from .sieve import LambdaStream, build_lambda
 
 ENV_ZEROS = "SMOOTHED_PNT_ZEROS"
 
@@ -92,11 +91,6 @@ def _load_zero_source(arg):
 def _check_tol(args):
     if not (0.0 < args.tol < 1.0):
         raise ConfigError(f"tol must lie in (0, 1), got {args.tol}")
-
-
-def _table_limit(args, auto):
-    """--limit when given (0 is a size the sieve rejects, not "unset"), else auto."""
-    return check_limit(args.limit) if args.limit is not None else auto
 
 
 def _check_out(path):
@@ -153,7 +147,7 @@ def _grid_inputs(args):
     _check_tol(args)
     xs = _parse_grid(args.x)
     zs = _load_zero_source(args.zeros)
-    table = LambdaStream(_table_limit(args, smooth.truncation_cutoff(float(np.max(xs)), args.tol)))
+    table = LambdaStream(smooth.truncation_cutoff(float(np.max(xs)), args.tol))
     return xs, zs, table
 
 
@@ -162,7 +156,7 @@ def _cmd_metrics(args):
     header = [f.name for f in dataclasses.fields(metrics.MetricsRow)] + ["psi_over_x"]
     rows = [
         {**dataclasses.asdict(row), "psi_over_x": row.psi / row.x}
-        for row in metrics.metrics_rows(table, zs, xs, grid=args.s_grid, tol=args.tol)
+        for row in metrics.metrics_rows(table, zs, xs, tol=args.tol)
     ]
     _emit(rows, header, args.out, args.format)
     return EXIT_OK
@@ -193,7 +187,7 @@ def _cmd_goldbach(args):
     k = args.k
     if not (1 <= k <= 5):
         raise ConfigError("k must be in [1, 5]")
-    conv_limit = _table_limit(args, goldbach.fk_cutoff(k, float(np.max(xs)), args.tol))
+    conv_limit = goldbach.fk_cutoff(k, float(np.max(xs)), args.tol)
     n_check = min(100, conv_limit)  # k = 2 also checks the contour identity at N = 100
     table_limit = max(conv_limit, goldbach.contour_cutoff(n_check)) if k == 2 else conv_limit
     table = build_lambda(table_limit)
@@ -246,7 +240,7 @@ def _cmd_pintz(args):
     zs.require_nonempty()
     rho0 = complex(zs.betas[0], zs.gammas[0])
     p = pintz.PintzParams(mu=math.log(args.mu_scale), k=args.k, rho0=rho0)
-    table = LambdaStream(_table_limit(args, pintz.U_window(p, args.tol)[1]))
+    table = LambdaStream(pintz.U_window(p, args.tol)[1])
     ui = pintz.U_integral(table, p, tol=args.tol)
     ur = pintz.U_residue(zs, p)
     rel = abs(ui.value - ur.value) / max(abs(ur.value), 1e-300)
@@ -315,7 +309,6 @@ def _cmd_turan(args):
 # Flags several subcommands take; a subcommand may override a default.
 _SHARED_FLAGS = {
     "--x": dict(default="10:1e4:13", help="geometric grid start:stop:points"),
-    "--limit": dict(type=int, default=None, help="sieve table limit N"),
     "--zeros": dict(default=None, help="zero table path or 'builtin'"),
     "--tol": dict(type=float, default=1e-6),
     "--out": dict(default=None, help="output path (default: stdout)"),
@@ -337,17 +330,16 @@ def build_parser():
             p.add_argument("--" + name, **{**spec, "default": defaults.get(name, spec["default"])})
 
     p = sub.add_parser("metrics", help="S/D/W/omega metric family per grid point")
-    shared(p, "x", "limit", "zeros", "tol", "out", "format")
-    p.add_argument("--s-grid", type=int, default=64, help="grid size for S and D")
+    shared(p, "x", "zeros", "tol", "out", "format")
     p.set_defaults(func=_cmd_metrics)
 
     p = sub.add_parser("delta", help="smoothed sums and explicit-formula residual")
-    shared(p, "x", "limit", "zeros", "tol", "out", "format")
+    shared(p, "x", "zeros", "tol", "out", "format")
     p.add_argument("--constant", choices=("paper", "derived"), default="derived")
     p.set_defaults(func=_cmd_delta)
 
     p = sub.add_parser("goldbach", help="F_k identity columns for one k")
-    shared(p, "x", "limit", "tol", "out", "format", x="10:1e3:7")
+    shared(p, "x", "tol", "out", "format", x="10:1e3:7")
     p.add_argument("--k", type=int, default=2)
     p.set_defaults(func=_cmd_goldbach)
 
@@ -359,7 +351,7 @@ def build_parser():
     p = sub.add_parser("pintz", help="dual-representation check of the smoothing integral")
     p.add_argument("--mu-scale", type=float, default=200.0, help="u-scale e^mu")
     p.add_argument("--k", type=float, default=1.0)
-    shared(p, "tol", "limit", "zeros", "out", "format", tol=0.1)
+    shared(p, "tol", "zeros", "out", "format", tol=0.1)
     p.set_defaults(func=_cmd_pintz)
 
     p = sub.add_parser("turan", help="seeded random verification of the power-sum bound")

@@ -168,23 +168,23 @@ class MetricsRow:
     omega_W: float
 
 
-def metrics_row(table, zeros: ZeroSet, x, grid=64, tol=1e-6):
+def metrics_row(table, zeros: ZeroSet, x, tol=1e-6):
     """metrics_rows at the one scale x."""
-    return metrics_rows(table, zeros, [x], grid=grid, tol=tol)[0]
+    return metrics_rows(table, zeros, [x], tol=tol)[0]
 
 
-def metrics_rows(table, zeros: ZeroSet, xs, grid=64, tol=1e-6):
+def metrics_rows(table, zeros: ZeroSet, xs, tol=1e-6):
     """A MetricsRow at every x of xs; the omega_V columns are log(x/V) by construction.
 
-    One delta_many call covers every x's avg_metric grid, which is its
-    sup_metric grid plus u = 0, so S and D equal what those two functions
-    return, bit for bit (the engine's results do not depend on the
-    batch), and the table is read once for all of them.  The grids share
-    their [0.02, 1] head and u = 0, so the call takes each distinct
-    point once.  Psi, I and Delta at x come from the same call: each
-    grid ends at x.
+    One delta_many call covers every x's avg_metric grid at 64 panels,
+    which is its sup_metric grid at 64 points plus u = 0, so S and D
+    equal what those two functions return, bit for bit (the engine's
+    results do not depend on the batch), and the table is read once for
+    all of them.  The grids share their [0.02, 1] head and u = 0, so the
+    call takes each distinct point once.  Psi, I and Delta at x come
+    from the same call: each grid ends at x.
     """
-    grids = [hybrid_grid(x, points=grid, include_zero=True) for x in xs]
+    grids = [hybrid_grid(x, points=64, include_zero=True) for x in xs]
     us_all = np.concatenate([np.empty(0), *grids])
     points = _distinct(us_all)
     # each grid point's place among the distinct ones (a lighter inverse

@@ -49,13 +49,15 @@ tile as it is read, so the whole table is never held.  A pass holds one
 tile (a 1 MB half tile past tile 0) and the moment arrays, _J doubles
 per block (1 MB for a table of 3.2e7 entries).
 
-weighted_exp_sum, a one-point GEMV of the plain split e^{-qB/u} e^{-m/u},
+_blocked_exp_sum, a one-point GEMV of the plain split e^{-qB/u} e^{-m/u},
 serves only pintz._delta_point: U_integral's march and the envelope
 probes inside its reach.  U cancels ~8 digits, so moving the march onto
 the engine shifts U by ~5e-7 relative, past the 1e-9 at which the
-benchmark's reference outputs pin it (its one path, _blocked_exp_sum,
-lets the march's refined pass reuse its pilot's rows).  Goldbach's F_k,
-pintz's Mellin quadrature and its farther probes go through the engine.
+benchmark's reference outputs pin it (the march's refined pass reuses
+its pilot's block rows).  weighted_exp_sum, the same sum with no prior
+rows, has no caller in the package: tests take it as a reference, and
+perfbench's tracer counts it.  Goldbach's F_k, pintz's Mellin
+quadrature and its farther probes go through the engine.
 """
 
 import functools

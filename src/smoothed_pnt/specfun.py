@@ -176,11 +176,7 @@ def gamma_complex(z):
     the true value overflows binary64 (real part of log Gamma > 709).
     """
     z = complex(z)
-    if z.imag < 0.0:
-        return np.conj(gamma_complex(np.conj(z)))
-    if _near_nonpositive_integer(z, 1e-12):
-        raise PoleError(f"Gamma pole at z = {z}")
-    lg = loggamma(z)
+    lg = loggamma(z)  # folds conjugates and refuses poles
     if lg.real > 709.0:
         raise DomainError(f"Gamma({z}) overflows binary64")
     return complex(np.exp(lg))

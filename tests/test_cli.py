@@ -233,10 +233,35 @@ class TestExitCodes:
         code, _, _ = run(capsys, "zeros", "--T", "2000")
         assert code == 2
 
-    def test_capacity_error(self, capsys):
-        code, _, err = run(capsys, "metrics", "--x", "10:1e3:3", "--limit", "100")
-        assert code == 3
-        assert "capacity" in err
+    def test_capacity_error(self, capsys, monkeypatch):
+        # each certified table is past the sieve's range: refused before any tile is sieved
+        def sieved(*args):
+            raise AssertionError("the table was sieved")
+
+        monkeypatch.setattr(sieve, "_segments", sieved)
+        for argv in (
+            ["metrics", "--x", "1e7:1e7:1"],
+            ["delta", "--x", "5e6:5e6:1"],
+            ["pintz", "--mu-scale", "1e6"],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 3, argv
+            assert out == "" and "capacity" in err and "outside supported range" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["metrics", "--limit", "5"],
+            ["delta", "--limit", "5"],
+            ["goldbach", "--limit", "5"],
+            ["pintz", "--limit", "5"],
+            ["metrics", "--s-grid", "64"],
+        ],
+    )
+    def test_sizes_come_only_from_certificates(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == "" and "unrecognized arguments" in err
 
     @pytest.mark.parametrize("grid", ["nan:100:3", "10:inf:3"])
     def test_non_finite_grid(self, capsys, grid):
@@ -280,27 +305,12 @@ class TestExitCodes:
         assert code == 2
         assert out == "" and "finite" in err
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["metrics", "--x", "10:100:3"],
-            ["delta", "--x", "10:100:3"],
-            ["goldbach", "--k", "1"],
-            ["goldbach", "--k", "2"],
-            ["pintz", "--mu-scale", "20", "--k", "0.5", "--tol", "0.2"],
-        ],
-    )
-    def test_zero_limit_is_a_capacity_error(self, capsys, argv):
-        code, out, err = run(capsys, *argv, "--limit", "0")
-        assert code == 3
-        assert out == "" and "N = 0 outside supported range" in err
-
     def test_tolerance_error_mapping(self, capsys, monkeypatch):
         def boom(*a, **k):
             raise ToleranceError("forced")
 
         monkeypatch.setattr(cli.pintz, "U_integral", boom)
-        code, _, err = run(capsys, "pintz", "--mu-scale", "5", "--limit", "10000")
+        code, _, err = run(capsys, "pintz", "--mu-scale", "5")
         assert code == 4
         assert "tolerance" in err
 

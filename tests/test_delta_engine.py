@@ -251,7 +251,7 @@ def test_grid_past_table_limit(table_small):
 
 @pytest.mark.parametrize("x", [0.17889447236180905, 1.0, 37.0, 777.0, 1e4])
 def test_metrics_row_shares_one_evaluation(table_mid, zeros_rh, x):
-    row = metrics_row(table_mid, zeros_rh, x, grid=64, tol=1e-6)
+    row = metrics_row(table_mid, zeros_rh, x, tol=1e-6)
     assert bits(row.S) == bits(sup_metric(table_mid, x, grid=64, tol=1e-6))
     assert bits(row.D) == bits(avg_metric(table_mid, x, panels=64, tol=1e-6).value)
     pt = delta(table_mid, x, tol=1e-6)
@@ -351,10 +351,10 @@ def test_whole_blocks_at_a_tile_end(table_mid):
 
 def test_metrics_rows_match_one_row_at_a_time(table_mid, zeros_rh):
     xs = [0.17889447236180905, 1.0, 37.0, 777.0, 1e4]
-    rows = metrics_rows(table_mid, zeros_rh, xs, grid=64, tol=1e-6)
+    rows = metrics_rows(table_mid, zeros_rh, xs, tol=1e-6)
     assert len(rows) == len(xs)
     for x, row in zip(xs, rows):
-        one = metrics_row(table_mid, zeros_rh, x, grid=64, tol=1e-6)
+        one = metrics_row(table_mid, zeros_rh, x, tol=1e-6)
         assert bits(dataclasses.astuple(row)) == bits(dataclasses.astuple(one))
 
 
@@ -370,7 +370,7 @@ def test_metrics_rows_evaluate_each_distinct_point_once(table_mid, zeros_rh, mon
         return delta_many(table, us, tol=tol)
 
     monkeypatch.setattr(metrics, "delta_many", counting)
-    metrics_rows(table_mid, zeros_rh, xs, grid=64, tol=1e-6)
+    metrics_rows(table_mid, zeros_rh, xs, tol=1e-6)
     assert sizes == [len(np.unique(np.concatenate(grids)))]
     assert sizes[0] < sum(map(len, grids))
 

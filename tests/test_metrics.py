@@ -302,7 +302,7 @@ class TestVarpi:
 
 class TestMetricsRow:
     def test_log_ratio_invariant(self, table_mid, zeros_rh):
-        row = metrics_row(table_mid, zeros_rh, 500.0, grid=64, tol=1e-6)
+        row = metrics_row(table_mid, zeros_rh, 500.0, tol=1e-6)
         assert row.omega_S == pytest.approx(math.log(500.0 / row.S), rel=1e-12)
         assert row.omega_D == pytest.approx(math.log(500.0 / row.D), rel=1e-12)
         assert row.omega_W == pytest.approx(math.log(500.0 / row.W), rel=1e-12)
