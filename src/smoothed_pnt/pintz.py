@@ -41,12 +41,14 @@ from .errors import (
     ToleranceError,
 )
 from .metrics import _golden_section
-from .sieve import LambdaBuffer, LambdaTable
+from .sieve import _TILE, LambdaTable, OddTile, flat_tile
 from .smooth import (
+    _BLOCK,
     _INT64_MAX,
-    _NO_ROWS,
     DELTA_LIMIT,
-    _blocked_exp_sum,
+    _block_total,
+    _block_weights,
+    _direct_sum,
     _log_tail,
     _psi_many,
     delta_many,
@@ -134,28 +136,125 @@ def _loose_cutoff(u, eps):
     return int(m) + 1
 
 
-def _delta_point(held, u, eps, prior):
-    """(Delta(u), rows, missing) to ~eps by the cheap tail rule (not the certified one).
+# block rows per chunk, in which the march reads its table: 1 MB, and a
+# divisor of a tile's 64 blocks
+_CHUNK = 32
+# OpenBLAS's GEMV kernels take the rows of a product in groups of this
+# many from its first row, and the last one to three rows by narrower
+# kernels (a one-row product takes numpy's dot path instead).  At one
+# BLAS thread a row's bits depend only on the kernel that takes it.
+_ROW_GROUP = 4
+_NO_ROWS = np.empty(0)
 
-    The sum runs to min(_loose_cutoff(u, eps), held.limit) and is read by
-    smooth._blocked_exp_sum from held, a sieve.LambdaBuffer, which is
-    filled that far first.  rows are that sum's block row sums; prior,
-    those of an earlier call at the same u (_NO_ROWS for none), spares
-    its GEMV the rows it already holds, at the same bits at one BLAS
-    thread.  Where the table is shorter than _loose_cutoff(u, eps),
-    Delta is read only as far as it reaches, and missing is the
-    certified bound on the sum past the table's end (_log_tail); else
-    it is 0.0.  U_integral counts it in its error at the march nodes.
+
+class _HeldTiles:
+    """The tiles of one table.tiles() pass, kept as it yields them, only as far as asked.
+
+    Past tile 0 a sieved tile stays an OddTile, half a flat tile's
+    bytes; chunk() rebuilds its flat block rows a chunk at a time in one
+    reused buffer.
     """
-    if u < 0.004:
-        return 0.0, _NO_ROWS, 0.0
-    cutoff = _loose_cutoff(u, eps)
-    missing = 0.0
-    if cutoff > held.limit:
-        cutoff = held.limit
-        missing = float(np.exp(_log_tail(cutoff, u)))
-    psi, rows = _blocked_exp_sum(held.upto(cutoff), u, prior)
-    return psi - smooth_baseline(u), rows, missing
+
+    def __init__(self, table):
+        self.limit = table.limit
+        self.tiles = []
+        self.reach = 0  # Lambda(1 .. reach) is held
+        self._pass = iter(table.tiles())
+        self._flat = np.zeros(_CHUNK * _BLOCK)
+        self._two = []  # where the buffer holds a power of two
+
+    def upto(self, n):
+        while self.reach < n:
+            self.tiles.append(next(self._pass))
+            self.reach = min(len(self.tiles) * _TILE, self.limit)
+
+    def chunk(self, c):
+        """Block rows c _CHUNK .. (c + 1) _CHUNK - 1 as an array: a flat tile's in place."""
+        t, lo = divmod(c * _CHUNK * _BLOCK, _TILE)
+        tile, hi = self.tiles[t], lo + _CHUNK * _BLOCK
+        if not isinstance(tile, OddTile):
+            return tile[lo:hi].reshape(_CHUNK, _BLOCK)
+        flat = self._flat
+        flat[self._two] = 0.0  # the even n stay zero, but for a tile's power of two
+        flat[0::2] = tile.odd[lo // 2 : hi // 2]
+        self._two = [at - lo for at, _ in tile.evens if lo <= at < hi]
+        flat[self._two] = [value for at, value in tile.evens if lo <= at < hi]
+        return flat.reshape(_CHUNK, _BLOCK)
+
+    def pass_tiles(self):
+        """The pass's tiles: the held ones flat, each dropped once read, then the rest as sieved."""
+        self._flat = None
+        while self.tiles:
+            yield flat_tile(self.tiles.pop(0))
+        yield from self._pass
+
+
+def _panel_sums(held, us, cutoffs, priors):
+    """(psi, rows) at each node: weighted_exp_sum of Lambda(1 .. cutoff) at u, and its block rows.
+
+    rows are the sum's Q = cutoff // _BLOCK block row sums (none for a
+    direct sum, cutoff < 2 _BLOCK).  A node's prior is the rows of an
+    earlier sum at the same u (_NO_ROWS for none); its whole groups of
+    _ROW_GROUP rows, up to Q, are taken as they are.  The rows past them
+    are read from held a chunk at a time, each chunk once for all the
+    nodes, by one GEMV per node that starts at a multiple of _ROW_GROUP
+    rows and so has the row kernels of weighted_exp_sum's one GEMV; a
+    single row is the last of _ROW_GROUP + 1.  So at one BLAS thread
+    each psi, and each row, is weighted_exp_sum's, bit for bit.
+    """
+    held.upto(max(cutoffs, default=0))
+    sums, all_rows, blocked, chunks = [], [], [], set()
+    for i, (u, M, prior) in enumerate(zip(us, cutoffs, priors)):
+        Q = M // _BLOCK if M >= 2 * _BLOCK else 0
+        k = _ROW_GROUP * (min(len(prior), Q) // _ROW_GROUP)
+        all_rows.append(np.empty(Q))
+        all_rows[i][:k] = prior[:k]
+        sums.append(0.0 if Q else _direct_sum(held.tiles[0][:M], 1, u))
+        if Q:
+            blocked.append((i, k, Q, M, _block_weights(u)))
+            # block rows k .. Q - 1, and block Q where it holds the last, partial block
+            chunks.update(range(k // _CHUNK, (M - 1) // (_CHUNK * _BLOCK) + 1))
+    for c in sorted(chunks):
+        chunk, at = held.chunk(c), c * _CHUNK
+        for i, k, Q, M, w in blocked:
+            lo, hi = max(k, at), min(Q, at + _CHUNK)
+            if hi - lo == 1:  # numpy takes a one-row product by its dot path
+                pad = np.zeros((_ROW_GROUP + 1, _BLOCK))
+                pad[-1] = chunk[lo - at]
+                all_rows[i][lo] = (pad @ w)[-1]
+            elif lo < hi:
+                all_rows[i][lo:hi] = chunk[lo - at : hi - at] @ w
+            if Q // _CHUNK == c and M > Q * _BLOCK:  # the last, partial block
+                sums[i] = _direct_sum(chunk[Q - at, : M - Q * _BLOCK], Q * _BLOCK + 1, us[i])
+    for i, k, Q, M, w in blocked:
+        sums[i] += _block_total(all_rows[i], us[i])  # onto the partial block, or 0.0
+    return sums, all_rows
+
+
+def _march_deltas(held, us, eps, priors):
+    """(Delta, rows, missing) at each u of us, to ~eps by the cheap tail rule (not the certified one).
+
+    Each sum runs to min(_loose_cutoff(u, eps), held.limit), by
+    _panel_sums: rows are its block row sums, and priors, one per u, those
+    of an earlier call at the same u (_NO_ROWS for none).  Where the table is
+    shorter than _loose_cutoff(u, eps), Delta is read only as far as it
+    reaches, and missing is the certified bound on the sum past the
+    table's end (_log_tail); else it is 0.0.  U_integral counts it in its
+    error at the march nodes.  Below u = 0.004, Delta is 0.0.
+    """
+    live = [i for i, u in enumerate(us) if u >= 0.004]
+    deltas, rows, missing = [0.0] * len(us), [_NO_ROWS] * len(us), [0.0] * len(us)
+    cutoffs = []
+    for i in live:
+        cutoff = _loose_cutoff(us[i], eps)
+        if cutoff > held.limit:
+            cutoff = held.limit
+            missing[i] = float(np.exp(_log_tail(cutoff, us[i])))
+        cutoffs.append(cutoff)
+    psis, live_rows = _panel_sums(held, [us[i] for i in live], cutoffs, [priors[i] for i in live])
+    for i, psi, r in zip(live, psis, live_rows):
+        deltas[i], rows[i] = psi - smooth_baseline(us[i]), r
+    return deltas, rows, missing
 
 
 def mellin_H_quadrature(table: LambdaTable, s):
@@ -303,21 +402,25 @@ def U_integral(table, p: PintzParams, tol=0.1):
 
     The march runs twice over the same nodes when the first (pilot) pass
     at node_eps 1e-8 shows that the tolerance needs a finer one.  Each
-    pilot node keeps its block row sums (smooth._blocked_exp_sum), and the
-    refined pass at that node computes only the rows past them; every
-    other step of a node's Delta is as without them, so at one BLAS
-    thread U has the same bits.  The pilot's rows are dropped as the
-    refined pass reads them, and the rest once it ends.
+    pilot node keeps its block row sums, and the refined pass at that
+    node computes only the rows past them; every other step of a node's
+    Delta is as without them, so at one BLAS thread U has the same bits.
+    The pilot's rows are dropped as the refined pass reads them, and the
+    rest once it ends.
 
     The table is read only through `limit` and `tiles()`, as the Delta
-    engine reads it, so a sieve.LambdaStream serves: the march's nodes
-    read a sieve.LambdaBuffer, filled only as far as their largest
-    cutoff; the probes inside its reach read it too, and the rest take one
-    _psi_many pass at the same clamped cutoffs, rounded up to whole
-    blocks, over the buffer's tiles, so no tile is sieved twice.  That
-    pass frees the held tiles once it has read them, before it sieves
-    on to the tile of the top probe's cutoff.  CapacityError comes
-    before any tile is sieved.
+    engine reads it, so a sieve.LambdaStream serves.  The march holds the
+    tiles of one tiles() pass as they come, only as far as its largest
+    cutoff (_HeldTiles): tile 0 flat, each later one a sieve.OddTile, half
+    a flat tile's bytes.  A panel's twelve nodes are summed together
+    (_panel_sums), reading the block rows a 1 MB chunk at a time, each
+    chunk's rows rebuilt flat once for all of them.  The probes inside
+    the march's reach are summed so too, and the rest take one _psi_many
+    pass at the same clamped cutoffs, rounded up to whole blocks: the held
+    tiles flat (sieve.flat_tile), each dropped once read, and then the
+    rest of the march's pass, so no tile is sieved twice and the held
+    tiles are freed before it sieves on to the tile of the top probe's
+    cutoff.  CapacityError comes before any tile is sieved.
     """
     width, limit = U_window(p, tol)
     b = math.exp(p.mu + width)
@@ -326,7 +429,7 @@ def U_integral(table, p: PintzParams, tol=0.1):
         raise CapacityError(
             f"window reaches u = {b:.3g}, beyond table limit {table.limit}"
         )
-    held = LambdaBuffer(table)
+    held = _HeldTiles(table)
     gamma0 = abs(p.rho0.imag)
     h = min(0.7 / max(gamma0, 1.0), 0.25 * math.sqrt(p.k))
     xg, wg = _GAUSS_LEGENDRE_12
@@ -346,13 +449,12 @@ def U_integral(table, p: PintzParams, tol=0.1):
         while y < width - 1e-12:
             yb = min(y + h, width)
             mid, rad = 0.5 * (y + yb), 0.5 * (yb - y)
+            us = [math.exp(p.mu + mid + rad * xx) for xx in xg]
+            priors = [prior.popleft() if prior else _NO_ROWS for _ in us]
+            ds, node_rows, node_missing = _march_deltas(held, us, node_eps, priors)
+            rows.extend(node_rows)
             panel = 0j
-            for xx, ww in zip(xg, wg):
-                u = math.exp(p.mu + mid + rad * xx)
-                d, r, missing = _delta_point(
-                    held, u, node_eps, prior.popleft() if prior else _NO_ROWS
-                )
-                rows.append(r)
+            for u, d, missing, ww in zip(us, ds, node_missing, wg):
                 d -= DELTA_LIMIT
                 gw = _g_prime_times_u(u, p)
                 panel += ww * rad * d * gw
@@ -401,8 +503,9 @@ def U_integral(table, p: PintzParams, tol=0.1):
         cutoffs = np.minimum(loose, table.limit)
         far = cutoffs > held.reach
         d = np.empty(len(probes))
-        d[~far] = [_delta_point(held, u, 1e-7, _NO_ROWS)[0] for u in probes[~far]]
-        psi = _psi_many(held.tiles(), probes[far], cutoffs[far])
+        near = probes[~far].tolist()
+        d[~far] = _march_deltas(held, near, 1e-7, [_NO_ROWS] * len(near))[0]
+        psi = _psi_many(held.pass_tiles(), probes[far], cutoffs[far])
         d[far] = psi - [smooth_baseline(u) for u in probes[far]]
         # a clamped probe misses the sum past the table's end: add its bound
         missing = np.where(loose > table.limit, np.exp(_log_tail(table.limit, probes)), 0.0)

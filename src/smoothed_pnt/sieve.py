@@ -24,15 +24,13 @@ that can be nonzero; sieving one peaks at 1.6 MB, a flat tile at 2.5
 Every table gives its readers its tiles through tiles(), with the same
 Lambda bits: a LambdaStream as sieved, an array-backed table flat.  A
 LambdaStream holds only the limit and sieves afresh on each tiles()
-call, so a Delta grid (metrics, delta) never holds the whole table.  A
-LambdaBuffer copies the tiles of one tiles() pass into an array, only
-as far as it is asked: pintz's U_integral holds just the part its march
-reads, and its far probes read the buffer's own tiles(), the held tiles
-and then the rest of that pass as far as they need; the held array is
-freed as soon as its tiles are read.  build_lambda is a LambdaBuffer
-filled to N, kept as a LambdaTable for the readers that index Lambda
-directly (goldbach, chebyshev_psi).  MAX_LIMIT caps N, so a table holds
-at most 1.6 GB of values and prefix sums.
+call, so a Delta grid (metrics, delta) never holds the whole table.
+pintz's U_integral holds the tiles of one pass as sieved, only as far
+as its march reads, and rebuilds an OddTile's flat block rows a chunk
+at a time.  build_lambda fills one array from lambda_tiles(N), kept as
+a LambdaTable for the readers that index Lambda directly (goldbach,
+chebyshev_psi).  MAX_LIMIT caps N, so a table holds at most 1.6 GB of
+values and prefix sums.
 """
 
 import math
@@ -47,7 +45,6 @@ from .errors import CapacityError, RangeError
 __all__ = [
     "LambdaTable",
     "LambdaStream",
-    "LambdaBuffer",
     "OddTile",
     "flat_tile",
     "build_lambda",
@@ -99,63 +96,6 @@ class LambdaStream:
 
     def tiles(self):
         return _segments(self.limit)
-
-
-class LambdaBuffer:
-    """Lambda(1..reach) of a table, copied from one tiles() pass only as far as asked.
-
-    values has the table's full length, but np.zeros maps an array this
-    large as untouched zero pages, which take memory only once a tile is
-    written to them: memory follows reach, not limit.  U_integral's
-    march reads a few percent of its table (10 of about 200 tiles at
-    the benchmark's pintz config).  tiles() hands the held array over
-    and spends the buffer, so the held tiles are freed once they have
-    been read, before the rest of the pass is sieved.
-    """
-
-    def __init__(self, table):
-        self.limit = table.limit
-        self.values = np.zeros(table.limit + 1)
-        self.reach = 0
-        self._tiles = iter(table.tiles())
-
-    def upto(self, n):
-        """values[1 : n + 1] for n <= limit, copying further tiles while reach < n."""
-        self._check_held()
-        while self.reach < n:
-            tile = next(self._tiles)
-            lo, hi = self.reach + 1, min(self.reach + _TILE, self.limit)
-            if isinstance(tile, OddTile):
-                self.values[lo : hi + 1 : 2] = tile.odd[: (hi - lo) // 2 + 1]
-                for at, value in tile.evens:
-                    self.values[lo + at] = value
-            else:
-                self.values[lo : hi + 1] = tile[: hi + 1 - lo]
-            self.reach = hi
-        return self.values[1 : n + 1]
-
-    def tiles(self):
-        """The table's tiles: those held, then the rest of this buffer's pass.
-
-        The held array goes to the returned iterator, which drops it once
-        its tiles have been yielded, and the rest are read, not copied.
-        The buffer is spent: upto and tiles raise RuntimeError afterwards.
-        """
-        self._check_held()
-        held, rest = self.values[: self.reach + 1], self._tiles
-        self.values = self._tiles = None
-        return _handed_over(held, rest)
-
-    def _check_held(self):
-        if self.values is None:
-            raise RuntimeError("this LambdaBuffer has handed its tiles over")
-
-
-def _handed_over(held, rest):
-    """array_tiles(held), then rest; held is dropped once its tiles are yielded."""
-    yield from array_tiles(held)
-    del held
-    yield from rest
 
 
 class OddTile(NamedTuple):
@@ -322,10 +262,12 @@ def _segment_primes(lo, hi, wheel, strided, scattered):
 
 
 def build_lambda(N):
-    """Lambda up to N as one array: a LambdaBuffer of lambda_tiles(N), filled to N."""
-    buffer = LambdaBuffer(LambdaStream(N))
-    buffer.upto(buffer.limit)
-    return LambdaTable(limit=buffer.limit, values=buffer.values)
+    """Lambda up to N as one array, filled from lambda_tiles(N)."""
+    N = check_limit(N)
+    values = np.zeros(N + 1)
+    for lo, tile in zip(range(1, N + 1, _TILE), lambda_tiles(N)):
+        values[lo : lo + _TILE] = tile[: N + 1 - lo]
+    return LambdaTable(limit=N, values=values)
 
 
 def chebyshev_psi(table, t):

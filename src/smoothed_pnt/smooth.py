@@ -49,15 +49,15 @@ tile as it is read, so the whole table is never held.  A pass holds one
 tile (a 1 MB half tile past tile 0) and the moment arrays, _J doubles
 per block (1 MB for a table of 3.2e7 entries).
 
-_blocked_exp_sum, a one-point GEMV of the plain split e^{-qB/u} e^{-m/u},
-serves only pintz._delta_point: U_integral's march and the envelope
-probes inside its reach.  U cancels ~8 digits, so moving the march onto
-the engine shifts U by ~5e-7 relative, past the 1e-9 at which the
-benchmark's reference outputs pin it (the march's refined pass reuses
-its pilot's block rows).  weighted_exp_sum, the same sum with no prior
-rows, has no caller in the package: tests take it as a reference, and
-perfbench's tracer counts it.  Goldbach's F_k, pintz's Mellin
-quadrature and its farther probes go through the engine.
+weighted_exp_sum is the plain split e^{-qB/u} e^{-m/u} at one point, a
+GEMV of block row sums.  It has no caller in the package: tests take it
+as a reference, and perfbench's tracer counts it.  U_integral's march,
+and the envelope probes inside its reach, take its bits from held tiles
+a panel of nodes at a time (pintz._panel_sums), with _block_weights and
+_block_total.  U cancels ~8 digits, so moving the march onto the engine
+shifts U by ~5e-7 relative, past the 1e-9 at which the benchmark's
+reference outputs pin it.  Goldbach's F_k, pintz's Mellin quadrature
+and its farther probes go through the engine.
 """
 
 import functools
@@ -217,52 +217,31 @@ def _direct_sum(coeffs, first, x):
 def weighted_exp_sum(coeffs, x):
     """sum_{n=1}^{M} coeffs[n-1] * e^{-n/x} for a contiguous coefficient array.
 
-    _blocked_exp_sum with no prior rows: e^{-(qB+m)/x} = e^{-qB/x} e^{-m/x}
-    takes B + M/B exp() calls and a GEMV, each weight a product of two
-    correctly rounded factors (a couple of ulp).
-    """
-    return _blocked_exp_sum(coeffs, x, _NO_ROWS)[0]
-
-
-_NO_ROWS = np.empty(0)
-# OpenBLAS's GEMV kernels take the rows of a product in groups of this many
-_ROW_GROUP = 4
-
-
-def _blocked_exp_sum(coeffs, x, prior):
-    """(weighted_exp_sum(coeffs, x), rows): the sum and its block row sums.
-
     With Q = M // _BLOCK whole blocks (none for M < 2 _BLOCK, a direct
-    sum), rows[q] = sum_m coeffs[q _BLOCK + m - 1] e^{-m/x}, m = 1.._BLOCK,
-    is one GEMV, and the sum is e^{-q _BLOCK/x} . rows plus a direct sum
-    over the last partial block.
-
-    prior is the rows of an earlier call at the same x on the same
-    leading coefficients (_NO_ROWS for none).  Its whole groups of
-    _ROW_GROUP rows are taken as they are, up to Q, and the GEMV computes
-    only the rows past them, a group fewer where that would leave a
-    single row.  At one BLAS thread, OpenBLAS gives each row of a GEMV
-    the bits it has in any GEMV of at least two rows that starts at a
-    multiple of _ROW_GROUP rows (a one-row product takes numpy's dot
-    path instead), so the sum is bitwise the one without prior.  With
-    more threads the split of the rows among threads moves with Q, and
-    the reused rows may differ from fresh ones in the last bit.
+    sum), e^{-(qB+m)/x} = e^{-qB/x} e^{-m/x}: the block row sums
+    rows[q] = sum_m coeffs[q _BLOCK + m - 1] e^{-m/x}, m = 1.._BLOCK,
+    are one GEMV, and the sum is _block_total(rows, x) plus a direct sum
+    over the last partial block.  B + M/B exp() calls, each weight a
+    product of two correctly rounded factors (a couple of ulp).
     """
     M = len(coeffs)
     if M < 2 * _BLOCK:
-        return _direct_sum(coeffs, 1, x), _NO_ROWS
+        return _direct_sum(coeffs, 1, x)
     Q = M // _BLOCK
-    k = _ROW_GROUP * (min(len(prior), Q) // _ROW_GROUP)
-    if Q - k == 1:
-        k -= _ROW_GROUP
-    rows = prior[:k]
-    if k < Q:
-        fresh = coeffs[k * _BLOCK : Q * _BLOCK].reshape(Q - k, _BLOCK)
-        rows = np.concatenate([rows, fresh @ np.exp(-np.arange(1, _BLOCK + 1) / x)])
-    total = float(np.exp(-(_BLOCK / x) * np.arange(Q, dtype=float)) @ rows)
+    total = _block_total(coeffs[: Q * _BLOCK].reshape(Q, _BLOCK) @ _block_weights(x), x)
     if M > Q * _BLOCK:
         total += _direct_sum(coeffs[Q * _BLOCK :], Q * _BLOCK + 1, x)
-    return total, rows
+    return total
+
+
+def _block_weights(x):
+    """e^{-m/x} for the in-block offsets m = 1.._BLOCK."""
+    return np.exp(-np.arange(1, _BLOCK + 1) / x)
+
+
+def _block_total(rows, x):
+    """sum_q e^{-q _BLOCK/x} rows[q]: weighted_exp_sum's whole blocks from their row sums."""
+    return float(np.exp(-(_BLOCK / x) * np.arange(len(rows), dtype=float)) @ rows)
 
 
 # Chebyshev terms per block.  With r <= 1/2, the first term omitted from

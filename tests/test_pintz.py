@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -30,10 +31,9 @@ from smoothed_pnt.pintz import (
     turan_bound,
     turan_bounds,
 )
-from smoothed_pnt.sieve import _TILE, LambdaBuffer, LambdaStream, LambdaTable, build_lambda, flat_tile
+from smoothed_pnt.sieve import _TILE, LambdaStream, LambdaTable, build_lambda
 from smoothed_pnt.smooth import (
     _BLOCK,
-    _NO_ROWS,
     DELTA_LIMIT,
     _log_tail,
     delta_many,
@@ -215,43 +215,74 @@ class TestGaussianLine:
             gaussian_line_check(-1.0, 0.0)
 
 
-# Seeded (M1, M2) pairs on real Lambda: the rows of a sum over M1
-# coefficients as the prior of one over M2, each at one x.  Each case is
-# named when it occurs: one row left past the prior's whole groups,
-# M1 > M2, a direct sum (M < 2 _BLOCK) and whole blocks only.
+# Seeded (M1, M2) pairs on real Lambda, twelve to a panel of
+# pintz._panel_sums: the rows of a sum over M1 coefficients as the prior
+# of one over M2, each at one x.  Each node's sum and rows must be
+# weighted_exp_sum's and its one GEMV's, and what the node gives alone,
+# from a sieved table (OddTiles past tile 0) and an array-backed one
+# (flat tiles).  Each case is named when it occurs: one row left past the
+# prior's whole groups, M1 > M2, a direct sum (M < 2 _BLOCK), whole
+# blocks only, a last row that is a tile's first, every row from the
+# prior, and a node clamped at the table's end (N is no whole block).
 _ROW_REUSE_SCRIPT = textwrap.dedent(
     """
     import json
     import numpy as np
-    from smoothed_pnt.sieve import build_lambda
-    from smoothed_pnt.smooth import _BLOCK, _NO_ROWS, _blocked_exp_sum, weighted_exp_sum
+    from smoothed_pnt.pintz import _HeldTiles, _NO_ROWS, _panel_sums
+    from smoothed_pnt.sieve import _TILE, LambdaStream, build_lambda
+    from smoothed_pnt.smooth import _BLOCK, weighted_exp_sum
 
-    c = build_lambda(320 * _BLOCK).values[1:]
+    N = 320 * _BLOCK + 1234
+    table = build_lambda(N)
+    c = table.values[1:]
+    sources = {"odd tiles": LambdaStream(N), "flat tiles": table}
+    held = {name: _HeldTiles(source) for name, source in sources.items()}
     rng = np.random.default_rng(19)
     pairs = [(8 * _BLOCK + 17, 9 * _BLOCK + 5), (13 * _BLOCK, 13 * _BLOCK + 99),
-             (40 * _BLOCK, 21 * _BLOCK), (3000, 7 * _BLOCK), (9 * _BLOCK, 8191)]
+             (40 * _BLOCK, 21 * _BLOCK), (3000, 7 * _BLOCK), (9 * _BLOCK, 8191),
+             (65 * _BLOCK + 7, 65 * _BLOCK + 7), (3 * _BLOCK, 129 * _BLOCK + 1),
+             (80 * _BLOCK, 64 * _BLOCK + 9), (N, N)]
     for _ in range(500):
-        q = rng.integers(0, 320, 2)
+        q = rng.integers(0, 321, 2)
         r = np.where(rng.random(2) < 0.2, 0, rng.integers(0, _BLOCK, 2))
-        pairs.append(tuple((q * _BLOCK + r).tolist()))
+        pairs.append(tuple(np.clip(q * _BLOCK + r, 1, N).tolist()))
+    xs = [max(m2, 1) / rng.uniform(8.0, 30.0) for m1, m2 in pairs]
+
+    def rows_of(m, x):
+        q = m // _BLOCK if m >= 2 * _BLOCK else 0
+        return c[: q * _BLOCK].reshape(q, _BLOCK) @ np.exp(-np.arange(1, _BLOCK + 1) / x)
+
+    priors = [rows_of(m1, x) for (m1, m2), x in zip(pairs, xs)]
     cases, bad = set(), []
-    for m1, m2 in pairs:
-        x = max(m2, 1) / rng.uniform(8.0, 30.0)
-        prior = _blocked_exp_sum(c[:m1], x, _NO_ROWS)[1]
-        total, rows = _blocked_exp_sum(c[:m2], x, prior)
-        if total.hex() != weighted_exp_sum(c[:m2], x).hex() or (
-            rows.tobytes() != _blocked_exp_sum(c[:m2], x, _NO_ROWS)[1].tobytes()
-        ):
-            bad.append((m1, m2))
-        q1, q2 = len(prior), m2 // _BLOCK
-        if q2 >= 2 and q2 - 4 * (min(q1, q2) // 4) == 1:
-            cases.add("one row left")
-        if m1 > m2 >= 2 * _BLOCK:
-            cases.add("M1 > M2")
-        if min(m1, m2) < 2 * _BLOCK:
-            cases.add("direct sum")
-        if m1 % _BLOCK == 0 and m2 % _BLOCK == 0 and min(m1, m2) >= 2 * _BLOCK:
-            cases.add("whole blocks")
+    for at in range(0, len(pairs), 12):
+        panel = slice(at, at + 12)
+        args = xs[panel], [m2 for m1, m2 in pairs[panel]], priors[panel]
+        for name, h in held.items():
+            got = _panel_sums(h, *args)
+            for j, (x, m2, prior) in enumerate(zip(*args)):
+                alone = _panel_sums(h, [x], [m2], [prior])
+                want = weighted_exp_sum(c[:m2], x), rows_of(m2, x)
+                for total, rows in [(got[0][j], got[1][j]), (alone[0][0], alone[1][0])]:
+                    if total.hex() != want[0].hex() or rows.tobytes() != want[1].tobytes():
+                        bad.append((name, pairs[at + j]))
+            cases.add(name)
+        for (m1, m2), prior in zip(pairs[panel], priors[panel]):
+            q1, q2 = len(prior), m2 // _BLOCK
+            k = 4 * (min(q1, q2) // 4)
+            if q2 >= 2 and q2 - k == 1:
+                cases.add("one row left")
+            if m1 > m2 >= 2 * _BLOCK:
+                cases.add("M1 > M2")
+            if min(m1, m2) < 2 * _BLOCK:
+                cases.add("direct sum")
+            if m1 % _BLOCK == 0 and m2 % _BLOCK == 0 and min(m1, m2) >= 2 * _BLOCK:
+                cases.add("whole blocks")
+            if q2 >= 2 and k < q2 and (q2 - 1) % (_TILE // _BLOCK) == 0:
+                cases.add("last row a tile's first")
+            if q2 >= 2 and k >= q2:
+                cases.add("every row from the prior")
+            if m2 == N:
+                cases.add("clamped")
     print(json.dumps({"bad": bad, "cases": sorted(cases)}))
     """
 )
@@ -272,7 +303,10 @@ def test_blocked_rows_reuse_is_bitwise():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out["bad"] == []
-    assert out["cases"] == ["M1 > M2", "direct sum", "one row left", "whole blocks"]
+    assert out["cases"] == [
+        "M1 > M2", "clamped", "direct sum", "every row from the prior", "flat tiles",
+        "last row a tile's first", "odd tiles", "one row left", "whole blocks",
+    ]
 
 
 def _probe_pass(monkeypatch, table, p, tol):
@@ -316,6 +350,16 @@ def _u_trap(table, p, width, h=0.05):
 def _oracle_limit(p, width):
     """The limit _u_trap's top node certifies at tol 1e-12."""
     return truncation_cutoff(math.exp(p.mu + width), 1e-12)
+
+
+def _without_missing(deltas):
+    """pintz._march_deltas with every node's missing tail set to 0.0."""
+
+    def silent(held, us, eps, priors):
+        d, rows, missing = deltas(held, us, eps, priors)
+        return d, rows, [0.0] * len(missing)
+
+    return silent
 
 
 class TestUIntegral:
@@ -383,20 +427,20 @@ class TestUIntegral:
         ],
     )
     def test_stream_matches_held_table(self, monkeypatch, scale, k, tol, tiles):
-        buffers = []
+        holdings = []
 
-        class Recording(LambdaBuffer):
+        class Recording(pintz._HeldTiles):
             def __init__(self, table):
                 super().__init__(table)
-                buffers.append(self)
+                holdings.append(self)
 
-        monkeypatch.setattr(pintz, "LambdaBuffer", Recording)
+        monkeypatch.setattr(pintz, "_HeldTiles", Recording)
         p = PintzParams(mu=math.log(scale), k=k, rho0=RHO1)
         limit = U_window(p, tol)[1]
         streamed = U_integral(LambdaStream(limit), p, tol=tol)
         held = U_integral(build_lambda(limit), p, tol=tol)
         assert _bits(streamed) == _bits(held)
-        reach = buffers[0].reach
+        reach = holdings[0].reach
         assert (tiles - 1) * _TILE < reach <= min(tiles * _TILE, limit)
 
     def test_far_probes_read_the_held_tiles(self, monkeypatch):
@@ -463,9 +507,8 @@ class TestUIntegral:
             return weight_top(ys, wts)
 
         monkeypatch.setattr(pintz, "_weight_top", top)
-        point = pintz._delta_point
         # the march nodes' clamped tails (counted apart) left out of both runs
-        monkeypatch.setattr(pintz, "_delta_point", lambda *args: point(*args)[:2] + (0.0,))
+        monkeypatch.setattr(pintz, "_march_deltas", _without_missing(pintz._march_deltas))
         counted = U_integral(table, p, tol=0.1)
         monkeypatch.setattr(pintz, "_log_tail", lambda m, x: np.full(np.shape(x), -np.inf))
         silent = U_integral(table, p, tol=0.1)
@@ -488,21 +531,22 @@ class TestUIntegral:
         # certified missing tail, weighted as the node is, to the error
         p = PintzParams(mu=math.log(scale), k=k, rho0=RHO1)
         table = build_lambda(U_window(p, tol)[1])
-        point = pintz._delta_point
+        deltas = pintz._march_deltas
         tails = []
 
-        def recording(held, u, eps, prior):
-            d, rows, missing = point(held, u, eps, prior)
-            if eps < 1e-7:  # a march node, not an envelope probe
-                short = pintz._loose_cutoff(u, eps) > table.limit
-                tail = math.exp(_log_tail(table.limit, u)) if short else 0.0
-                assert missing == pytest.approx(tail, rel=1e-14, abs=0.0)
-                tails.append(missing)
+        def recording(held, us, eps, priors):
+            d, rows, missing = deltas(held, us, eps, priors)
+            for u, miss in zip(us, missing):
+                if eps < 1e-7 and u >= 0.004:  # a march node, not an envelope probe
+                    short = pintz._loose_cutoff(u, eps) > table.limit
+                    tail = math.exp(_log_tail(table.limit, u)) if short else 0.0
+                    assert miss == pytest.approx(tail, rel=1e-14, abs=0.0)
+                    tails.append(miss)
             return d, rows, missing
 
-        monkeypatch.setattr(pintz, "_delta_point", recording)
+        monkeypatch.setattr(pintz, "_march_deltas", recording)
         counted = U_integral(table, p, tol=tol)
-        monkeypatch.setattr(pintz, "_delta_point", lambda *args: point(*args)[:2] + (0.0,))
+        monkeypatch.setattr(pintz, "_march_deltas", _without_missing(deltas))
         silent = U_integral(table, p, tol=tol)
         assert counted.value == silent.value
         assert (max(tails) > 0.0) == clamped
@@ -512,24 +556,29 @@ class TestUIntegral:
             assert _bits(counted) == _bits(silent)
 
     def test_far_pass_frees_the_held_tiles(self, monkeypatch):
-        # the held array is gone before the far pass sieves a fresh tile
-        held, sieved = [], []
+        # the held tiles are gone before the far pass sieves a fresh tile
+        held, arrays, sieved = [], [], []
         segment = sieve._segment
 
-        class Recording(LambdaBuffer):
+        class Recording(pintz._HeldTiles):
             def __init__(self, table):
                 super().__init__(table)
-                held.append((self, weakref.ref(self.values)))
+                held.append(self)
+
+            def upto(self, n):
+                super().upto(n)
+                arrays[:] = [weakref.ref(t.odd if t.__class__ is sieve.OddTile else t)
+                             for t in self.tiles]
 
         def recording(lo, *args):
-            sieved.append((lo, held[0][1]() is None))
+            sieved.append((lo, bool(arrays) and all(ref() is None for ref in arrays)))
             return segment(lo, *args)
 
-        monkeypatch.setattr(pintz, "LambdaBuffer", Recording)
+        monkeypatch.setattr(pintz, "_HeldTiles", Recording)
         monkeypatch.setattr(sieve, "_segment", recording)
         p = PintzParams(mu=math.log(60.0), k=0.6, rho0=RHO1)
         U_integral(LambdaStream(U_window(p, 0.1)[1]), p, tol=0.1)
-        reach = held[0][0].reach
+        reach = held[0].reach
         assert [dead for lo, dead in sieved if lo <= reach] == [False, False]
         fresh = [dead for lo, dead in sieved if lo > reach]
         assert fresh and all(fresh)
@@ -544,41 +593,65 @@ class TestUIntegral:
     def test_row_reuse_keeps_the_bits(self, monkeypatch, scale, k, tol):
         # the refined pass reuses the pilot's block rows, and U has the
         # bits of the same march computing every row afresh
-        blocked = pintz._blocked_exp_sum
+        sums = pintz._panel_sums
         reused = []
 
-        def counting(coeffs, x, prior):
-            reused.append(len(prior) >= 4 and len(coeffs) >= 8 * _BLOCK)
-            return blocked(coeffs, x, prior)
+        def counting(held, us, cutoffs, priors):
+            reused.extend(len(r) >= 4 and m >= 8 * _BLOCK for m, r in zip(cutoffs, priors))
+            return sums(held, us, cutoffs, priors)
+
+        def fresh(held, us, cutoffs, priors):
+            return sums(held, us, cutoffs, [pintz._NO_ROWS] * len(us))
 
         p = PintzParams(mu=math.log(scale), k=k, rho0=RHO1)
         table = LambdaStream(U_window(p, tol)[1])
-        monkeypatch.setattr(pintz, "_blocked_exp_sum", counting)
+        monkeypatch.setattr(pintz, "_panel_sums", counting)
         with_reuse = U_integral(table, p, tol=tol)
         assert sum(reused) > 100
-        monkeypatch.setattr(pintz, "_blocked_exp_sum", lambda c, x, prior: blocked(c, x, _NO_ROWS))
+        monkeypatch.setattr(pintz, "_panel_sums", fresh)
         assert _bits(U_integral(table, p, tol=tol)) == _bits(with_reuse)
 
-    def test_buffer_tiles_hold_then_stream(self, table_mid):
-        buffer = LambdaBuffer(LambdaStream(table_mid.limit))
-        buffer.upto(300_000)
-        tiles = list(buffer.tiles())
-        assert [flat_tile(t).tobytes() for t in tiles] == [t.tobytes() for t in table_mid.tiles()]
-        # the held array went with the tiles: the buffer is spent
-        with pytest.raises(RuntimeError):
-            buffer.upto(2 * _TILE)
-        with pytest.raises(RuntimeError):
-            buffer.tiles()
+    @pytest.mark.parametrize(
+        "scale, k, tol",
+        [
+            (60.0, 0.6, 0.1),  # the pintz_far golden: the march holds two tiles
+            (198.657, 1.0, 0.1),  # the benchmark's lower_bound seed 0: ten
+        ],
+    )
+    def test_march_holds_odd_tiles(self, monkeypatch, scale, k, tol):
+        # past tile 0 the march holds each tile as the sieve yields it, an
+        # OddTile of half a flat tile's bytes: its tracemalloc peak stays
+        # below that of the same march held flat (sieve.lambda_tiles as
+        # the source), by at least a quarter tile for each tile past tile 0
+        holdings = []
 
-    def test_prefix_holds_the_table_bits(self, table_mid):
-        buffer = LambdaBuffer(LambdaStream(table_mid.limit))
-        assert buffer.reach == 0
-        head = buffer.upto(300_000)  # into the second tile
-        assert buffer.reach == 2 * _TILE
-        assert head.tobytes() == table_mid.values[1:300_001].tobytes()
-        full = buffer.upto(table_mid.limit)  # the last tile, cut at the limit
-        assert buffer.reach == table_mid.limit
-        assert full.tobytes() == table_mid.values[1:].tobytes()
+        class Recording(pintz._HeldTiles):
+            def __init__(self, table):
+                super().__init__(table)
+                holdings.append(self)
+
+        class FlatTiles:
+            def __init__(self, limit):
+                self.limit = limit
+
+            def tiles(self):
+                return sieve.lambda_tiles(self.limit)
+
+        monkeypatch.setattr(pintz, "_HeldTiles", Recording)
+        p = PintzParams(mu=math.log(scale), k=k, rho0=RHO1)
+        limit = U_window(p, tol)[1]
+        peaks, bits = [], []
+        for table in (LambdaStream(limit), FlatTiles(limit)):
+            tracemalloc.start()
+            try:
+                bits.append(_bits(U_integral(table, p, tol=tol)))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert bits[0] == bits[1]
+        past_tile_0 = -(-holdings[0].reach // _TILE) - 1
+        assert past_tile_0 >= 1
+        assert peaks[0] <= peaks[1] - past_tile_0 * _TILE * 8 // 4
 
     def test_short_stream_raises_before_sieving(self, monkeypatch):
         def sieved(*args):
