@@ -41,7 +41,7 @@ from .errors import (
     ToleranceError,
 )
 from .metrics import _golden_section
-from .sieve import _TILE, LambdaTable, OddTile, flat_tile
+from .sieve import _TILE, LambdaTable, OddTile
 from .smooth import (
     _BLOCK,
     _INT64_MAX,
@@ -91,10 +91,10 @@ class PintzParams:
 
 
 # The 12-point Gauss-Legendre rule on [-1, 1], U_integral's panel rule,
-# as literals (QUADPACK keeps its rules the same way).  The last bit of
-# each weight matters: U_integral's cancellation turns a 1e-15 change in
-# the weights into ~5e-8 relative in U, so the rule is pinned here
-# rather than recomputed (numpy's leggauss differs by up to 1.8e-15).
+# as literals.  The last bit of each weight matters: U_integral's
+# cancellation turns a 1e-15 change in the weights into ~5e-8 relative
+# in U, so the rule is pinned rather than recomputed (numpy's leggauss
+# differs by up to 1.8e-15).
 _GAUSS_LEGENDRE_12 = (
     np.array([
         -0.9815606342467192, -0.9041172563704749, -0.7699026741943047,
@@ -150,9 +150,9 @@ _NO_ROWS = np.empty(0)
 class _HeldTiles:
     """The tiles of one table.tiles() pass, kept as it yields them, only as far as asked.
 
-    Past tile 0 a sieved tile stays an OddTile, half a flat tile's
-    bytes; chunk() rebuilds its flat block rows a chunk at a time in one
-    reused buffer.
+    A sieved OddTile is held as its prime powers: flat offsets, ascending,
+    and values, 16 bytes each (0.3 MB a tile near n = 2e6, 2 MB flat).
+    chunk() writes a chunk's into one reused zeroed buffer: flat bits.
     """
 
     def __init__(self, table):
@@ -161,32 +161,48 @@ class _HeldTiles:
         self.reach = 0  # Lambda(1 .. reach) is held
         self._pass = iter(table.tiles())
         self._flat = np.zeros(_CHUNK * _BLOCK)
-        self._two = []  # where the buffer holds a power of two
+        self._set = []  # where the buffer is nonzero
 
     def upto(self, n):
         while self.reach < n:
-            self.tiles.append(next(self._pass))
+            tile = next(self._pass)
+            if isinstance(tile, OddTile):
+                at = 2 * np.flatnonzero(tile.odd)
+                values = tile.odd[at // 2]
+                for two, value in tile.evens:  # a power of two: the tile's last n
+                    at, values = np.append(at, two), np.append(values, value)
+                tile = at, values
+            self.tiles.append(tile)
             self.reach = min(len(self.tiles) * _TILE, self.limit)
 
     def chunk(self, c):
         """Block rows c _CHUNK .. (c + 1) _CHUNK - 1 as an array: a flat tile's in place."""
         t, lo = divmod(c * _CHUNK * _BLOCK, _TILE)
         tile, hi = self.tiles[t], lo + _CHUNK * _BLOCK
-        if not isinstance(tile, OddTile):
+        if not isinstance(tile, tuple):
             return tile[lo:hi].reshape(_CHUNK, _BLOCK)
-        flat = self._flat
-        flat[self._two] = 0.0  # the even n stay zero, but for a tile's power of two
-        flat[0::2] = tile.odd[lo // 2 : hi // 2]
-        self._two = [at - lo for at, _ in tile.evens if lo <= at < hi]
-        flat[self._two] = [value for at, value in tile.evens if lo <= at < hi]
-        return flat.reshape(_CHUNK, _BLOCK)
+        at, values = tile
+        a, b = np.searchsorted(at, [lo, hi])
+        self._flat[self._set] = 0.0
+        self._set = at[a:b] - lo
+        self._flat[self._set] = values[a:b]
+        return self._flat.reshape(_CHUNK, _BLOCK)
 
     def pass_tiles(self):
         """The pass's tiles: the held ones flat, each dropped once read, then the rest as sieved."""
         self._flat = None
         while self.tiles:
-            yield flat_tile(self.tiles.pop(0))
+            yield _flat_tile(self.tiles.pop(0))
         yield from self._pass
+
+
+def _flat_tile(tile):
+    """A held tile flat, bitwise sieve.flat_tile."""
+    if not isinstance(tile, tuple):
+        return tile
+    flat = np.zeros(_TILE)
+    flat[tile[0]] = tile[1]
+    return flat
 
 
 def _panel_sums(held, us, cutoffs, priors):
@@ -237,10 +253,10 @@ def _march_deltas(held, us, eps, priors):
     Each sum runs to min(_loose_cutoff(u, eps), held.limit), by
     _panel_sums: rows are its block row sums, and priors, one per u, those
     of an earlier call at the same u (_NO_ROWS for none).  Where the table is
-    shorter than _loose_cutoff(u, eps), Delta is read only as far as it
-    reaches, and missing is the certified bound on the sum past the
-    table's end (_log_tail); else it is 0.0.  U_integral counts it in its
-    error at the march nodes.  Below u = 0.004, Delta is 0.0.
+    shorter, Delta is read as far as it reaches, and missing is the
+    certified bound on the sum past its end (_log_tail); else 0.0.
+    U_integral counts it in its error at the march nodes.  Below
+    u = 0.004, Delta is 0.0.
     """
     live = [i for i, u in enumerate(us) if u >= 0.004]
     deltas, rows, missing = [0.0] * len(us), [_NO_ROWS] * len(us), [0.0] * len(us)
@@ -387,9 +403,9 @@ def U_integral(table, p: PintzParams, tol=0.1):
     identity, not an approximation; it only reduces the cancellation the
     quadrature has to resolve).  The oscillatory remainder is integrated
     by adaptive Gauss-Legendre panels in log u, which stop once panel
-    contributions fall below the running tolerance; what remains of the
-    window is covered by an empirical envelope bound from probe
-    evaluations, reported inside `error` together with head/tail bounds.
+    contributions fall below the running tolerance, or at the window's
+    top; past the stop an empirical envelope bound from probe
+    evaluations is reported inside `error` with head/tail bounds.
     A trapezoid rule on log u = j/20 lands within `error`/23 (tested).
 
     The envelope is the largest |Delta - c| (plus the tail past the
@@ -409,18 +425,16 @@ def U_integral(table, p: PintzParams, tol=0.1):
     rest once it ends.
 
     The table is read only through `limit` and `tiles()`, as the Delta
-    engine reads it, so a sieve.LambdaStream serves.  The march holds the
-    tiles of one tiles() pass as they come, only as far as its largest
-    cutoff (_HeldTiles): tile 0 flat, each later one a sieve.OddTile, half
-    a flat tile's bytes.  A panel's twelve nodes are summed together
-    (_panel_sums), reading the block rows a 1 MB chunk at a time, each
-    chunk's rows rebuilt flat once for all of them.  The probes inside
-    the march's reach are summed so too, and the rest take one _psi_many
-    pass at the same clamped cutoffs, rounded up to whole blocks: the held
-    tiles flat (sieve.flat_tile), each dropped once read, and then the
-    rest of the march's pass, so no tile is sieved twice and the held
-    tiles are freed before it sieves on to the tile of the top probe's
-    cutoff.  CapacityError comes before any tile is sieved.
+    engine reads it, so a sieve.LambdaStream serves.  The march holds one
+    tiles() pass only as far as its largest cutoff (_HeldTiles): tile 0
+    flat, each sieved tile past it as its prime powers.  A panel's twelve
+    nodes, and the probes inside the march's reach, are summed together
+    (_panel_sums), a 1 MB chunk of block rows at a time, rebuilt flat
+    once for all of them.  The other probes take one _psi_many pass at
+    the same clamped cutoffs, rounded up to whole blocks: the held tiles
+    flat, each dropped once read, then the rest of the march's pass, so
+    no tile is sieved twice and the held tiles are freed before it sieves
+    on.  CapacityError comes before any tile is sieved.
     """
     width, limit = U_window(p, tol)
     b = math.exp(p.mu + width)
@@ -488,30 +502,26 @@ def U_integral(table, p: PintzParams, tol=0.1):
     # off leaves one exact boundary term at the start of the march; the
     # far end is inside the envelope bound below since Delta - c decays
     const_term = -DELTA_LIMIT * _g_weight(math.exp(p.mu + y_lo), p)
-    # tail envelope for the skipped [y_stop, width] from probe evaluations
-    tail_bound = 0.0
-    if y_stop < width - 1e-9:
-        # the envelope term's weight over the skipped stretch and past b
-        ys = np.linspace(y_stop, width + 6.0, 240)
-        wts = np.abs(_g_prime_times_u(np.exp(p.mu + ys), p))
-        y_top = _weight_top(ys, wts)
-        probes = np.geomspace(math.exp(p.mu + y_stop), min(b, math.exp(p.mu + y_top)), 6)
-        # probes the march's buffer reaches read it as the march does;
-        # the rest share one pass over its held tiles and then its stream,
-        # at the same clamped cutoffs
-        loose = np.array([_loose_cutoff(u, 1e-7) for u in probes])
-        cutoffs = np.minimum(loose, table.limit)
-        far = cutoffs > held.reach
-        d = np.empty(len(probes))
-        near = probes[~far].tolist()
-        d[~far] = _march_deltas(held, near, 1e-7, [_NO_ROWS] * len(near))[0]
-        psi = _psi_many(held.pass_tiles(), probes[far], cutoffs[far])
-        d[far] = psi - [smooth_baseline(u) for u in probes[far]]
-        # a clamped probe misses the sum past the table's end: add its bound
-        missing = np.where(loose > table.limit, np.exp(_log_tail(table.limit, probes)), 0.0)
-        env = float(np.max(np.abs(d - DELTA_LIMIT) + missing))
-        # past the top probe, |Delta - c| is taken to stay within env
-        tail_bound = 3.0 * env * float(np.trapezoid(wts, ys))
+    # the tail envelope past wherever the march stops, from probes
+    ys = np.linspace(y_stop, width + 6.0, 240)
+    wts = np.abs(_g_prime_times_u(np.exp(p.mu + ys), p))
+    y_top = _weight_top(ys, wts)
+    probes = np.geomspace(math.exp(p.mu + y_stop), min(b, math.exp(p.mu + y_top)), 6)
+    # probes in the held tiles read them as the march does; the rest share
+    # one pass over those, then the stream, at the same clamped cutoffs
+    loose = np.array([_loose_cutoff(u, 1e-7) for u in probes])
+    cutoffs = np.minimum(loose, table.limit)
+    far = cutoffs > held.reach
+    d = np.empty(len(probes))
+    near = probes[~far].tolist()
+    d[~far] = _march_deltas(held, near, 1e-7, [_NO_ROWS] * len(near))[0]
+    psi = _psi_many(held.pass_tiles(), probes[far], cutoffs[far])
+    d[far] = psi - [smooth_baseline(u) for u in probes[far]]
+    # a clamped probe misses the sum past the table's end: add its bound
+    missing = np.where(loose > table.limit, np.exp(_log_tail(table.limit, probes)), 0.0)
+    env = float(np.max(np.abs(d - DELTA_LIMIT) + missing))
+    # past the top probe, |Delta - c| is taken to stay within env
+    tail_bound = 3.0 * env * float(np.trapezoid(wts, ys))
     u_head = math.exp(p.mu + y_lo)
     head_bound = 3.0 * math.exp(-1.0 / u_head) * abs(_g_prime_times_u(u_head, p))
     err = pref * (node_eps * weight_mass + tail_bound + head_bound + clamped)

@@ -25,9 +25,9 @@ Every table gives its readers its tiles through tiles(), with the same
 Lambda bits: a LambdaStream as sieved, an array-backed table flat.  A
 LambdaStream holds only the limit and sieves afresh on each tiles()
 call, so a Delta grid (metrics, delta) never holds the whole table.
-pintz's U_integral holds the tiles of one pass as sieved, only as far
-as its march reads, and rebuilds an OddTile's flat block rows a chunk
-at a time.  build_lambda fills one array from lambda_tiles(N), kept as
+pintz's U_integral holds tiles of one pass as sieved, only as far as
+its march reads, each OddTile as its prime powers alone (about 15% of
+its odd n).  build_lambda fills one array from lambda_tiles(N), kept as
 a LambdaTable for the readers that index Lambda directly (goldbach,
 chebyshev_psi).  MAX_LIMIT caps N, so a table holds at most 1.6 GB of
 values and prefix sums.

@@ -1,8 +1,11 @@
 import csv
 import io
+import itertools
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -524,3 +527,46 @@ def test_no_command_imports_numpy_ma(tmp_path):
         for c in ("metrics", "delta", "goldbach", "zeros", "pintz", "turan")
         for w in (c, "0", "False", "False", "False", "False")
     ] + ["json", "0", "True"]
+
+
+_REPO = Path(__file__).resolve().parents[1]
+_WORKFLOW = _REPO / ".github" / "workflows" / "tier1.yml"
+
+
+def _workflow_commands():
+    """(argv, line) for each smoothed-pnt command of tier1.yml, argv up to its first shell operator."""
+    commands = []
+    for line in _WORKFLOW.read_text().splitlines():
+        code = line.split("#")[0]
+        if "smoothed-pnt " in code:
+            lex = shlex.shlex(code.split("smoothed-pnt ", 1)[1], posix=True, punctuation_chars=True)
+            lex.whitespace_split = True
+            argv = list(itertools.takewhile(lambda word: word not in (">", ";", "||"), lex))
+            commands.append((argv, line))
+    return commands
+
+
+class TestTier1Workflow:
+    # The workflow runs only on a CI runner, so its lines are checked
+    # here as text: the files it compares with, the commands it runs,
+    # and its benchmark line.  Nothing is run or written.
+    def test_compared_files_exist(self):
+        targets = re.findall(r'cmp \S+ "\$GITHUB_WORKSPACE/([^"]+)"', _WORKFLOW.read_text())
+        assert len(targets) >= 6
+        assert [t for t in targets if not (_REPO / t).is_file()] == []
+
+    def test_commands_parse_but_the_limit_line(self):
+        commands = _workflow_commands()
+        assert len(commands) >= 10
+        refused = []
+        for argv, line in commands:
+            try:
+                cli.build_parser().parse_args(argv)
+            except SystemExit:
+                refused.append(argv)
+        assert refused == [["metrics", "--limit", "5"]]
+
+    def test_pintz_bench_line_is_the_benchmark_step(self):
+        index = json.loads((_REPO / "perfbench" / "reference" / "index.json").read_text())
+        bench = [argv for argv, line in _workflow_commands() if "> pintz_bench.txt" in line]
+        assert bench == [index["workloads"]["lower_bound"]["0"]["argv"]]

@@ -16,7 +16,13 @@ from hypothesis import strategies as st
 
 import smoothed_pnt
 from smoothed_pnt import metrics, pintz, sieve
-from smoothed_pnt.errors import CapacityError, DomainError, NormalizationError, RangeError
+from smoothed_pnt.errors import (
+    CapacityError,
+    DomainError,
+    NormalizationError,
+    RangeError,
+    ToleranceError,
+)
 from smoothed_pnt.goldbach import contour_cutoff, contour_extract
 from smoothed_pnt.pintz import (
     _GAUSS_LEGENDRE_12,
@@ -567,8 +573,9 @@ class TestUIntegral:
 
             def upto(self, n):
                 super().upto(n)
-                arrays[:] = [weakref.ref(t.odd if t.__class__ is sieve.OddTile else t)
-                             for t in self.tiles]
+                # a sieved tile past tile 0 is held as its offsets and values
+                arrays[:] = [weakref.ref(a) for t in self.tiles
+                             for a in (t if isinstance(t, tuple) else (t,))]
 
         def recording(lo, *args):
             sieved.append((lo, bool(arrays) and all(ref() is None for ref in arrays)))
@@ -612,17 +619,21 @@ class TestUIntegral:
         assert _bits(U_integral(table, p, tol=tol)) == _bits(with_reuse)
 
     @pytest.mark.parametrize(
-        "scale, k, tol",
+        "scale, k, tol, quarters",
         [
-            (60.0, 0.6, 0.1),  # the pintz_far golden: the march holds two tiles
-            (198.657, 1.0, 0.1),  # the benchmark's lower_bound seed 0: ten
+            # the pintz_far golden: the march holds two tiles, and the far
+            # pass sets the peak
+            pytest.param(60.0, 0.6, 0.1, 1, id="60.0-0.6-0.1"),
+            # the benchmark's lower_bound seed 0: ten
+            pytest.param(198.657, 1.0, 0.1, 3, id="198.657-1.0-0.1"),
         ],
     )
-    def test_march_holds_odd_tiles(self, monkeypatch, scale, k, tol):
-        # past tile 0 the march holds each tile as the sieve yields it, an
-        # OddTile of half a flat tile's bytes: its tracemalloc peak stays
-        # below that of the same march held flat (sieve.lambda_tiles as
-        # the source), by at least a quarter tile for each tile past tile 0
+    def test_march_holds_odd_tiles(self, monkeypatch, scale, k, tol, quarters):
+        # past tile 0 the march holds each sieved tile as its prime powers,
+        # about 0.15 of a flat tile's bytes: its tracemalloc peak stays
+        # below that of the same march held flat (sieve.lambda_tiles as the
+        # source), by at least `quarters` quarter tiles for each tile past
+        # tile 0
         holdings = []
 
         class Recording(pintz._HeldTiles):
@@ -651,7 +662,45 @@ class TestUIntegral:
         assert bits[0] == bits[1]
         past_tile_0 = -(-holdings[0].reach // _TILE) - 1
         assert past_tile_0 >= 1
-        assert peaks[0] <= peaks[1] - past_tile_0 * _TILE * 8 // 4
+        assert peaks[0] <= peaks[1] - past_tile_0 * _TILE * 8 * quarters // 4
+
+    def test_a_dropped_prime_power_moves_u(self, monkeypatch):
+        # the bitwise tests can see a wrong held entry: without the first
+        # prime power held in tile 1, U at the benchmark's seed 0 moves
+        dropped = []
+
+        class Dropping(pintz._HeldTiles):
+            def upto(self, n):
+                super().upto(n)
+                if len(self.tiles) > 1 and not dropped:
+                    at, values = self.tiles[1]
+                    dropped.append(int(at[0]))
+                    self.tiles[1] = at[1:], values[1:]
+
+        p = PintzParams(mu=math.log(198.657), k=1.0, rho0=RHO1)
+        table = LambdaStream(U_window(p, 0.1)[1])
+        kept = U_integral(table, p, tol=0.1)
+        monkeypatch.setattr(pintz, "_HeldTiles", Dropping)
+        assert _bits(U_integral(table, p, tol=0.1)) != _bits(kept)
+        assert dropped == [2]  # n = 262,147, a prime
+
+    @pytest.mark.parametrize("scale", [5.0, 10.0])
+    def test_march_to_the_window_top_counts_past_it(self, scale):
+        # at k 0.2 and tol 0.3 the march runs to the window's top, and the
+        # integral past it is 18-21 times the error the march alone
+        # reports: U_integral must count it, and so land within its error
+        # of a trapezoid U whose nodes run on to y = 7.49, or raise.  (That
+        # U moves by 2e-14 when h halves, and lies 8e-14 and 3e-14 from
+        # U_residue.)
+        p = PintzParams(mu=math.log(scale), k=0.2, rho0=RHO1)
+        width, limit = U_window(p, 0.3)
+        assert width < 7.49
+        try:
+            r = U_integral(LambdaStream(limit), p, tol=0.3)
+        except ToleranceError:
+            return
+        trap = _u_trap(LambdaStream(_oracle_limit(p, 7.49)), p, 7.49)
+        assert abs(r.value - trap) <= r.error
 
     def test_short_stream_raises_before_sieving(self, monkeypatch):
         def sieved(*args):
