@@ -50,7 +50,7 @@ from .pintz import (
     turan_bound,
     turan_bounds,
 )
-from .sieve import LambdaStream, LambdaTable, build_lambda, chebyshev_psi, lambda_tiles
+from .sieve import LambdaStream, LambdaTable, build_lambda, chebyshev_psi
 from .smooth import (
     DELTA_LIMIT,
     DeltaBatch,

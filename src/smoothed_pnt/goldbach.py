@@ -127,16 +127,16 @@ def fk_cutoff(k, x, tol):
 
     RangeError unless x is positive and finite and L fits an int64.
     """
-    return int(_certified_limits(k, [x], tol, 0)[0])
+    return int(_certified_limits(k, [x], tol)[0])
 
 
-def _certified_limits(k, xs, tol, least):
-    """fk_cutoff at each of xs by smooth._cutoffs, searched from least on: least if it certifies tol."""
+def _certified_limits(k, xs, tol):
+    """fk_cutoff at each of xs, by one smooth._cutoffs search."""
     if not tol > 0.0:
         raise DomainError("tol must be positive")
 
     def floor(x):
-        return np.maximum(np.floor(np.maximum(8.0, 4.0 * k * x)) + 1.0, least)
+        return np.floor(np.maximum(8.0, 4.0 * k * x)) + 1.0
 
     return _cutoffs(xs, math.log(tol), floor, k=k)
 
@@ -146,14 +146,14 @@ def smooth_Fk(conv: ConvolutionTable, x, tol=1e-9):
 
     At each x of an array, each entry bitwise what x alone gives (a float
     for a scalar x).  CapacityError, naming the first x that needs more,
-    unless fk_cutoff certifies conv.limit at every x.  Rounding is not
+    unless conv.limit is at least fk_cutoff at every x.  Rounding is not
     part of tol: it is relative, like that of the coefficients, a few eps
     of F_k (at most 2.0e-15 for k <= 5 against direct sums).  The sum
     runs through the Delta engine's kernel, which reads whole blocks:
     past conv.limit it reads the zeros that pad the last tile.
     """
     xs = np.atleast_1d(x).astype(float)
-    need = _certified_limits(conv.k, xs, tol, conv.limit)
+    need = _certified_limits(conv.k, xs, tol)
     if (short := need > conv.limit).any():
         i = np.argmax(short)
         bound = fk_tail_bound(conv.k, conv.limit, xs[i])

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, ParseError, RangeError
 from .smooth import _distinct, delta_many, hybrid_grid, trapezoid_mean
-from .zeros import ZeroSet
+from .zeros import ZeroSet, _text_rows
 
 __all__ = [
     "EtaFunction",
@@ -100,19 +100,11 @@ class EtaFunction:
 def load_eta(path):
     """Tabulated eta from a text file of "u value" pairs ('#' comments)."""
     us, vs = [], []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if len(fields) != 2:
-                raise ParseError("expected 'u value'", line=lineno)
-            try:
-                us.append(float(fields[0]))
-                vs.append(float(fields[1]))
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from None
+    for lineno, fields in _text_rows(path):
+        if len(fields) != 2:
+            raise ParseError("expected 'u value'", line=lineno)
+        us.append(fields[0])
+        vs.append(fields[1])
     if not us:
         raise ParseError(f"no entries in {path}")
     return EtaFunction.tabulated(np.array(us), np.array(vs))
@@ -133,22 +125,13 @@ def eta_from_zeros(zeros: ZeroSet, convention="height"):
         args = np.log(zeros.gammas)
     else:
         raise DomainError(f"unknown convention {convention!r}")
-    deltas = 1.0 - zeros.betas
     order = np.argsort(args)
-    us, vs = [], []
-    running = 0.5
+    args = args[order]
+    running = np.minimum.accumulate(np.minimum(1.0 - zeros.betas[order], 0.5))
+    last = np.append(args[1:] != args[:-1], True)  # of each run of equal arguments
     # a leading segment at 1/2 so eta is defined from u = 0
-    us.append(min(0.0, float(args[order[0]]) - 1.0))
-    vs.append(0.5)
-    for i in order:
-        running = min(running, float(deltas[i]), 0.5)
-        u = float(args[i])
-        if us and u <= us[-1]:
-            vs[-1] = min(vs[-1], running)
-        else:
-            us.append(u)
-            vs.append(running)
-    return EtaFunction.tabulated(np.array(us), np.array(vs))
+    us = np.concatenate(([min(0.0, args[0] - 1.0)], args[last]))
+    return EtaFunction.tabulated(us, np.concatenate(([0.5], running[last])))
 
 
 @dataclass(frozen=True)

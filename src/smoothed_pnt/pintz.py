@@ -150,8 +150,9 @@ _NO_ROWS = np.empty(0)
 class _HeldTiles:
     """The tiles of one table.tiles() pass, kept as it yields them, only as far as asked.
 
-    A sieved OddTile is held as its prime powers: flat offsets, ascending,
-    and values, 16 bytes each (0.3 MB a tile near n = 2e6, 2 MB flat).
+    A sieved OddTile is held as its prime powers: flat offsets, ascending
+    (its two, if nonzero, last, at _TILE - 1), and values, 16 bytes each
+    (0.3 MB a tile near n = 2e6, 2 MB flat).
     chunk() writes a chunk's into one reused zeroed buffer: flat bits.
     """
 
@@ -169,8 +170,8 @@ class _HeldTiles:
             if isinstance(tile, OddTile):
                 at = 2 * np.flatnonzero(tile.odd)
                 values = tile.odd[at // 2]
-                for two, value in tile.evens:  # a power of two: the tile's last n
-                    at, values = np.append(at, two), np.append(values, value)
+                if tile.two:
+                    at, values = np.append(at, _TILE - 1), np.append(values, tile.two)
                 tile = at, values
             self.tiles.append(tile)
             self.reach = min(len(self.tiles) * _TILE, self.limit)

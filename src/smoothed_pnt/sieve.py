@@ -15,11 +15,11 @@ fancy-index write per octave of primes.  The segment's primes get
 np.log, and the prime powers p^k (k >= 2) come from one ascending list.
 
 Tile 0 is a flat float64 array.  Every later tile is an OddTile: its
-odd n as one dense half tile, and apart its one power of two, if any,
-so the sieve writes, and the Delta engine multiplies, only the half
-that can be nonzero; sieving one peaks at 1.6 MB, a flat tile at 2.5
-(tracemalloc, N = 3.2e7).  lambda_tiles yields them interleaved
-(flat_tile): flat tiles, bit for bit.
+odd n as one dense half tile, and apart Lambda at its last n, the only
+even n that can be a power of two, so the sieve writes, and the Delta
+engine multiplies, only the half that can be nonzero; sieving one peaks
+at 1.6 MB, a flat tile at 2.5 (tracemalloc, N = 3.2e7).  flat_tile
+interleaves one: a flat tile, bit for bit.
 
 Every table gives its readers its tiles through tiles(), with the same
 Lambda bits: a LambdaStream as sieved, an array-backed table flat.  A
@@ -27,7 +27,7 @@ LambdaStream holds only the limit and sieves afresh on each tiles()
 call, so a Delta grid (metrics, delta) never holds the whole table.
 pintz's U_integral holds tiles of one pass as sieved, only as far as
 its march reads, each OddTile as its prime powers alone (about 15% of
-its odd n).  build_lambda fills one array from lambda_tiles(N), kept as
+its odd n).  build_lambda fills one array from the sieved tiles, kept as
 a LambdaTable for the readers that index Lambda directly (goldbach,
 chebyshev_psi).  MAX_LIMIT caps N, so a table holds at most 1.6 GB of
 values and prefix sums.
@@ -48,7 +48,6 @@ __all__ = [
     "OddTile",
     "flat_tile",
     "build_lambda",
-    "lambda_tiles",
     "array_tiles",
     "check_limit",
     "chebyshev_psi",
@@ -99,14 +98,16 @@ class LambdaStream:
 
 
 class OddTile(NamedTuple):
-    """Tile t > 0, n = lo + i with lo = 1 + t _TILE: odd[i // 2] at even i, evens (i, Lambda) else.
+    """Tile t > 0, n = lo + i with lo = 1 + t _TILE: odd[i // 2] at even i, two at i = _TILE - 1.
 
     Past tile 0 the only even n with Lambda(n) != 0 are powers of two,
-    multiples of _TILE, so evens holds at most one, at i = _TILE - 1.
+    multiples of _TILE, so only the tile's last n can be one: two is
+    Lambda there (0.0 when it is not a power of two), and Lambda is 0
+    at every other odd i.
     """
 
     odd: np.ndarray
-    evens: tuple
+    two: float
 
 
 def flat_tile(tile):
@@ -115,8 +116,8 @@ def flat_tile(tile):
         return tile
     flat = np.zeros(_TILE)
     flat[0::2] = tile.odd
-    for at, value in tile.evens:
-        flat[at] = value
+    if tile.two:
+        flat[-1] = tile.two
     return flat
 
 
@@ -129,18 +130,10 @@ def check_limit(N):
 
 
 def array_tiles(values):
-    """Tiles of values[1:] in lambda_tiles' order, zero-padded past its end."""
+    """Tiles of values[1:] in the sieve's order, zero-padded past its end."""
     for lo in range(1, len(values), _TILE):
         tile = values[lo : lo + _TILE]
         yield tile if len(tile) == _TILE else np.pad(tile, (0, _TILE - len(tile)))
-
-
-def lambda_tiles(N):
-    """Iterator over the tiles of Lambda(1..N), in order (module docstring).
-
-    N is range-checked here, before the first tile is asked for.
-    """
-    return map(flat_tile, _segments(check_limit(N)))
 
 
 def _primes_upto(m):
@@ -160,10 +153,10 @@ _WHEEL = (3, 5, 7, 11, 13)
 _WHEEL_PERIOD = 15_015
 # Base primes below this strike a segment by one strided write each; the
 # rest, each with few multiples in a segment, strike it by one
-# fancy-index write per octave of primes.  Medians of 7 passes of
-# lambda_tiles(49,066,291) by split: 0.113 s at 128 and 256, 0.102 s at
-# 512 and 1024, 0.097 s at 2048, 0.106 s at 4096 and 0.115 s with no
-# scattered primes (2 vCPUs, Python 3.11, numpy 2.4).
+# fancy-index write per octave of primes.  Medians of 7 passes of the
+# flat tiles of Lambda(1 .. 49,066,291) by split: 0.113 s at 128 and
+# 256, 0.102 s at 512 and 1024, 0.097 s at 2048, 0.106 s at 4096 and
+# 0.115 s with no scattered primes (2 vCPUs, Python 3.11, numpy 2.4).
 _SCATTER_FROM = 2048
 
 
@@ -230,7 +223,8 @@ def _segment(lo, hi, wheel, strided, scattered, powers, logs):
     half = np.zeros(_TILE // 2)
     half[(primes - lo) // 2] = np.log(primes)
     half[at[odd] // 2] = log_pk[odd]
-    return OddTile(half, tuple(zip(at[~odd].tolist(), log_pk[~odd].tolist())))
+    (two,) = log_pk[~odd].tolist() or [0.0]  # a power of two, at the tile's last n
+    return OddTile(half, two)
 
 
 def _segment_primes(lo, hi, wheel, strided, scattered):
@@ -262,11 +256,11 @@ def _segment_primes(lo, hi, wheel, strided, scattered):
 
 
 def build_lambda(N):
-    """Lambda up to N as one array, filled from lambda_tiles(N)."""
+    """Lambda up to N as one array, filled from the sieved tiles, flat."""
     N = check_limit(N)
     values = np.zeros(N + 1)
-    for lo, tile in zip(range(1, N + 1, _TILE), lambda_tiles(N)):
-        values[lo : lo + _TILE] = tile[: N + 1 - lo]
+    for lo, tile in zip(range(1, N + 1, _TILE), _segments(N)):
+        values[lo : lo + _TILE] = flat_tile(tile)[: N + 1 - lo]
     return LambdaTable(limit=N, values=values)
 
 

@@ -303,8 +303,8 @@ def _tile_moments(tile, B, out):
     basis = _chebyshev_basis(B)
     if isinstance(tile, OddTile):
         np.matmul(tile.odd.reshape(-1, B // 2), basis[0::2], out=out)
-        for at, value in tile.evens:
-            out[at // B] += value * basis[at % B]
+        if tile.two:
+            out[-1] += tile.two * basis[-1]
     else:
         np.matmul(tile.reshape(-1, B), basis, out=out)
 

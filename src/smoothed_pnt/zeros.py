@@ -104,30 +104,37 @@ class ZeroSet:
             raise EmptySetError("operation needs at least one zero")
 
 
+def _text_rows(path):
+    """(line number, fields as floats) per row of a UTF-8 text table, blank and '#' lines skipped.
+
+    ParseError, with the 1-based line number, when a field is not a float.
+    """
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                try:
+                    yield lineno, [float(field) for field in line.split()]
+                except ValueError as exc:
+                    raise ParseError(str(exc), line=lineno) from None
+
+
 def load_zeros(path):
     """Read a zero table (format in the module docstring)."""
     betas, gammas = [], []
     explicit_beta = False
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            try:
-                if len(fields) == 1:
-                    b, g = 0.5, float(fields[0])
-                elif len(fields) == 2:
-                    b, g = float(fields[0]), float(fields[1])
-                    explicit_beta = True
-                else:
-                    raise ValueError("expected 1 or 2 columns")
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from None
-            if gammas and g <= gammas[-1]:
-                raise OrderError(f"line {lineno}: gamma {g} not ascending")
-            betas.append(b)
-            gammas.append(g)
+    for lineno, fields in _text_rows(path):
+        if len(fields) == 1:
+            b, g = 0.5, fields[0]
+        elif len(fields) == 2:
+            b, g = fields
+            explicit_beta = True
+        else:
+            raise ParseError("expected 1 or 2 columns", line=lineno)
+        if gammas and g <= gammas[-1]:
+            raise OrderError(f"line {lineno}: gamma {g} not ascending")
+        betas.append(b)
+        gammas.append(g)
     if not gammas:
         raise EmptySetError(f"no zeros in {path}")
     return ZeroSet(

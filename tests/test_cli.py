@@ -358,6 +358,28 @@ class TestExitCodes:
         assert code == 2
         assert out == "" and "seed" in err
 
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["metrics", "--tol", "0"], "tol must lie in (0, 1), got 0.0"),
+            (["delta", "--tol", "1"], "tol must lie in (0, 1), got 1.0"),
+            (["goldbach", "--tol=-1"], "tol must lie in (0, 1), got -1.0"),
+            (["pintz", "--tol", "nan"], "tol must lie in (0, 1), got nan"),
+            (["metrics", "--x", "a:100:3"], "could not convert string to float: 'a'"),
+            (["delta", "--x", "0.5:100:3"], "grid needs start >= 1"),
+            (["goldbach", "--x", "100:10:3"], "stop >= start"),
+            (["metrics", "--x", "10:100:0"], "points >= 1"),
+        ],
+    )
+    def test_bad_tol_or_grid_fails_before_sieving(self, capsys, monkeypatch, argv, reason):
+        def sieved(*args):
+            raise AssertionError("a tile was sieved")
+
+        monkeypatch.setattr(sieve, "_segment", sieved)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and reason in err
+
 
 def _strict_json(text):
     """json.loads, refusing the NaN and Infinity tokens that JSON does not have."""
@@ -570,3 +592,25 @@ class TestTier1Workflow:
         index = json.loads((_REPO / "perfbench" / "reference" / "index.json").read_text())
         bench = [argv for argv, line in _workflow_commands() if "> pintz_bench.txt" in line]
         assert bench == [index["workloads"]["lower_bound"]["0"]["argv"]]
+
+    def test_demos_run_from_the_installed_package(self):
+        demos = re.findall(r'python "\$GITHUB_WORKSPACE/(demos/[^"]+)"', _WORKFLOW.read_text())
+        assert sorted(demos) == [
+            "demos/03_goldbach_convolutions.py",
+            "demos/04_metric_family.py",
+            "demos/05_lower_bound_machinery.py",
+        ]
+        assert [d for d in demos if not (_REPO / d).is_file()] == []
+
+
+def test_readme_cli_lines_parse():
+    # README's CLI examples, every smoothed-pnt line of its code blocks,
+    # one per subcommand, must parse as they are printed
+    blocks = re.findall(r"^```\n(.*?)^```", (_REPO / "README.md").read_text(), re.M | re.S)
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("smoothed-pnt ")]
+    commands = [shlex.split(line)[1:] for line in lines]
+    assert sorted(argv[0] for argv in commands) == [
+        "delta", "goldbach", "metrics", "pintz", "turan", "zeros"
+    ]
+    for argv in commands:
+        cli.build_parser().parse_args(argv)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from smoothed_pnt import metrics
 from smoothed_pnt.errors import CapacityError, RangeError
 from smoothed_pnt.metrics import metrics_row, metrics_rows
-from smoothed_pnt.sieve import _TILE, LambdaStream, build_lambda, chebyshev_psi, lambda_tiles
+from smoothed_pnt.sieve import _TILE, LambdaStream, build_lambda, chebyshev_psi, flat_tile
 from smoothed_pnt.smooth import (
     _BLOCK,
     _truncation_cutoffs,
@@ -193,7 +193,7 @@ def test_tail_bound_dominates_the_true_tail():
     batches = [delta_many(table, [u], tol=tol) for u, tol in zip(us, tols)]
     cutoffs = np.array([b.cutoff[0] for b in batches])
     tails = np.zeros(len(us))
-    for t, tile in enumerate(lambda_tiles(table.limit)):
+    for t, tile in enumerate(map(flat_tile, table.tiles())):
         at = np.flatnonzero(tile)
         n = at + 1.0 + t * _TILE
         for i, (u, M) in enumerate(zip(us, cutoffs)):
@@ -416,7 +416,7 @@ def test_within_four_eps_u_of_long_double_sums():
     table = LambdaStream(truncation_cutoff(2e5, TOL))
     b = delta_many(table, us, tol=TOL)
     ref = np.zeros(len(us), dtype=np.longdouble)
-    for t, tile in enumerate(lambda_tiles(table.limit)):
+    for t, tile in enumerate(map(flat_tile, table.tiles())):
         at = np.flatnonzero(tile)
         n = (at + 1 + t * _TILE).astype(np.longdouble)
         c = tile[at].astype(np.longdouble)

@@ -240,7 +240,7 @@ def test_fk_cutoff_is_the_scalar_search():
         for tol in 10.0 ** rng.uniform(-15.0, -1.0, 25):
             xs = 10.0 ** rng.uniform(-2.0, 6.0, 100)
             want = [_scalar_cutoff(k, x, tol) for x in xs.tolist()]
-            assert _certified_limits(k, xs, tol, 0).tolist() == want, (k, tol)
+            assert _certified_limits(k, xs, tol).tolist() == want, (k, tol)
             assert fk_cutoff(k, xs[0], tol) == want[0]
     for k, x, tol in _goldbach_config_points():
         assert fk_cutoff(k, x, tol) == _scalar_cutoff(k, x, tol)

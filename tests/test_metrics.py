@@ -321,6 +321,26 @@ class TestOmegaFromValue:
             omega_from_value(-1.0, 1.0)
 
 
+def _eta_by_loop(zeros, convention):
+    """eta_from_zeros' table by its former loop, one zero at a time."""
+    args = zeros.gammas if convention == "height" else np.log(zeros.gammas)
+    deltas = 1.0 - zeros.betas
+    order = np.argsort(args)
+    us, vs = [], []
+    running = 0.5
+    us.append(min(0.0, float(args[order[0]]) - 1.0))
+    vs.append(0.5)
+    for i in order:
+        running = min(running, float(deltas[i]), 0.5)
+        u = float(args[i])
+        if us and u <= us[-1]:
+            vs[-1] = min(vs[-1], running)
+        else:
+            us.append(u)
+            vs.append(running)
+    return np.array(us), np.array(vs)
+
+
 class TestEnvelopeChain:
     def test_omega_eta_below_omega_for_consistent_profile(self, zeros_rh):
         eta = eta_from_zeros(zeros_rh, convention="height")
@@ -343,3 +363,31 @@ class TestEnvelopeChain:
             assert 0.0 < eta(20.0) <= 0.5
         with pytest.raises(DomainError):
             eta_from_zeros(zeros_rh, convention="other")
+
+    @pytest.mark.parametrize("convention", ["height", "log-height"])
+    @pytest.mark.parametrize("case", ["builtin", "off-line", "equal logs 0.7 0.6", "equal logs 0.6 0.7"])
+    def test_eta_from_zeros_is_the_merging_loop(self, zeros_rh, case, convention):
+        # the running minimum keeps the last entry of each run of equal
+        # arguments, as the loop's merge does: 600 and the next double
+        # have equal logs, so there log-height merges their deltas
+        def at_600(betas):
+            gammas = [GAMMA1, 600.0, np.nextafter(600.0, 601.0)]
+            return ZeroSet(betas=np.array([0.5, *betas]), gammas=np.array(gammas), assume_rh=False)
+
+        sets = {
+            "builtin": zeros_rh,
+            "off-line": ZeroSet(
+                betas=np.array([0.5, 0.75, 0.6]),
+                gammas=np.array([GAMMA1, 40.0, 90.0]),
+                assume_rh=False,
+            ),
+            "equal logs 0.7 0.6": at_600([0.7, 0.6]),
+            "equal logs 0.6 0.7": at_600([0.6, 0.7]),
+        }
+        zs = sets[case]
+        us, vs = eta_from_zeros(zs, convention=convention).table
+        want_us, want_vs = _eta_by_loop(zs, convention)
+        assert us.tobytes() == want_us.tobytes()
+        assert vs.tobytes() == want_vs.tobytes()
+        if case.startswith("equal logs") and convention == "log-height":
+            assert vs.tolist() == pytest.approx([0.5, 0.5, 0.3], abs=1e-15)

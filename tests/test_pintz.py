@@ -631,9 +631,9 @@ class TestUIntegral:
     def test_march_holds_odd_tiles(self, monkeypatch, scale, k, tol, quarters):
         # past tile 0 the march holds each sieved tile as its prime powers,
         # about 0.15 of a flat tile's bytes: its tracemalloc peak stays
-        # below that of the same march held flat (sieve.lambda_tiles as the
-        # source), by at least `quarters` quarter tiles for each tile past
-        # tile 0
+        # below that of the same march held flat (the sieved tiles through
+        # sieve.flat_tile as the source), by at least `quarters` quarter
+        # tiles for each tile past tile 0
         holdings = []
 
         class Recording(pintz._HeldTiles):
@@ -646,7 +646,7 @@ class TestUIntegral:
                 self.limit = limit
 
             def tiles(self):
-                return sieve.lambda_tiles(self.limit)
+                return map(sieve.flat_tile, LambdaStream(self.limit).tiles())
 
         monkeypatch.setattr(pintz, "_HeldTiles", Recording)
         p = PintzParams(mu=math.log(scale), k=k, rho0=RHO1)

@@ -16,7 +16,6 @@ from smoothed_pnt.sieve import (
     build_lambda,
     chebyshev_psi,
     flat_tile,
-    lambda_tiles,
 )
 from smoothed_pnt.smooth import _BLOCK, _SMALL_BLOCK
 
@@ -77,7 +76,6 @@ def test_tiles_match_whole_array_sieve(N):
     table = build_lambda(N)
     assert table.values.tobytes() == oracle.tobytes()
     sources = {
-        "lambda_tiles": lambda_tiles(N),
         "LambdaStream": map(flat_tile, LambdaStream(N).tiles()),
         "LambdaTable": table.tiles(),
     }
@@ -94,8 +92,9 @@ def test_tiles_match_whole_array_sieve(N):
 @pytest.mark.parametrize("N", [k * TILE + d for k in (1, 2, 3, 4) for d in (-1, 0, 1)] + [2**22 + 1])
 def test_odd_tiles_are_the_whole_array_sieve(N):
     # tile 0 is flat; past it a LambdaStream yields OddTiles whose half
-    # tile holds the odd n and whose evens the one power of two, if any,
-    # each with the oracle's bits, and whose interleave is lambda_tiles'
+    # tile holds the odd n and whose two Lambda at the tile's last n, the
+    # only even n that can be a power of two, each with the oracle's bits,
+    # and whose interleave is build_lambda's
     oracle = lambda_whole_array(N)
     padded = np.zeros(-(-N // TILE) * TILE + 1)
     padded[: N + 1] = oracle
@@ -107,19 +106,20 @@ def test_odd_tiles_are_the_whole_array_sieve(N):
         assert isinstance(tile, OddTile)
         assert tile.odd.shape == (TILE // 2,) and tile.odd.dtype == np.float64
         assert tile.odd.tobytes() == padded[lo : lo + TILE : 2].tobytes()
-        assert len(tile.evens) <= 1
+        assert type(tile.two) is float
         even = np.flatnonzero(padded[lo + 1 : lo + TILE : 2]) * 2 + 1
-        assert [at for at, _ in tile.evens] == even.tolist()
-        for at, value in tile.evens:
-            n = lo + at
+        assert even.tolist() == ([TILE - 1] if tile.two else [])
+        n = lo + TILE - 1
+        assert np.float64(tile.two).tobytes() == padded[n].tobytes()
+        if tile.two:
             assert n & (n - 1) == 0 and n <= N  # a power of two
-            assert np.float64(value).tobytes() == padded[n].tobytes()
         assert flat_tile(tile).tobytes() == padded[lo : lo + TILE].tobytes()
-    assert [flat_tile(t).tobytes() for t in tiles] == [t.tobytes() for t in lambda_tiles(N)]
+    flat = np.concatenate([flat_tile(t) for t in tiles])
+    assert flat[:N].tobytes() == build_lambda(N).values[1:].tobytes()
 
 
 def assert_tiles_are_the_oracle(N):
-    tiles = list(lambda_tiles(N))
+    tiles = list(map(flat_tile, LambdaStream(N).tiles()))
     assert len(tiles) == -(-N // TILE)
     flat = np.concatenate(tiles)
     assert flat[:N].tobytes() == lambda_whole_array(N)[1:].tobytes()
@@ -169,8 +169,8 @@ def test_large_table_bits_are_pinned():
     # The digest of the concatenated tiles was recorded from the plain
     # segmented sieve (every base prime a strided write over all n).
     digest = hashlib.sha256()
-    for tile in lambda_tiles(49_066_291):
-        digest.update(tile)
+    for tile in LambdaStream(49_066_291).tiles():
+        digest.update(flat_tile(tile))
     assert digest.hexdigest() == "e17206c78d911d675337a6b1ddd1406d01abfefe12053ab3fa21ba13cec22ad3"
 
 
@@ -182,7 +182,7 @@ def test_block_sizes_divide_the_tile():
 def test_stream_checks_its_limit():
     for N in (0, -5, MAX_LIMIT + 1):
         with pytest.raises(CapacityError):
-            lambda_tiles(N)  # before any tile is asked for
+            build_lambda(N)  # before any array is allocated
         with pytest.raises(CapacityError):
             LambdaStream(N)
     assert LambdaStream(1000).limit == 1000
