@@ -6,7 +6,7 @@ accurate to ~1e-13 relative on the right half plane; the left half plane
 goes through the reflection formula in log space so that large imaginary
 parts neither overflow nor lose the phase.  Zeta and zeta' come from one
 Euler-Maclaurin core: head sums over n^{-s}, a slice of s at a time
-through one 1 MiB buffer, and one loop over the Bernoulli terms, which
+through one 512 KiB buffer, and one loop over the Bernoulli terms, which
 carries zeta with its explicit remainder bound, and zeta' with its
 differentiated bound when a caller asks for it.  zeta_em,
 zeta_deriv_em and zeta_logderiv are certifying front ends over one
@@ -34,7 +34,9 @@ Gabcke's (1979) remainder 0.127 (t/2pi)^{-3/4}, proven for t >= 200
 (the evaluator refuses lower heights), plus an allowance for the
 rounding of the phases.  That bound is ~1e-2 to 3e-3, far coarser than
 the core's, so the value serves for a sign where the bound is below
-|Z|.  hardy_Z itself is Euler-Maclaurin throughout.
+|Z|.  It works a slice of heights at a time, theta and the bound with
+the cosines, in about the head buffer's bytes.  hardy_Z itself is
+Euler-Maclaurin throughout.
 
 Conjugate symmetry is structural: inputs with negative imaginary part are
 folded to the upper half plane and the result conjugated, so
@@ -182,23 +184,25 @@ def gamma_complex(z):
     return complex(np.exp(lg))
 
 
-# Head powers held at once by _head_sums, in values: 2^16 complex, 1 MiB,
-# or 50 heights a slice at find_zeros' 1,309-term heads.  A slice then
-# stays in a core's L2 cache (2 MiB on the 2-vCPU Xeon measured) from its
-# exp to its sums, and a process maps no more pages for it.  Timing
-# find_zeros(1000) in fresh processes there, one BLAS thread, 2^16 was
-# faster than 2^18 in 17 of 20 alternating pairs (medians 0.41 and
-# 0.44 s), than 2^17 in 16 of 20 and than 2^14 in 14 of 20, and level
-# with 2^15.  The zeros --T 1000 child peaks at 35.5 MB at 2^16 and 2^17,
-# 37.2 at 2^18, 41.4 at 2^19 and 48.7 with no slicing.
-_HEAD_BUF = 1 << 16
+# Head powers held at once by _head_sums, in values: 2^15 complex,
+# 512 KiB, or 25 heights a slice at find_zeros' 1,309-term heads.
+# _rs_Z's slices take a quarter as many terms, whose few real
+# temporaries come to about as many bytes.  A slice stays in a core's L2
+# cache (2 MiB a core on the 2-vCPU Xeon measured) from its exp to its
+# sums, and a process maps no more pages for it.  In 30 alternating
+# pairs of fresh `zeros --T 1000` processes there, one BLAS thread, the
+# child peaked at 31.99 MB (IQR 31.98-32.02) at 2^15 against 32.64 MB
+# (32.61-32.67) at 2^16, and find_zeros(1000) took 0.127 s of CPU
+# (0.108-0.134) against 0.125 s (0.102-0.134), faster in 13 of 30.
+_HEAD_BUF = 1 << 15
 
 
 def _head_sums(x, log_n, deriv, basis=None):
     """sum_n n^{-x} and, when `deriv`, sum_n n^{-x} log n over n = e^{log_n}, for a 1-D x.
 
-    The powers go through one buffer of at most _HEAD_BUF values (one
-    row, if a row is longer), allocated once, a slice of rows at a time.
+    The powers go through one buffer of at most _HEAD_BUF values (512 KiB
+    complex; one row, if a row is longer), allocated once, a slice of rows
+    at a time.
     Each row's sum is numpy's pairwise sum of that row alone, so a sum
     does not depend on the slicing or on the rest of x.  Given a real
     `basis` (one row per n) and a complex x, the one result holds the
@@ -235,7 +239,7 @@ def _em_core(s, n_terms, deriv=False, heads=None, head_err=0.0):
     Every s shares the truncation N = n_terms and the head sums over
     n^{-s} (n < N), vectorized over s, which is what the zero finder
     leans on.  The head powers pass through one buffer of _HEAD_BUF
-    complex values (1 MiB) a slice of s at a time, so a call's working
+    complex values (512 KiB) a slice of s at a time, so a call's working
     set is that buffer plus a few arrays shaped like s, whatever the
     batch.  A caller that has the heads some other way passes them as
     `heads`, a list shaped like the values, with `head_err`, a bound on
@@ -528,29 +532,37 @@ def _rs_Z(ts):
     |theta| of mpmath on [200, 1e3]), the sum of N terms adds N eps per
     term, and a^{-1/2} C_0(p) is within 8 eps a.  It is ~1e-10, a
     fraction 1e-8 of the whole.  Returns (values, bounds).
+
+    Heights go a slice at a time, _HEAD_BUF // 4 terms (682 heights of
+    12 terms up to t = 1e3): each slice takes its own theta, a, N, C_0,
+    cosine sums and bound.  All of it is elementwise work and per-row
+    sums, so a value and its bound do not depend on the slicing or on
+    the other heights.
     """
     ts = np.asarray(ts, dtype=float)
     if not np.all(ts >= _RS_MIN_T):
         raise DomainError(f"Gabcke's Riemann-Siegel bound needs t >= {_RS_MIN_T:g}")
-    a = np.sqrt(ts / _TWO_PI)
-    n_cut = np.floor(a)
-    n = np.arange(1.0, n_cut.max(initial=0.0) + 1.0)
+    # floor(sqrt(t/2pi)) is monotone in t, so the top height has the most terms
+    n = np.arange(1.0, np.floor(np.sqrt(ts.max(initial=0.0) / _TWO_PI)) + 1.0)
     log_n, root_n = np.log(n), n**-0.5
-    theta = rs_theta(ts)
-    # a slice of heights at a time, _HEAD_BUF terms, as _head_sums does;
-    # each row is elementwise work and its own sum, so slicing moves no bit
-    main, weight_sum = np.empty(len(ts)), np.empty(len(ts))
-    rows = max(1, _HEAD_BUF // max(1, len(n)))
-    for i in range(0, len(ts), rows):
-        part = slice(i, i + rows)
-        weights = np.where(n <= n_cut[part, None], root_n, 0.0)
-        phase = theta[part, None] - np.multiply.outer(ts[part], log_n)
-        main[part] = 2.0 * (weights * np.cos(phase)).sum(axis=1)
-        weight_sum[part] = weights.sum(axis=1)
-    u, v = a - n_cut - 0.25, a - n_cut - 0.75
-    c0 = np.sinc(2.0 * u * v) / (math.pi * np.sinc(u) * np.sinc(v))
-    sign = np.where(n_cut % 2.0 == 1.0, 1.0, -1.0)  # (-1)^{N-1}
     eps = np.finfo(float).eps
-    per_term = 4.0 * (np.abs(theta) + ts * np.log(n_cut)) + n_cut + 1.0
-    rounding = eps * (2.0 * weight_sum * per_term + 8.0 * a)
-    return main + sign * c0 / np.sqrt(a), 0.127 * a**-1.5 + rounding
+    values, bounds = np.empty(len(ts)), np.empty(len(ts))
+    # a slice's few real temporaries of 8 bytes a term take about
+    # _head_sums' buffer in bytes
+    rows = max(1, _HEAD_BUF // 4 // max(1, len(n)))
+    for i in range(0, len(ts), rows):
+        t = ts[i : i + rows]
+        a = np.sqrt(t / _TWO_PI)
+        n_cut = np.floor(a)
+        theta = rs_theta(t)
+        weights = np.where(n <= n_cut[:, None], root_n, 0.0)
+        phase = theta[:, None] - np.multiply.outer(t, log_n)
+        main = 2.0 * (weights * np.cos(phase)).sum(axis=1)
+        u, v = a - n_cut - 0.25, a - n_cut - 0.75
+        c0 = np.sinc(2.0 * u * v) / (math.pi * np.sinc(u) * np.sinc(v))
+        sign = np.where(n_cut % 2.0 == 1.0, 1.0, -1.0)  # (-1)^{N-1}
+        per_term = 4.0 * (np.abs(theta) + t * np.log(n_cut)) + n_cut + 1.0
+        rounding = eps * (2.0 * weights.sum(axis=1) * per_term + 8.0 * a)
+        values[i : i + rows] = main + sign * c0 / np.sqrt(a)
+        bounds[i : i + rows] = 0.127 * a**-1.5 + rounding
+    return values, bounds

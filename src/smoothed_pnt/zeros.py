@@ -290,8 +290,9 @@ def find_zeros(T):
     within 5.7e-13 of mpmath's.
 
     The moments and the direct heads sum their head powers a slice of
-    heights at a time through one 1 MiB buffer, so the working set does
-    not grow with the batch.
+    heights at a time through one 512 KiB buffer, and Riemann-Siegel
+    takes theta, its cosines and its bound a slice at a time in about as
+    many bytes, so the working set does not grow with the batch.
     """
     if not (10.0 <= T <= 1e3):
         raise DomainError("find_zeros supports 10 <= T <= 1e3")

@@ -335,6 +335,21 @@ def _probe_pass(monkeypatch, table, p, tol):
     return seen
 
 
+def _envelope_probes(monkeypatch, p, tol):
+    """U_integral's six envelope probes, sorted: those its march holds and the far pass's."""
+    calls = []
+    march_deltas = pintz._march_deltas
+
+    def recording(held, us, eps, priors):
+        calls.append(list(us))
+        return march_deltas(held, us, eps, priors)
+
+    monkeypatch.setattr(pintz, "_march_deltas", recording)
+    seen = _probe_pass(monkeypatch, LambdaStream(U_window(p, tol)[1]), p, tol)
+    # the probes' own _march_deltas call is the last one, after the march's
+    return np.sort(np.concatenate([calls[-1], seen["us"]]))
+
+
 def _u_trap(table, p, width, h=0.05):
     """U by the trapezoid rule on the lattice log u_j = jh, its Delta from one delta_many call.
 
@@ -491,6 +506,32 @@ class TestUIntegral:
         top = float(seen["us"].max())
         assert top == math.exp(p.mu + seen["y_top"])
         assert pintz._loose_cutoff(top, 1e-7) <= limit
+
+    @pytest.mark.parametrize(
+        "scale, k, tol",
+        [
+            (20.0, 0.5, 0.2),  # the pintz golden
+            (60.0, 0.6, 0.1),  # the pintz_far golden
+            (198.657, 1.0, 0.1),  # the benchmark's lower_bound seed 0
+            *(
+                pytest.param(
+                    *config,
+                    marks=pytest.mark.xfail(
+                        strict=True,
+                        raises=AssertionError,
+                        reason="the march runs to the window's top, so the probes' geomspace "
+                        "starts and ends at u = b: six probes at one point (ROADMAP item 15)",
+                    ),
+                )
+                for config in [(20.0, 0.2, 0.2), (30.0, 0.4, 0.3)]
+            ),
+        ],
+    )
+    def test_envelope_probes_are_distinct(self, monkeypatch, scale, k, tol):
+        p = PintzParams(mu=math.log(scale), k=k, rho0=RHO1)
+        probes = _envelope_probes(monkeypatch, p, tol)
+        assert len(probes) == 6
+        assert np.all(np.diff(probes) > 0.0)
 
     @pytest.mark.parametrize(
         "scale, k, clamped",

@@ -36,6 +36,7 @@ from smoothed_pnt.specfun import (
     zeta_em,
     zeta_logderiv,
 )
+from smoothed_pnt.zeros import _STEP
 
 GAMMA1 = 14.134725141734693
 GOLDEN_1000 = Path(__file__).resolve().parent / "golden" / "zeros_1000.txt"
@@ -307,13 +308,12 @@ class TestLogDeriv:
         assert err2 > 0.0  # degrades gracefully but still reports
 
 
-def _sliced_bits(monkeypatch, s, n_terms, deriv):
-    """_em_core's values and bounds as bytes, with one row a slice and with every row at once."""
+def _sliced_bits(monkeypatch, evaluate):
+    """evaluate()'s values and bounds as bytes, with one row a slice and with every row at once."""
     out = []
     for size in (1, 1 << 40):
         monkeypatch.setattr(specfun, "_HEAD_BUF", size)
-        vals, bounds = _em_core(s, n_terms, deriv=deriv)
-        out.append([v.tobytes() for v in vals + bounds])
+        out.append(np.concatenate(evaluate()).tobytes())
     return out
 
 
@@ -325,7 +325,8 @@ class TestEmHeadSlices:
     def test_one_row_or_all_rows_same_bits(self, monkeypatch, seed, deriv):
         rng = np.random.default_rng(seed)
         s = rng.uniform(-0.99, 3.0, 300) + 1j * rng.uniform(0.0, 1e3, 300)
-        one, every = _sliced_bits(monkeypatch, s, int(rng.integers(2, 1400)), deriv)
+        n_terms = int(rng.integers(2, 1400))
+        one, every = _sliced_bits(monkeypatch, lambda: _em_core(s, n_terms, deriv=deriv))
         assert one == every
 
     @pytest.mark.parametrize("deriv", [False, True])
@@ -335,7 +336,7 @@ class TestEmHeadSlices:
         gammas = np.array(GOLDEN_1000.read_text(encoding="utf-8").split(), dtype=float)
         rng = np.random.default_rng(1000)
         s = 0.5 + 1j * (gammas + rng.uniform(-1e-9, 1e-9, len(gammas)))
-        one, every = _sliced_bits(monkeypatch, s, 1310, deriv)
+        one, every = _sliced_bits(monkeypatch, lambda: _em_core(s, 1310, deriv=deriv))
         assert one == every
 
     def test_head_sums_are_the_unsliced_formula(self):
@@ -556,6 +557,14 @@ class TestRiemannSiegel:
         certified = np.abs(val) > bound
         assert np.mean(certified) > 0.99
         assert np.array_equal(np.sign(val[certified]), np.sign(em[certified]))
+
+    def test_one_height_or_all_heights_same_bits(self, monkeypatch):
+        # theta, C_0 and the bound are built a slice of heights at a time,
+        # as the cosine sums are; here on find_zeros' scan grid at T = 1e3
+        ts = np.append(np.arange(1.0, 1e3, _STEP), 1e3)
+        ts = np.concatenate([ts[ts >= 200.0], RS_SINGULAR])
+        one, every = _sliced_bits(monkeypatch, lambda: _rs_Z(ts))
+        assert one == every
 
     def test_refuses_heights_below_gabcke_range(self):
         with pytest.raises(DomainError):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import smoothed_pnt.specfun as specfun
 import smoothed_pnt.zeros as zeros_mod
 from smoothed_pnt.errors import (
     AccuracyError,
@@ -24,6 +25,7 @@ from smoothed_pnt.specfun import (
     _auto_terms,
     _expansion_tail,
     _hardy_Z_array,
+    _rs_Z,
     gamma_complex,
     hardy_Z,
     loggamma,
@@ -310,17 +312,40 @@ class TestFindZeros:
                 below, above = mpmath.siegelz(g - 6e-13), mpmath.siegelz(g + 6e-13)
                 assert below * above < 0, f"zero {i + 1} at {gammas[i]!r}"
 
-    def test_memory_peak(self):
-        # the Euler-Maclaurin head powers pass through one 1 MiB buffer a
-        # slice at a time (5.3 MB measured); a call that holds its whole
-        # head-power matrix peaks at 14 MB or more
+    @staticmethod
+    def _peak(f):
         tracemalloc.start()
         try:
-            find_zeros(1000.0)
-            peak = tracemalloc.get_traced_memory()[1]
+            f()
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * 2**20
+
+    def test_memory_peak(self):
+        # the working set is the head buffer (16 bytes a value), the scan
+        # grid's few float arrays and the refinement's moments: 1.88 MiB
+        # measured, within the buffer and a dozen grid-long float arrays.
+        # A scan that builds theta and its bound for the whole grid at
+        # once, beside a 2^16-value buffer, peaks at 3.12 MiB and fails
+        grid = 8 * len(np.arange(1.0, 1000.0, zeros_mod._STEP))
+        assert self._peak(lambda: find_zeros(1000.0)) <= 16 * specfun._HEAD_BUF + 12 * grid
+
+    def test_riemann_siegel_memory_peak(self):
+        # past its two outputs, _rs_Z holds one slice of _HEAD_BUF // 4
+        # terms: about six real temporaries of 8 bytes a term, within the
+        # head buffer's 16 bytes a value (0.61 MiB measured on this grid).
+        # Building theta and the bound for every height at once, with
+        # slices of _HEAD_BUF terms, peaks at 2.68 MiB and fails
+        ts = np.arange(200.0, 1000.0, zeros_mod._STEP)
+        outputs = 2 * 8 * len(ts)
+        assert self._peak(lambda: _rs_Z(ts)) <= outputs + 16 * specfun._HEAD_BUF
+
+    def test_gammas_do_not_depend_on_the_buffer(self, monkeypatch):
+        gammas = []
+        for size in (1 << 16, 1 << 15):
+            monkeypatch.setattr(specfun, "_HEAD_BUF", size)
+            gammas.append(find_zeros(1000.0).gammas.tobytes())
+        assert gammas[0] == gammas[1]
 
     def test_em_value_does_not_depend_on_the_batch(self):
         # the scan passes hardy_Z the heights Riemann-Siegel leaves, a
