@@ -41,7 +41,7 @@ from .errors import (
     ToleranceError,
 )
 from .metrics import _golden_section
-from .sieve import _TILE, LambdaTable, OddTile
+from .sieve import _TILE, LambdaTable, OddTile, flat_tile
 from .smooth import (
     _BLOCK,
     _INT64_MAX,
@@ -150,16 +150,22 @@ _NO_ROWS = np.empty(0)
 class _HeldTiles:
     """The tiles of one table.tiles() pass, kept as it yields them, only as far as asked.
 
-    A sieved OddTile is held as its prime powers: flat offsets, ascending
-    (its two, if nonzero, last, at _TILE - 1), and values, 16 bytes each
-    (0.3 MB a tile near n = 2e6, 2 MB flat).
-    chunk() writes a chunk's into one reused zeroed buffer: flat bits.
+    Every tile, tile 0 and the flat tiles of an array-backed table as
+    well as the sieved OddTiles, is held as its prime powers: int32
+    offsets, ascending (an OddTile's two, if nonzero, last, at
+    _TILE - 1), and float64 values, 12 bytes each (0.22 MB a tile near
+    n = 2e6, 0.28 MB for tile 0, 2 MB flat).  head is Lambda(1 ..
+    2 _BLOCK - 1) flat, from tile 0, for the direct sums.  chunk() writes
+    a chunk's into one reused zeroed buffer, flat bits, and leaves the
+    buffer as it is when it already holds that chunk.
     """
 
     def __init__(self, table):
         self.limit = table.limit
         self.tiles = []
+        self.head = None
         self.reach = 0  # Lambda(1 .. reach) is held
+        self.last = -1  # the chunk the buffer holds, -1 for none
         self._pass = iter(table.tiles())
         self._flat = np.zeros(_CHUNK * _BLOCK)
         self._set = []  # where the buffer is nonzero
@@ -167,40 +173,47 @@ class _HeldTiles:
     def upto(self, n):
         while self.reach < n:
             tile = next(self._pass)
-            if isinstance(tile, OddTile):
-                at = 2 * np.flatnonzero(tile.odd)
-                values = tile.odd[at // 2]
-                if tile.two:
-                    at, values = np.append(at, _TILE - 1), np.append(values, tile.two)
-                tile = at, values
-            self.tiles.append(tile)
+            if not self.tiles:
+                self.head = flat_tile(tile)[: 2 * _BLOCK - 1].copy()
+            self.tiles.append(_prime_powers(tile))
+            del tile  # so it is not held while the next is sieved
             self.reach = min(len(self.tiles) * _TILE, self.limit)
 
     def chunk(self, c):
-        """Block rows c _CHUNK .. (c + 1) _CHUNK - 1 as an array: a flat tile's in place."""
-        t, lo = divmod(c * _CHUNK * _BLOCK, _TILE)
-        tile, hi = self.tiles[t], lo + _CHUNK * _BLOCK
-        if not isinstance(tile, tuple):
-            return tile[lo:hi].reshape(_CHUNK, _BLOCK)
-        at, values = tile
-        a, b = np.searchsorted(at, [lo, hi])
-        self._flat[self._set] = 0.0
-        self._set = at[a:b] - lo
-        self._flat[self._set] = values[a:b]
+        """Block rows c _CHUNK .. (c + 1) _CHUNK - 1, flat, in the one reused buffer."""
+        if c != self.last:
+            t, lo = divmod(c * _CHUNK * _BLOCK, _TILE)
+            at, values = self.tiles[t]
+            a, b = np.searchsorted(at, [lo, lo + _CHUNK * _BLOCK])
+            self._flat[self._set] = 0.0
+            self._set = np.subtract(at[a:b], lo, dtype=np.intp)  # intp indexes twice as fast
+            self._flat[self._set] = values[a:b]
+            self.last = c
         return self._flat.reshape(_CHUNK, _BLOCK)
 
     def pass_tiles(self):
         """The pass's tiles: the held ones flat, each dropped once read, then the rest as sieved."""
-        self._flat = None
+        self._flat = self.head = None
         while self.tiles:
             yield _flat_tile(self.tiles.pop(0))
         yield from self._pass
 
 
+def _prime_powers(tile):
+    """A tile from tiles() as (offsets, values) of its nonzero entries: int32 offsets, ascending."""
+    if not isinstance(tile, OddTile):
+        at = np.flatnonzero(tile).astype(np.int32)
+        return at, tile[at]
+    at = np.flatnonzero(tile.odd).astype(np.int32)
+    values = tile.odd[at]
+    at *= 2
+    if tile.two:
+        at, values = np.append(at, np.int32(_TILE - 1)), np.append(values, tile.two)
+    return at, values
+
+
 def _flat_tile(tile):
     """A held tile flat, bitwise sieve.flat_tile."""
-    if not isinstance(tile, tuple):
-        return tile
     flat = np.zeros(_TILE)
     flat[tile[0]] = tile[1]
     return flat
@@ -217,7 +230,12 @@ def _panel_sums(held, us, cutoffs, priors):
     nodes, by one GEMV per node that starts at a multiple of _ROW_GROUP
     rows and so has the row kernels of weighted_exp_sum's one GEMV; a
     single row is the last of _ROW_GROUP + 1.  So at one BLAS thread
-    each psi, and each row, is weighted_exp_sum's, bit for bit.
+    each psi, and each row, is weighted_exp_sum's, bit for bit.  A direct
+    sum reads held.head.  The chunks are visited from the end nearer the
+    one the buffer holds, so a march's panels alternate ascending and
+    descending and each starts on the chunk the last ended on, unbuilt.
+    Their order moves no bits: each GEMV piece and each partial block is
+    its own, and _block_total runs after them.
     """
     held.upto(max(cutoffs, default=0))
     sums, all_rows, blocked, chunks = [], [], [], set()
@@ -226,12 +244,15 @@ def _panel_sums(held, us, cutoffs, priors):
         k = _ROW_GROUP * (min(len(prior), Q) // _ROW_GROUP)
         all_rows.append(np.empty(Q))
         all_rows[i][:k] = prior[:k]
-        sums.append(0.0 if Q else _direct_sum(held.tiles[0][:M], 1, u))
+        sums.append(0.0 if Q else _direct_sum(held.head[:M], 1, u))
         if Q:
             blocked.append((i, k, Q, M, _block_weights(u)))
             # block rows k .. Q - 1, and block Q where it holds the last, partial block
             chunks.update(range(k // _CHUNK, (M - 1) // (_CHUNK * _BLOCK) + 1))
-    for c in sorted(chunks):
+    chunks = sorted(chunks)
+    if chunks and abs(held.last - chunks[-1]) < abs(held.last - chunks[0]):
+        chunks.reverse()  # start from the chunk the buffer holds, or nearer it
+    for c in chunks:
         chunk, at = held.chunk(c), c * _CHUNK
         for i, k, Q, M, w in blocked:
             lo, hi = max(k, at), min(Q, at + _CHUNK)
@@ -427,11 +448,13 @@ def U_integral(table, p: PintzParams, tol=0.1):
 
     The table is read only through `limit` and `tiles()`, as the Delta
     engine reads it, so a sieve.LambdaStream serves.  The march holds one
-    tiles() pass only as far as its largest cutoff (_HeldTiles): tile 0
-    flat, each sieved tile past it as its prime powers.  A panel's twelve
+    tiles() pass only as far as its largest cutoff (_HeldTiles), every
+    tile, tile 0 too, as its prime powers at 12 bytes each, and
+    Lambda(1 .. 2 _BLOCK - 1) flat for the direct sums.  A panel's twelve
     nodes, and the probes inside the march's reach, are summed together
     (_panel_sums), a 1 MB chunk of block rows at a time, rebuilt flat
-    once for all of them.  The other probes take one _psi_many pass at
+    once for all of them; a panel starts on the chunk the last one ended
+    on, which is not rebuilt.  The other probes take one _psi_many pass at
     the same clamped cutoffs, rounded up to whole blocks: the held tiles
     flat, each dropped once read, then the rest of the march's pass, so
     no tile is sieved twice and the held tiles are freed before it sieves

@@ -25,12 +25,12 @@ Every table gives its readers its tiles through tiles(), with the same
 Lambda bits: a LambdaStream as sieved, an array-backed table flat.  A
 LambdaStream holds only the limit and sieves afresh on each tiles()
 call, so a Delta grid (metrics, delta) never holds the whole table.
-pintz's U_integral holds tiles of one pass as sieved, only as far as
-its march reads, each OddTile as its prime powers alone (about 15% of
-its odd n).  build_lambda fills one array from the sieved tiles, kept as
-a LambdaTable for the readers that index Lambda directly (goldbach,
-chebyshev_psi).  MAX_LIMIT caps N, so a table holds at most 1.6 GB of
-values and prefix sums.
+pintz's U_integral holds tiles of one pass, only as far as its march
+reads, each as its prime powers alone at 4-byte offsets (about 15% of
+an OddTile's odd n, 9% of tile 0).  build_lambda fills one array from
+the sieved tiles, kept as a LambdaTable for the readers that index
+Lambda directly (goldbach, chebyshev_psi).  MAX_LIMIT caps N, so a
+table holds at most 1.6 GB of values and prefix sums.
 """
 
 import math
@@ -122,7 +122,9 @@ def flat_tile(tile):
 
 
 def check_limit(N):
-    """N as an int, or CapacityError when it lies outside [1, MAX_LIMIT]."""
+    """N as an int, or CapacityError when it lies outside [1, MAX_LIMIT] (nan included)."""
+    if N != N or N in (math.inf, -math.inf):  # nan, or an infinity: int(N) would raise
+        raise CapacityError(f"N = {N} outside supported range [1, {MAX_LIMIT}]")
     N = int(N)
     if N < 1 or N > MAX_LIMIT:
         raise CapacityError(f"N = {N} outside supported range [1, {MAX_LIMIT}]")

@@ -596,6 +596,8 @@ class TestTier1Workflow:
     def test_demos_run_from_the_installed_package(self):
         demos = re.findall(r'python "\$GITHUB_WORKSPACE/(demos/[^"]+)"', _WORKFLOW.read_text())
         assert sorted(demos) == [
+            "demos/01_smoothed_prime_counts.py",
+            "demos/02_explicit_formula.py",
             "demos/03_goldbach_convolutions.py",
             "demos/04_metric_family.py",
             "demos/05_lower_bound_machinery.py",

@@ -188,6 +188,17 @@ def test_stream_checks_its_limit():
     assert LambdaStream(1000).limit == 1000
 
 
+@pytest.mark.parametrize("N", [math.nan, math.inf, -math.inf])
+def test_non_finite_limit_is_a_capacity_error(N):
+    # refused before int(N), which raises ValueError or OverflowError
+    with pytest.raises(CapacityError, match="outside supported range"):
+        sieve.check_limit(N)
+    with pytest.raises(CapacityError):
+        build_lambda(N)
+    with pytest.raises(CapacityError):
+        LambdaStream(N)
+
+
 def test_small_values(table_small):
     v = table_small.values
     assert v[1] == 0.0
