@@ -268,7 +268,9 @@ def _cmd_turan(args):
         raise ConfigError(f"instances must be at least 1, got {args.instances}")
     if args.seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {args.seed}")
-    rng = np.random.default_rng(args.seed)
+    from ._rng import TuranRng  # only turan draws numbers
+
+    rng = TuranRng(args.seed)
     instances = []
     for _ in range(args.instances):
         n = int(rng.integers(1, 9))

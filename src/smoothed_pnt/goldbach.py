@@ -71,6 +71,12 @@ def _banded_fft(seq, k):
     np.convolve at N = 37,002 the worst relative errors are 4.5e-12 (odd
     n) and 1.6e-15 (even) for k = 2, 2.2e-13 (even) and 2.3e-15 (odd) for
     k = 3 (tested).  F_k keeps a few eps: the dense parity dominates it.
+
+    A band takes one transform of seq: its square is spectrum * spectrum,
+    squared in place at k = 2, where spectrum is not read again.  Each
+    later power is the rfft of the last, times spectrum in place, in that
+    operand order.  Each product has the bits of one that transforms
+    seq[:hi+1] again, and a band holds two spectra at most, not three.
     """
     vals = np.empty(len(seq))
     hi = len(seq) - 1
@@ -78,8 +84,13 @@ def _banded_fft(seq, k):
         size = 1 << (2 * hi).bit_length()  # a power of two past 2 hi: no wrap-around
         spectrum = np.fft.rfft(seq[: hi + 1], size)
         acc = seq[: hi + 1]
-        for _ in range(k - 1):
-            acc = np.fft.irfft(np.fft.rfft(acc, size) * spectrum, size)[: hi + 1]
+        for j in range(k - 1):
+            if j:
+                power = np.fft.rfft(acc, size)
+                power *= spectrum
+            else:
+                power = np.multiply(spectrum, spectrum, out=spectrum if k == 2 else None)
+            acc = np.fft.irfft(power, size)[: hi + 1]
             acc[np.abs(acc) < 1e-30] = 0.0
         vals[hi // 2 + 1 : hi + 1] = acc[hi // 2 + 1 :]
         hi //= 2

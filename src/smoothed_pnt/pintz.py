@@ -151,13 +151,17 @@ class _HeldTiles:
     """The tiles of one table.tiles() pass, kept as it yields them, only as far as asked.
 
     Every tile, tile 0 and the flat tiles of an array-backed table as
-    well as the sieved OddTiles, is held as its prime powers: int32
-    offsets, ascending (an OddTile's two, if nonzero, last, at
-    _TILE - 1), and float64 values, 12 bytes each (0.22 MB a tile near
-    n = 2e6, 0.28 MB for tile 0, 2 MB flat).  head is Lambda(1 ..
-    2 _BLOCK - 1) flat, from tile 0, for the direct sums.  chunk() writes
-    a chunk's into one reused zeroed buffer, flat bits, and leaves the
-    buffer as it is when it already holds that chunk.
+    well as the sieved OddTiles, is held as (at, kept_at, kept): at, the
+    int32 offsets of its nonzero entries, ascending, at 4 bytes each
+    (71-82 KB a tile up to n = 2.6e6 and 93 KB for tile 0, where a flat
+    tile takes 2 MB); kept_at and kept, the offsets and Lambda of the few
+    entries where Lambda is not np.log(n) bitwise (the prime powers p^k,
+    k >= 2), at 12 bytes each.  Every other entry is rebuilt by _logs,
+    the expression that found it equal, so the bits are kept by
+    construction.  head is Lambda(1 .. 2 _BLOCK - 1) flat, from tile 0,
+    for the direct sums.  chunk() writes a chunk's into one reused zeroed
+    buffer, flat bits, and leaves the buffer as it is when it already
+    holds that chunk.
     """
 
     def __init__(self, table):
@@ -175,7 +179,7 @@ class _HeldTiles:
             tile = next(self._pass)
             if not self.tiles:
                 self.head = flat_tile(tile)[: 2 * _BLOCK - 1].copy()
-            self.tiles.append(_prime_powers(tile))
+            self.tiles.append(_hold(tile, 1 + len(self.tiles) * _TILE))
             del tile  # so it is not held while the next is sieved
             self.reach = min(len(self.tiles) * _TILE, self.limit)
 
@@ -183,46 +187,58 @@ class _HeldTiles:
         """Block rows c _CHUNK .. (c + 1) _CHUNK - 1, flat, in the one reused buffer."""
         if c != self.last:
             t, lo = divmod(c * _CHUNK * _BLOCK, _TILE)
-            at, values = self.tiles[t]
-            a, b = np.searchsorted(at, [lo, lo + _CHUNK * _BLOCK])
+            (at, kept_at, kept), hi = self.tiles[t], lo + _CHUNK * _BLOCK
             self._flat[self._set] = 0.0
+            a, b = np.searchsorted(at, [lo, hi])
             self._set = np.subtract(at[a:b], lo, dtype=np.intp)  # intp indexes twice as fast
-            self._flat[self._set] = values[a:b]
+            self._flat[self._set] = _logs(self._set, 1 + t * _TILE + lo)
+            a, b = np.searchsorted(kept_at, [lo, hi])
+            self._flat[kept_at[a:b] - lo] = kept[a:b]
             self.last = c
         return self._flat.reshape(_CHUNK, _BLOCK)
 
     def pass_tiles(self):
         """The pass's tiles: the held ones flat, each dropped once read, then the rest as sieved."""
         self._flat = self.head = None
-        while self.tiles:
-            yield _flat_tile(self.tiles.pop(0))
+        for t in range(len(self.tiles)):
+            yield _flat_tile(self.tiles.pop(0), 1 + t * _TILE)
         yield from self._pass
 
 
-def _prime_powers(tile):
-    """A tile from tiles() as (offsets, values) of its nonzero entries: int32 offsets, ascending."""
-    if not isinstance(tile, OddTile):
+def _logs(at, lo):
+    """np.log(n) at n = lo + at, in float64: Lambda(n) where n is prime."""
+    n = np.add(at, lo, dtype=float)  # exact: n < 2^53
+    return np.log(n, out=n)
+
+
+def _hold(tile, lo):
+    """A tile from tiles(), whose first n is lo, as _HeldTiles holds it."""
+    if isinstance(tile, OddTile):
+        at = np.flatnonzero(tile.odd).astype(np.int32)
+        values = tile.odd[at]
+        at *= 2
+        if tile.two:
+            at, values = np.append(at, np.int32(_TILE - 1)), np.append(values, tile.two)
+    else:
         at = np.flatnonzero(tile).astype(np.int32)
-        return at, tile[at]
-    at = np.flatnonzero(tile.odd).astype(np.int32)
-    values = tile.odd[at]
-    at *= 2
-    if tile.two:
-        at, values = np.append(at, np.int32(_TILE - 1)), np.append(values, tile.two)
-    return at, values
+        values = tile[at]
+    kept = np.flatnonzero(_logs(at, lo) != values)
+    return at, at[kept], values[kept]
 
 
-def _flat_tile(tile):
-    """A held tile flat, bitwise sieve.flat_tile."""
+def _flat_tile(tile, lo):
+    """A held tile whose first n is lo, flat, bitwise sieve.flat_tile."""
+    at, kept_at, kept = tile
     flat = np.zeros(_TILE)
-    flat[tile[0]] = tile[1]
+    flat[at] = _logs(at, lo)
+    flat[kept_at] = kept
     return flat
 
 
 def _panel_sums(held, us, cutoffs, priors):
     """(psi, rows) at each node: weighted_exp_sum of Lambda(1 .. cutoff) at u, and its block rows.
 
-    rows are the sum's Q = cutoff // _BLOCK block row sums (none for a
+    rows are the sum's Q = cutoff // _BLOCK block row sums (_NO_ROWS for a
     direct sum, cutoff < 2 _BLOCK).  A node's prior is the rows of an
     earlier sum at the same u (_NO_ROWS for none); its whole groups of
     _ROW_GROUP rows, up to Q, are taken as they are.  The rows past them
@@ -242,7 +258,7 @@ def _panel_sums(held, us, cutoffs, priors):
     for i, (u, M, prior) in enumerate(zip(us, cutoffs, priors)):
         Q = M // _BLOCK if M >= 2 * _BLOCK else 0
         k = _ROW_GROUP * (min(len(prior), Q) // _ROW_GROUP)
-        all_rows.append(np.empty(Q))
+        all_rows.append(np.empty(Q) if Q else _NO_ROWS)  # one shared empty row set
         all_rows[i][:k] = prior[:k]
         sums.append(0.0 if Q else _direct_sum(held.head[:M], 1, u))
         if Q:
@@ -444,13 +460,15 @@ def U_integral(table, p: PintzParams, tol=0.1):
     node computes only the rows past them; every other step of a node's
     Delta is as without them, so at one BLAS thread U has the same bits.
     The pilot's rows are dropped as the refined pass reads them, and the
-    rest once it ends.
+    rest once it ends; its nodes without rows all hold the one _NO_ROWS.
 
     The table is read only through `limit` and `tiles()`, as the Delta
     engine reads it, so a sieve.LambdaStream serves.  The march holds one
     tiles() pass only as far as its largest cutoff (_HeldTiles), every
-    tile, tile 0 too, as its prime powers at 12 bytes each, and
-    Lambda(1 .. 2 _BLOCK - 1) flat for the direct sums.  A panel's twelve
+    tile, tile 0 too, as the offsets of its nonzero entries at 4 bytes
+    each, whose Lambda is rebuilt as np.log(n) but at the few prime powers
+    p^k (k >= 2), held with their values, and Lambda(1 .. 2 _BLOCK - 1)
+    flat for the direct sums.  A panel's twelve
     nodes, and the probes inside the march's reach, are summed together
     (_panel_sums), a 1 MB chunk of block rows at a time, rebuilt flat
     once for all of them; a panel starts on the chunk the last one ended

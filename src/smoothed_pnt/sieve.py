@@ -26,8 +26,10 @@ Lambda bits: a LambdaStream as sieved, an array-backed table flat.  A
 LambdaStream holds only the limit and sieves afresh on each tiles()
 call, so a Delta grid (metrics, delta) never holds the whole table.
 pintz's U_integral holds tiles of one pass, only as far as its march
-reads, each as its prime powers alone at 4-byte offsets (about 15% of
-an OddTile's odd n, 9% of tile 0).  build_lambda fills one array from
+reads, each as the 4-byte offsets of its nonzero entries (about 15% of
+an OddTile's odd n, 9% of tile 0), from which it rebuilds Lambda(n) =
+np.log(n), and apart the few prime powers p^k (k >= 2) with their
+values.  build_lambda fills one array from
 the sieved tiles, kept as a LambdaTable for the readers that index
 Lambda directly (goldbach, chebyshev_psi).  MAX_LIMIT caps N, so a
 table holds at most 1.6 GB of values and prefix sums.

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import smoothed_pnt
-from smoothed_pnt import cli, goldbach, sieve
+from smoothed_pnt import _rng, cli, goldbach, sieve
 from smoothed_pnt.errors import ToleranceError
 from smoothed_pnt.zeros import load_zeros
 
@@ -224,6 +224,72 @@ class TestTuranCommand:
             assert code == 2
             assert out == "" and "a, b must lie in (0, 100]" in err
         assert not path.exists()
+
+
+def _turan_draws(rng, count):
+    """count or more of rng's draws, made as _cmd_turan makes them, as one float array."""
+    draws = []
+    while len(draws) < count:
+        n = int(rng.integers(1, 9))
+        draws += [n, float(rng.uniform(-10, 10))]
+        if n > 1:
+            draws += [*rng.uniform(-1, 0, n - 1).tolist(), *rng.uniform(-10, 10, n - 1).tolist()]
+        draws += [float(rng.uniform(1, 10)), float(rng.uniform(1, 10))]
+    return np.array(draws, dtype=float)
+
+
+# seeds of one to seven 32-bit words: SeedSequence mixes a fifth word and
+# later ones into its pool of four after the pool's own rounds
+_RNG_SEEDS = [*range(21), 2**32 + 5, 2**70 + 3, 0xC0FFEE << 176 | 12345]
+
+
+def _draws_match_numpy(seed):
+    want = _turan_draws(np.random.default_rng(seed), 3000)
+    return _turan_draws(_rng.TuranRng(seed), 3000).tobytes() == want.tobytes()
+
+
+class TestTuranRng:
+    # numpy.random is the oracle here only; turan never imports it
+    @pytest.mark.parametrize(
+        "seed", _RNG_SEEDS, ids=[str(s) if s >> 32 == 0 else f"{s.bit_length()}-bit" for s in _RNG_SEEDS]
+    )
+    def test_draws_are_numpys(self, seed):
+        assert _draws_match_numpy(seed)
+
+    def test_a_changed_mixing_constant_is_seen(self, monkeypatch):
+        monkeypatch.setattr(_rng, "_MIX_MULT_L", _rng._MIX_MULT_L ^ 1 << 7)
+        assert not any(_draws_match_numpy(seed) for seed in _RNG_SEEDS)
+
+    def test_lemire_rejection(self):
+        # turan's span of 8 never rejects a draw; a span of 3 * 2^30 + 1
+        # rejects about one in four
+        a, b = np.random.default_rng(7), _rng.TuranRng(7)
+        span = 3 * 2**30 + 1
+        assert [int(a.integers(5, 5 + span)) for _ in range(200)] == [
+            b.integers(5, 5 + span) for _ in range(200)
+        ]
+
+
+def test_turan_does_not_import_numpy_random(tmp_path):
+    script = textwrap.dedent(
+        """
+        import contextlib, io, sys
+        import smoothed_pnt.cli
+        print("numpy.random" in sys.modules)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = smoothed_pnt.cli.main(["turan", "--seed", "5", "--instances", "20"])
+        print(code, "numpy.random" in sys.modules)
+        """
+    )
+    src = str(Path(smoothed_pnt.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "0", "False"]
 
 
 class TestExitCodes:

@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +11,10 @@ from hypothesis import strategies as st
 from smoothed_pnt import cli
 from smoothed_pnt.errors import AliasError, CapacityError, DomainError, RangeError
 from smoothed_pnt.goldbach import (
+    DIRECT_LIMIT,
     ConvolutionTable,
     _banded_fft,
+    _direct,
     _certified_limits,
     contour_cutoff,
     contour_extract,
@@ -78,6 +81,47 @@ class TestConvolution:
             rel[nz] = np.abs(vals[nz] / exact[k][nz] - 1.0)
             assert rel[odd].max() <= odd_most, k
             assert rel[~odd].max() <= even_most, k
+
+    @pytest.mark.parametrize("N", [37_002, DIRECT_LIMIT + 1])
+    def test_banded_fft_has_the_bits_of_two_transforms_a_power(self, N):
+        # the square is spectrum * spectrum, where the oracle, _banded_fft
+        # as it was, transforms seq[:hi+1] a second time for it
+        def two_transforms(seq, k):
+            vals = np.empty(len(seq))
+            hi = len(seq) - 1
+            while hi > 64:
+                size = 1 << (2 * hi).bit_length()
+                spectrum = np.fft.rfft(seq[: hi + 1], size)
+                acc = seq[: hi + 1]
+                for _ in range(k - 1):
+                    acc = np.fft.irfft(np.fft.rfft(acc, size) * spectrum, size)[: hi + 1]
+                    acc[np.abs(acc) < 1e-30] = 0.0
+                vals[hi // 2 + 1 : hi + 1] = acc[hi // 2 + 1 :]
+                hi //= 2
+            vals[: hi + 1] = _direct(seq[: hi + 1], k)
+            return vals
+
+        seq = build_lambda(N).values
+        for k in range(2, 6):
+            assert _banded_fft(seq, k).tobytes() == two_transforms(seq, k).tobytes(), k
+
+    def test_banded_fft_holds_two_spectra(self):
+        # at k = 2 the top band holds its squared spectrum and irfft's
+        # output, size // 2 + 1 complex and size real entries, beside vals,
+        # the cleanup's |acc| and mask and one more array of N + 1 floats:
+        # 2.92 MB at N = 37,002, where a third spectrum, the product of
+        # two transforms, took 3.44 MB
+        N = 37_002
+        seq = build_lambda(N).values
+        _banded_fft(seq, 2)  # what numpy caches for these sizes stays out of the peak
+        tracemalloc.start()
+        try:
+            _banded_fft(seq, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = 1 << (2 * N).bit_length()
+        assert peak <= 2 * 16 * (size // 2 + 1) + 3 * 8 * (N + 1) + (N + 1)
 
     def test_k_range_and_capacity(self, table_small):
         with pytest.raises(DomainError):

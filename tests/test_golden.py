@@ -1,5 +1,5 @@
 """Pinned CLI outputs: one small config of each of the six commands, plus
-`zeros --T 1000` and `pintz_far`, eight files in all.
+`zeros --T 1000`, `pintz_far` and `goldbach_fft`, nine files in all.
 
 The files in tests/golden/ were recorded from the per-point Delta
 evaluator (one GEMV per point) that the batched engine replaced, so a
@@ -18,7 +18,9 @@ differently from direct heads: 370 of the 649 zeros moved, by at most
 9 ulps, each still within 5.7e-13 of mpmath's.  The `pintz` config's
 envelope probes all sit in the one tile its march holds; `pintz_far`
 (mu-scale 60) holds two and streams three more for its far probes, so
-it pins U_integral's far pass.  `pintz` was re-recorded when
+it pins U_integral's far pass.  `goldbach` (x up to 100) convolves by exact
+sums; `goldbach_fft` (x up to 1000) reaches N = 37,002, past
+goldbach.DIRECT_LIMIT, so it pins the banded FFT path.  `pintz` was re-recorded when
 U_integral's error began to count the tails its march nodes miss where
 the table ends short of their cutoffs: only U_integral_err moved, in
 its eighth digit.
@@ -30,7 +32,7 @@ baseline in the last digits):
 
     PYTHONPATH=src python tests/test_golden.py pintz turan
 
-With no names, all eight files are rewritten.
+With no names, all nine files are rewritten.
 """
 
 import contextlib
@@ -55,6 +57,7 @@ CASES = {
     "pintz_far": ["pintz", "--mu-scale", "60", "--k", "0.6", "--tol", "0.1", "--zeros", "builtin"],
     "turan": ["turan", "--seed", "0", "--instances", "50"],
     "goldbach": ["goldbach", "--k", "2", "--x", "10:1e2:3"],
+    "goldbach_fft": ["goldbach", "--k", "2", "--x", "10:1e3:7"],
 }
 REORDERED = {"metrics", "delta"}
 REL = 1e-12

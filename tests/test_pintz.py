@@ -682,6 +682,28 @@ class TestUIntegral:
         monkeypatch.setattr(pintz, "_panel_sums", fresh)
         assert _bits(U_integral(table, p, tol=tol)) == _bits(with_reuse)
 
+    def test_pilot_rows_share_one_empty_array(self, monkeypatch):
+        # the pilot's rows stay alive until the refined pass reads them; at
+        # lower_bound's seed 0 thousands of its nodes are direct sums (or
+        # lie below u = 0.004) and have none, and all of those hold the
+        # one _NO_ROWS
+        calls = []
+        deltas = pintz._march_deltas
+
+        def recording(held, us, eps, priors):
+            out = deltas(held, us, eps, priors)
+            calls.append((eps, out[1]))
+            return out
+
+        monkeypatch.setattr(pintz, "_march_deltas", recording)
+        p = PintzParams(mu=math.log(198.657), k=1.0, rho0=RHO1)
+        U_integral(LambdaStream(U_window(p, 0.1)[1]), p, tol=0.1)
+        pilot_eps = calls[0][0]
+        assert any(eps < pilot_eps for eps, rows in calls)  # a refined pass ran
+        empty = [r for eps, rows in calls if eps == pilot_eps for r in rows if not len(r)]
+        assert len(empty) > 1000
+        assert len({id(r) for r in empty}) == 1
+
     @pytest.mark.parametrize(
         "scale, k, tol",
         [
@@ -690,12 +712,15 @@ class TestUIntegral:
         ],
     )
     def test_march_holds_odd_tiles(self, monkeypatch, scale, k, tol):
-        # the march holds every tile, tile 0 too, as its prime powers at
-        # 12 bytes each: its tracemalloc peak, up to the far pass, stays
-        # within those, the 1 MiB chunk buffer, the 64 KB head and the
-        # sieve's own peak for one tile (tile 0 of the same table, flat).
-        # Holding tile 0 flat and 16 bytes an entry exceeds it by 1.1 and
-        # 1.9 MB at these configs; the march stays 0.6 and 0.3 MB below.
+        # the march holds every tile, tile 0 too, as the offsets of its
+        # nonzero entries at 4 bytes each, and its prime powers p^k (k >= 2)
+        # at 12: its tracemalloc peak, up to the far pass, stays within
+        # those, the 1 MiB chunk buffer, the 64 KB head and the sieve's own
+        # peak for one tile (tile 0 of the same table, flat).  Holding
+        # every entry's value too, 12 bytes an entry, exceeds it by 1.3 MB
+        # at lower_bound's seed 0 (at mu-scale 60, sieving tile 0 beside
+        # the chunk buffer sets the peak either way); the march stays 0.2
+        # and 0.13 MB below.
         seen = {}
 
         class Recording(pintz._HeldTiles):
@@ -716,9 +741,12 @@ class TestUIntegral:
         finally:
             tracemalloc.stop()
         assert seen["reach"] > _TILE
-        entries = np.count_nonzero(build_lambda(seen["reach"]).values)
+        values = build_lambda(seen["reach"]).values
+        n = np.flatnonzero(values)
+        prime_powers = np.count_nonzero(np.abs(values[n] - np.log(n)) > 0.5)
         chunk_buffer, head = pintz._CHUNK * _BLOCK * 8, (2 * _BLOCK - 1) * 8
-        assert seen["peak"] <= 12 * entries + chunk_buffer + head + one_tile
+        held = 4 * len(n) + 12 * prime_powers
+        assert seen["peak"] <= held + chunk_buffer + head + one_tile
 
     def test_a_dropped_prime_power_moves_u(self, monkeypatch):
         # the bitwise tests can see a wrong held entry: without the first
@@ -729,9 +757,9 @@ class TestUIntegral:
             def upto(self, n):
                 super().upto(n)
                 if len(self.tiles) > 1 and not dropped:
-                    at, values = self.tiles[1]
+                    at, *kept = self.tiles[1]
                     dropped.append(int(at[0]))
-                    self.tiles[1] = at[1:], values[1:]
+                    self.tiles[1] = at[1:], *kept
 
         p = PintzParams(mu=math.log(198.657), k=1.0, rho0=RHO1)
         table = LambdaStream(U_window(p, 0.1)[1])
